@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 LE = "<="
 LT = "<"
 EQ = "="
@@ -80,9 +78,6 @@ class DeltaRational:
     def __ge__(self, other):
         return self._key() >= other._key()
 
-    def is_rational(self) -> bool:
-        return self.eps == 0
-
     def substitute(self, epsilon) -> Fraction:
         """Concrete value once delta is fixed to a positive rational."""
         return self.real + self.eps * Fraction(epsilon)
@@ -91,25 +86,6 @@ class DeltaRational:
         if self.eps == 0:
             return f"{self.real}"
         return f"({self.real} + {self.eps}d)"
-
-
-DELTA_ZERO = DeltaRational(0)
-
-
-def delta_of(value) -> DeltaRational:
-    if isinstance(value, DeltaRational):
-        return value
-    return DeltaRational(value)
-
-
-def delta_cmp(a: DeltaRational, b: DeltaRational) -> int:
-    """Total order on delta-rationals: -1, 0 or 1."""
-    ka, kb = a._key(), b._key()
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def materialize_epsilon(valuation, literals) -> Fraction:

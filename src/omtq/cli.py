@@ -1,9 +1,11 @@
 """Command line front end.
 
 Subcommands: solve (optimize one instance), generate (emit benchmark
-instances), crosscheck (solve plus independent validation of the
-result), bench (run a batch of instances under all engine configurations
-and emit CSV).  Exit codes: 0 solved (optimum, unsat or unbounded),
+instances), crosscheck (solve, then re-check the result with decision
+queries that run on the same SAT and simplex cores, so a fault shared
+with those cores goes unseen; independent certificates are ROADMAP item
+5), bench (run a batch of instances under all engine configurations and
+emit CSV).  Exit codes: 0 solved (optimum, unsat or unbounded),
 2 usage, 3 parse or validation error, 4 interrupted, 5 failed
 crosscheck.
 """
@@ -21,16 +23,7 @@ from fractions import Fraction
 from .arith import format_rat, parse_rat
 from .encodings import jobshop_instance, strip_packing_instance
 from .formula import OmtProblem
-from .omt import (
-    INTERRUPTED,
-    OPTIMUM,
-    UNBOUNDED,
-    UNSAT,
-    OmtConfig,
-    OmtOutcome,
-    crosscheck,
-    solve,
-)
+from .omt import INTERRUPTED, OmtConfig, OmtOutcome, crosscheck, solve
 from .parser import ParseError, parse_problem
 
 EXIT_OK = 0
@@ -72,6 +65,18 @@ def _load_problem(path: str, lb, ub) -> OmtProblem:
     return problem
 
 
+def _load_or_report(args):
+    """The instance named on the command line, or None after printing on
+    stderr why it cannot be read."""
+    try:
+        return _load_problem(args.file, args.lb, args.ub)
+    except (OSError, ParseError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+    return None
+
+
 def _print_outcome(problem: OmtProblem, outcome: OmtOutcome):
     print(outcome.status)
     if outcome.value is not None:
@@ -93,10 +98,8 @@ def _write_stats(path: str, outcome: OmtOutcome):
 
 
 def cmd_solve(args) -> int:
-    try:
-        problem = _load_problem(args.file, args.lb, args.ub)
-    except (OSError, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    problem = _load_or_report(args)
+    if problem is None:
         return EXIT_PARSE
     outcome = solve(problem, _config_from_args(args))
     _print_outcome(problem, outcome)
@@ -106,10 +109,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    try:
-        problem = _load_problem(args.file, args.lb, args.ub)
-    except (OSError, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    problem = _load_or_report(args)
+    if problem is None:
         return EXIT_PARSE
     outcome = solve(problem, _config_from_args(args))
     _print_outcome(problem, outcome)
@@ -162,7 +163,7 @@ def _bench_one(task):
         start = time.monotonic()
         outcome = solve(problem, config)
         elapsed = (time.monotonic() - start) * 1000.0
-    except (OSError, ParseError, ValueError) as exc:
+    except (OSError, ParseError, ValueError, RecursionError) as exc:
         row["status"] = f"error: {exc}"
         return row
     row["status"] = outcome.status
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--stats", metavar="CSV", help="write search statistics to this file")
     ps.set_defaults(func=cmd_solve)
 
-    pc = sub.add_parser("crosscheck", help="solve, then validate the result independently")
+    pc = sub.add_parser("crosscheck", help="solve, then re-check the result with decision queries")
     pc.add_argument("file")
     _add_engine_options(pc)
     pc.set_defaults(func=cmd_crosscheck)

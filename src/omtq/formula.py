@@ -149,15 +149,6 @@ def normalize_atom(coeffs: dict, const, op: str) -> tuple[Atom, bool]:
     return Atom(pairs, const, op), polarity
 
 
-def negate_rel(rel: str) -> str:
-    """Relation for the negation after moving the sign into the term."""
-    if rel == LE:
-        return LT
-    if rel == LT:
-        return LE
-    raise ValueError("negated equality has no single-atom form")
-
-
 # ---------------------------------------------------------------------------
 # boolean expression AST (input to cnfize)
 

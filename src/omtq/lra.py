@@ -41,7 +41,6 @@ class LraSolver:
         self.slack_of: dict[tuple, int] = {}
         self.undo: list[tuple] = []
         self.pivot_count = 0
-        self.check_count = 0
 
     # -- variables and slacks ---------------------------------------------
 
@@ -221,7 +220,6 @@ class LraSolver:
 
     def check(self):
         """Repair feasibility.  Returns ('sat', None) or ('unsat', clause)."""
-        self.check_count += 1
         while True:
             broken = None
             for x in sorted(self.rows):

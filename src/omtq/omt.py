@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import EQ, LE, LT, DeltaRational, materialize_epsilon
-from .formula import CnfFormula, OmtProblem, normalize_atom
+from .formula import OmtProblem, normalize_atom
 from .lra import LraSolver, dedupe_lits
 from .optimize import MINIMUM, UNBOUNDED as MIN_UNBOUNDED, conjunction_min, minimize_var
 from .sat import SatSolver, TheoryClient
@@ -88,22 +88,9 @@ class OmtOutcome:
 # shared plumbing
 
 
-def _cost_bound_lit(formula: CnfFormula, sat: SatSolver, cost: int, value: Fraction, rel: str) -> int:
-    """Solver literal for (cost rel value), registering the atom if new."""
-    atom, pol = normalize_atom({cost: Fraction(1)}, -Fraction(value), rel)
-    lit = formula.lit_for_atom(atom, pol)
-    sat.ensure_vars(formula.num_solver_vars)
-    return lit
-
-
-def _add_range_units(formula: CnfFormula, sat: SatSolver, problem: OmtProblem):
-    """Unit clauses pinning the cost into [lb, ub[."""
-    if problem.lb is not None:
-        lit = _cost_bound_lit(formula, sat, problem.cost, problem.lb, LT)
-        sat.add_clause([-lit])
-    if problem.ub is not None:
-        lit = _cost_bound_lit(formula, sat, problem.cost, problem.ub, LT)
-        sat.add_clause([lit])
+def _cost_atom(problem: OmtProblem, value: Fraction, rel: str):
+    """(atom, polarity) of (cost rel value)."""
+    return normalize_atom({problem.cost: Fraction(1)}, -Fraction(value), rel)
 
 
 class TheoryBridge(TheoryClient):
@@ -114,13 +101,23 @@ class TheoryBridge(TheoryClient):
     polarity occurs in no input clause are not asserted (they cannot be
     needed to satisfy anything and relaxing them only improves minima);
     assumption literals are exempted via ``forced_lits``.
+
+    The bridge owns one engine's whole state: a private copy of the
+    formula (the input stays reusable), the SAT solver loaded with its
+    clauses and the units pinning the cost into [lb, ub[, the simplex
+    solver, the deadline, the counters, the cost range [l, u[ with its
+    trace of lower ends, and the best model found so far.
     """
 
-    def __init__(self, formula: CnfFormula, problem: OmtProblem, config: OmtConfig, stats: SearchStats):
-        self.formula = formula
+    def __init__(self, problem: OmtProblem, config: OmtConfig):
         self.problem = problem
         self.cfg = config
-        self.stats = stats
+        self.stats = SearchStats()
+        self.formula = formula = problem.formula.copy()
+        self.sat = SatSolver()
+        self.sat.ensure_vars(formula.num_solver_vars)
+        for cl in formula.clauses:
+            self.sat.add_clause(cl)
         self.lra = LraSolver()
         for i in range(len(formula.rat_names)):
             self.lra.new_var(i)
@@ -128,13 +125,23 @@ class TheoryBridge(TheoryClient):
         self.ptr = 0
         self.marks: list[tuple] = []  # (trail_pos, lra_mark, atom, polarity)
         self.forced_lits: set[int] = set()
-        self.deadline = None
+        self.deadline = None if config.timeout is None else time.monotonic() + config.timeout
+        if problem.lb is not None:
+            self.sat.add_clause([-self.cost_lit(problem.lb, LT)])
+        if problem.ub is not None:
+            self.sat.add_clause([self.cost_lit(problem.ub, LT)])
+        self.l, self.l_strict = problem.lb, False
+        self.u, self.u_strict = problem.ub, True
+        self.trace: list = [self.l] if self.l is not None else []
+        self.best: Optional[tuple] = None  # (DeltaRational, model, eps)
+
+    def cost_lit(self, value: Fraction, rel: str) -> int:
+        """Solver literal for (cost rel value), registering the atom if new."""
+        lit = self.formula.lit_for_atom(*_cost_atom(self.problem, value, rel))
+        self.sat.ensure_vars(self.formula.num_solver_vars)
+        return lit
 
     # -- timeout
-
-    def set_timeout(self, seconds):
-        if seconds is not None:
-            self.deadline = time.monotonic() + seconds
 
     def timed_out(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
@@ -222,7 +229,43 @@ class TheoryBridge(TheoryClient):
     def on_theory_sat(self, solver):
         return None  # plain decision procedure: accept the model
 
-    # -- model extraction
+    # -- models and outcome
+
+    def minimize(self):
+        """Minimize the cost over the current simplex state and keep the
+        model if it is the best so far.  Returns (minimum, literal of the
+        bound that excludes it and everything above), or None when the
+        cost is unbounded."""
+        self.stats.minimize_calls += 1
+        mres = minimize_var(self.lra, self.cost_id)
+        if mres.status == MIN_UNBOUNDED:
+            return None
+        m = mres.value
+        if self.best is None or m < self.best[0]:
+            eps, model = self.snapshot_model()
+            self.best = (m, model, eps)
+        return m, self.cost_lit(m.real, LT if m.eps == 0 else LE)
+
+    def outcome(self, status: str) -> OmtOutcome:
+        """The engine's result with its final counters.  ``status`` is
+        UNBOUNDED, INTERRUPTED (the best model so far is attached), or
+        OPTIMUM for an exhausted range, which becomes UNSAT with the
+        input upper bound as its value when no model was found."""
+        sat_stats = self.sat.stats
+        self.stats.decisions = sat_stats.decisions
+        self.stats.conflicts = sat_stats.conflicts
+        self.stats.restarts = sat_stats.restarts
+        self.stats.simplex_pivots = self.lra.pivot_count
+        out = OmtOutcome(status, lower_trace=self.trace, stats=self.stats)
+        if status == UNBOUNDED:
+            return out
+        if self.best is None:
+            if status == OPTIMUM:
+                out.status, out.value = UNSAT, self.problem.ub
+            return out
+        m, out.model, out.epsilon = self.best
+        out.value, out.attained = m.real, m.eps == 0
+        return out
 
     def current_literals(self):
         return [(atom, pol) for (_, _, atom, pol) in self.marks]
@@ -260,13 +303,6 @@ def _use_binary(config: OmtConfig, l, u, counter: int):
     return counter % 2 == 0, counter + 1
 
 
-def _finish_stats(stats: SearchStats, sat: SatSolver, bridge: TheoryBridge):
-    stats.decisions = sat.stats.decisions
-    stats.conflicts = sat.stats.conflicts
-    stats.restarts = sat.stats.restarts
-    stats.simplex_pivots = bridge.lra.pivot_count
-
-
 def _range_is_empty(l, l_strict, u, u_strict) -> bool:
     if l is None or u is None:
         return False
@@ -279,36 +315,20 @@ def _range_is_empty(l, l_strict, u, u_strict) -> bool:
 
 def solve_offline(problem: OmtProblem, config: Optional[OmtConfig] = None) -> OmtOutcome:
     config = config if config is not None else OmtConfig(schema=OFFLINE)
-    stats = SearchStats()
-    formula = problem.formula.copy()
-    sat = SatSolver()
-    sat.ensure_vars(formula.num_solver_vars)
-    for cl in formula.clauses:
-        sat.add_clause(cl)
-    bridge = TheoryBridge(formula, problem, config, stats)
-    bridge.set_timeout(config.timeout)
-    _add_range_units(formula, sat, problem)
-
-    l, l_strict = problem.lb, False
-    u, u_strict = problem.ub, True
-    trace = [l] if l is not None else []
-    best: Optional[tuple] = None  # (DeltaRational, model, eps)
+    bridge = TheoryBridge(problem, config)
+    sat, stats = bridge.sat, bridge.stats
     counter = 0
-    interrupted = None
 
-    while not _range_is_empty(l, l_strict, u, u_strict):
-        if config.max_loops is not None and stats.loops >= config.max_loops:
-            interrupted = "loop budget exhausted"
-            break
-        if bridge.timed_out():
-            interrupted = "timeout"
-            break
+    while not _range_is_empty(bridge.l, bridge.l_strict, bridge.u, bridge.u_strict):
+        out_of_loops = config.max_loops is not None and stats.loops >= config.max_loops
+        if out_of_loops or bridge.timed_out():
+            return bridge.outcome(INTERRUPTED)
         stats.loops += 1
-        binary, counter = _use_binary(config, l, u, counter)
+        binary, counter = _use_binary(config, bridge.l, bridge.u, counter)
 
         if binary:
-            pivot = compute_pivot(l, u)
-            plit = _cost_bound_lit(formula, sat, problem.cost, pivot, LT)
+            pivot = compute_pivot(bridge.l, bridge.u)
+            plit = bridge.cost_lit(pivot, LT)
             bridge.forced_lits = {plit}
             stats.pivots += 1
             res = sat.solve([plit], bridge)
@@ -318,49 +338,22 @@ def solve_offline(problem: OmtProblem, config: Optional[OmtConfig] = None) -> Om
             res = sat.solve((), bridge)
 
         if res.status == "halted":
-            interrupted = str(res.halt)
-            break
+            return bridge.outcome(INTERRUPTED)
         if res.status == "sat":
-            stats.minimize_calls += 1
-            mres = minimize_var(bridge.lra, bridge.cost_id)
-            if mres.status == MIN_UNBOUNDED:
-                _finish_stats(stats, sat, bridge)
-                return OmtOutcome(UNBOUNDED, lower_trace=trace, stats=stats)
-            m = mres.value
-            if best is None or m < best[0]:
-                eps, model = bridge.snapshot_model()
-                best = (m, model, eps)
-            u, u_strict = m.real, m.eps == 0
-            rel = LT if m.eps == 0 else LE
-            ulit = _cost_bound_lit(formula, sat, problem.cost, m.real, rel)
+            found = bridge.minimize()
+            if found is None:
+                return bridge.outcome(UNBOUNDED)
+            m, ulit = found
+            bridge.u, bridge.u_strict = m.real, m.eps == 0
             sat.add_clause([ulit])
-        else:  # unsat
-            if plit is not None and res.core and plit in res.core:
-                l = pivot
-                trace.append(l)
-                sat.add_clause([-plit])
-            else:
-                break  # unsat independently of the pivot: range exhausted
+        elif plit is not None and res.core and plit in res.core:
+            bridge.l = pivot
+            bridge.trace.append(pivot)
+            sat.add_clause([-plit])
+        else:
+            break  # unsat independently of the pivot: range exhausted
 
-    _finish_stats(stats, sat, bridge)
-    if interrupted is not None:
-        out = OmtOutcome(INTERRUPTED, lower_trace=trace, stats=stats)
-        if best is not None:
-            out.value, out.attained = best[0].real, best[0].eps == 0
-            out.model, out.epsilon = best[1], best[2]
-        return out
-    if best is None:
-        return OmtOutcome(UNSAT, value=problem.ub, attained=False, lower_trace=trace, stats=stats)
-    m, model, eps = best
-    return OmtOutcome(
-        OPTIMUM,
-        value=m.real,
-        attained=m.eps == 0,
-        model=model,
-        epsilon=eps,
-        lower_trace=trace,
-        stats=stats,
-    )
+    return bridge.outcome(OPTIMUM)
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +363,9 @@ def solve_offline(problem: OmtProblem, config: Optional[OmtConfig] = None) -> Om
 class InlineBridge(TheoryBridge):
     """Runs the whole optimization inside one solver call."""
 
-    def __init__(self, formula, problem, config, stats, sat):
-        super().__init__(formula, problem, config, stats)
-        self.sat = sat
-        self.l = problem.lb
-        self.l_strict = False
-        self.u = problem.ub
-        self.u_strict = True
+    def __init__(self, problem: OmtProblem, config: OmtConfig):
+        super().__init__(problem, config)
         self.u_lit: Optional[int] = None
-        self.trace: list = [self.l] if self.l is not None else []
-        self.best: Optional[tuple] = None  # (DeltaRational, model, eps)
         self.counter = 0
         self.suggest: Optional[int] = None
         self.pivot_lit: Optional[int] = None
@@ -435,7 +421,7 @@ class InlineBridge(TheoryBridge):
         use, self.counter = _use_binary(self.cfg, self.l, self.u, self.counter)
         if use:
             pivot = compute_pivot(self.l, self.u)
-            lit = _cost_bound_lit(self.formula, self.sat, self.problem.cost, pivot, LT)
+            lit = self.cost_lit(pivot, LT)
             if solver.value(lit) == 0:
                 self.suggest = lit
                 self.pivot_lit = lit
@@ -462,18 +448,10 @@ class InlineBridge(TheoryBridge):
     def on_theory_sat(self, solver):
         if self.timed_out():
             return ("halt", "timeout")
-        self.stats.minimize_calls += 1
-        mres = minimize_var(self.lra, self.cost_id)
-        if mres.status == MIN_UNBOUNDED:
+        found = self.minimize()
+        if found is None:
             return ("halt", "unbounded")
-        m = mres.value
-        if self.best is None or m < self.best[0]:
-            eps, model = self.snapshot_model()
-            self.best = (m, model, eps)
-        rel = LT if m.eps == 0 else LE
-        atom_u, pol = normalize_atom({self.problem.cost: Fraction(1)}, -m.real, rel)
-        ulit = self.formula.lit_for_atom(atom_u, pol)
-        self.sat.ensure_vars(self.formula.num_solver_vars)
+        m, ulit = found
         directives = [([ulit], False)]
         if self.pivot_lit is not None and solver.value(self.pivot_lit) == 1:
             # the pivot unit is only a consequence when the fresh upper
@@ -482,17 +460,17 @@ class InlineBridge(TheoryBridge):
             implied = m.real <= self.pivot_val if m.eps == 0 else m.real < self.pivot_val
             if implied:
                 directives.append(([self.pivot_lit], True))
-        blocking = self._blocking_clause(atom_u, ulit)
+        blocking = self._blocking_clause(ulit)
         if blocking is not None:
             directives.append((blocking, True))
         return ("learn", directives)
 
-    def _blocking_clause(self, atom_u, ulit: int):
+    def _blocking_clause(self, ulit: int):
         """Clause forbidding the current theory assignment together with
         the not-yet-improved bound; valid because the assignment's
         minimum was just computed."""
         mark = self.lra.mark()
-        confl = self.lra.assert_atom(atom_u, True, ulit)
+        confl = self.lra.assert_atom(self.formula.atom_of(ulit), True, ulit)
         if confl is None:
             status, clause = self.lra.check()
             confl = clause if status == "unsat" else None
@@ -525,9 +503,9 @@ class InlineBridge(TheoryBridge):
             if refutes_upper:
                 return dedupe_lits(eta_lits + [-self.u_lit])
         if r > self.pivot_val:
-            litr = _cost_bound_lit(self.formula, self.sat, self.problem.cost, r, LT)
-            c1 = self.sat.add_clause(dedupe_lits(eta_lits + [-litr]), learnt=True, dep=0)
-            c2 = self.sat.add_clause([-p, litr], learnt=True, dep=0)
+            litr = self.cost_lit(r, LT)
+            c1 = self.sat.add_clause(dedupe_lits(eta_lits + [-litr]), learnt=True)
+            c2 = self.sat.add_clause([-p, litr], learnt=True)
             for c in (c1, c2):
                 if c is not None and len(c.lits) > 1:
                     self.sat.queue_unit_check(c)
@@ -536,45 +514,16 @@ class InlineBridge(TheoryBridge):
 
 def solve_inline(problem: OmtProblem, config: Optional[OmtConfig] = None) -> OmtOutcome:
     config = config if config is not None else OmtConfig(schema=INLINE)
-    stats = SearchStats()
-    formula = problem.formula.copy()
-    sat = SatSolver()
-    sat.ensure_vars(formula.num_solver_vars)
-    for cl in formula.clauses:
-        sat.add_clause(cl)
-    bridge = InlineBridge(formula, problem, config, stats, sat)
-    bridge.set_timeout(config.timeout)
-    _add_range_units(formula, sat, problem)
-
-    res = sat.solve((), bridge)
-    _finish_stats(stats, sat, bridge)
-
-    def with_best(status: str) -> OmtOutcome:
-        out = OmtOutcome(status, lower_trace=bridge.trace, stats=stats)
-        if bridge.best is not None:
-            m, model, eps = bridge.best
-            out.value, out.attained = m.real, m.eps == 0
-            out.model, out.epsilon = model, eps
-        return out
-
+    bridge = InlineBridge(problem, config)
+    res = bridge.sat.solve((), bridge)
     if res.status == "halted":
-        tag = res.halt
-        if tag == "unbounded":
-            return OmtOutcome(UNBOUNDED, lower_trace=bridge.trace, stats=stats)
-        if tag == "range-empty":
-            if bridge.best is not None:
-                return with_best(OPTIMUM)
-            return OmtOutcome(
-                UNSAT, value=problem.ub, attained=False, lower_trace=bridge.trace, stats=stats
-            )
-        return with_best(INTERRUPTED)
-    if res.status == "unsat":
-        if bridge.best is not None:
-            return with_best(OPTIMUM)
-        return OmtOutcome(
-            UNSAT, value=problem.ub, attained=False, lower_trace=bridge.trace, stats=stats
-        )
-    raise RuntimeError("inline search ended in a plain sat state")
+        if res.halt == "unbounded":
+            return bridge.outcome(UNBOUNDED)
+        if res.halt != "range-empty":
+            return bridge.outcome(INTERRUPTED)
+    elif res.status != "unsat":
+        raise RuntimeError("inline search ended in a plain sat state")
+    return bridge.outcome(OPTIMUM)
 
 
 # ---------------------------------------------------------------------------
@@ -592,19 +541,11 @@ def smt_decide(problem: OmtProblem, extra_literals=(), config: Optional[OmtConfi
     """Plain satisfiability of the problem's formula, range units included,
     plus optional extra (atom, polarity) unit literals.  Returns 'sat' or
     'unsat'."""
-    cfg = config if config is not None else OmtConfig()
-    stats = SearchStats()
-    formula = problem.formula.copy()
-    sat = SatSolver()
-    sat.ensure_vars(formula.num_solver_vars)
-    for cl in formula.clauses:
-        sat.add_clause(cl)
-    bridge = TheoryBridge(formula, problem, cfg, stats)
-    bridge.set_timeout(cfg.timeout)
-    _add_range_units(formula, sat, problem)
+    bridge = TheoryBridge(problem, config if config is not None else OmtConfig())
+    sat = bridge.sat
     for atom, pol in extra_literals:
-        lit = formula.lit_for_atom(atom, pol)
-        sat.ensure_vars(formula.num_solver_vars)
+        lit = bridge.formula.lit_for_atom(atom, pol)
+        sat.ensure_vars(bridge.formula.num_solver_vars)
         sat.add_clause([lit])
     res = sat.solve((), bridge)
     if res.status == "halted":
@@ -612,12 +553,9 @@ def smt_decide(problem: OmtProblem, extra_literals=(), config: Optional[OmtConfi
     return res.status
 
 
-def _cost_atom(problem: OmtProblem, value: Fraction, rel: str):
-    return normalize_atom({problem.cost: Fraction(1)}, -Fraction(value), rel)
-
-
 def crosscheck(problem: OmtProblem, outcome: OmtOutcome) -> tuple[bool, str]:
-    """Validate an outcome with independent decision queries."""
+    """Validate an outcome with decision queries, each on a fresh engine
+    built from the same SAT and simplex cores as the search."""
     if outcome.status == UNSAT:
         st = smt_decide(problem)
         if st != "unsat":

@@ -133,18 +133,3 @@ def conjunction_min(literals, cost_key) -> tuple[str, Optional[DeltaRational]]:
     if res.status == UNBOUNDED:
         return UNBOUNDED, None
     return MINIMUM, res.value
-
-
-def maximize_conflict_bound(literals, cost_key, pivot) -> Optional[Fraction]:
-    """Largest rational r such that the literals entail cost >= r (with the
-    entailment possibly strict).  Returns None when the literals are
-    themselves inconsistent (every bound follows).  ``pivot`` is a sanity
-    floor: the result must not fall below it."""
-    status, val = conjunction_min(literals, cost_key)
-    if status == "unsat":
-        return None
-    if status == UNBOUNDED:
-        raise ValueError("conflict literals do not bound the cost")
-    if val.real < pivot:
-        raise ValueError("conflict bound fell below the search pivot")
-    return val.real

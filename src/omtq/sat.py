@@ -7,9 +7,9 @@ on top:
 
 * assumption literals with unsat-core extraction (final conflict
   analysis down to the assumptions),
-* a frame stack: push_frame/pop_frame scope added clauses, and popping
-  also removes learned clauses whose derivation used a removed clause
-  (tracked as a max-frame tag per clause and per trail entry),
+* clauses added between calls, including already-unit ones, so each
+  call continues the previous search under a stronger formula (nothing
+  added is ever retracted),
 * a client object consulted at propagation fixpoints, on backjumps and
   at decision level zero, through which the theory solver and the
   optimization schemas plug in.
@@ -17,17 +17,16 @@ on top:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
 class Clause:
-    __slots__ = ("lits", "learnt", "dep", "activity")
+    __slots__ = ("lits", "learnt", "activity")
 
-    def __init__(self, lits, learnt=False, dep=0):
+    def __init__(self, lits, learnt=False):
         self.lits = list(lits)
         self.learnt = learnt
-        self.dep = dep  # highest frame index this clause depends on
         self.activity = 0.0
 
     def __repr__(self):
@@ -102,7 +101,6 @@ class SatSolver:
         self.assign = [0]  # index 0 unused
         self.level = [0]
         self.reason_: list[Optional[Clause]] = [None]
-        self.dep = [0]  # frame dependency of each var's current assignment
         self.activity = [0.0]
         self.phase = [False]
         self.occ_pos = [0]
@@ -110,7 +108,6 @@ class SatSolver:
 
         self.clauses: list[Clause] = []
         self.learnts: list[Clause] = []
-        self.unit_clauses: list[Clause] = []
         self._pending_units: list[Clause] = []
         self.watches: dict[int, list[Clause]] = {}
 
@@ -118,8 +115,7 @@ class SatSolver:
         self.trail_lim: list[int] = []
         self.qhead = 0
 
-        self.frame = 0
-        self.unsat_dep: Optional[int] = None
+        self.unsat = False  # the empty clause was added or derived
 
         self.var_inc = 1.0
         self.cla_inc = 1.0
@@ -128,7 +124,6 @@ class SatSolver:
         self.stats = SatStats()
         self.client: Optional[TheoryClient] = None
         self._lz_pending = True
-        self._learn_log = None  # optional callback: (lits, level) at learn time
 
     # -- variables ---------------------------------------------------------
 
@@ -137,7 +132,6 @@ class SatSolver:
         self.assign.append(0)
         self.level.append(0)
         self.reason_.append(None)
-        self.dep.append(0)
         self.activity.append(0.0)
         self.phase.append(False)
         self.occ_pos.append(0)
@@ -158,12 +152,12 @@ class SatSolver:
 
     # -- clauses -----------------------------------------------------------
 
-    def _count_occs(self, lits, delta: int):
+    def _count_occs(self, lits):
         for l in lits:
             if l > 0:
-                self.occ_pos[l] += delta
+                self.occ_pos[l] += 1
             else:
-                self.occ_neg[-l] += delta
+                self.occ_neg[-l] += 1
 
     def _attach(self, c: Clause):
         self.watches.setdefault(c.lits[0], []).append(c)
@@ -175,7 +169,7 @@ class SatSolver:
             if w and c in w:
                 w.remove(c)
 
-    def add_clause(self, lits, learnt: bool = False, dep: Optional[int] = None) -> Optional[Clause]:
+    def add_clause(self, lits, learnt: bool = False) -> Optional[Clause]:
         """Add a clause; duplicates inside the clause are removed and
         tautologies dropped.  Must be called at decision level 0."""
         seen = {}
@@ -186,17 +180,13 @@ class SatSolver:
             if l not in seen:
                 seen[l] = True
                 out.append(l)
-        if dep is None:
-            dep = 0 if learnt else self.frame
-        c = Clause(out, learnt, dep)
+        c = Clause(out, learnt)
         if not learnt:
-            self._count_occs(out, +1)
+            self._count_occs(out)
         if not out:
-            if self.unsat_dep is None or dep < self.unsat_dep:
-                self.unsat_dep = dep
+            self.unsat = True
             return c
         if len(out) == 1:
-            self.unit_clauses.append(c)
             self._pending_units.append(c)
             return c
         # watch the two highest-level literals so no propagation is missed
@@ -212,57 +202,6 @@ class SatSolver:
         self._attach(c)
         return c
 
-    def remove_clause(self, c: Clause):
-        if len(c.lits) >= 2:
-            self._detach(c)
-            target = self.learnts if c.learnt else self.clauses
-            if c in target:
-                target.remove(c)
-        else:
-            if c in self.unit_clauses:
-                self.unit_clauses.remove(c)
-        if not c.learnt:
-            self._count_occs(c.lits, -1)
-
-    # -- frames ------------------------------------------------------------
-
-    def push_frame(self) -> int:
-        self.frame += 1
-        return self.frame
-
-    def pop_frame(self):
-        if self.frame == 0:
-            raise ValueError("cannot pop the base frame")
-        k = self.frame
-        self.frame -= 1
-        # full reset: level-0 propagations may rely on removed clauses
-        self._cancel_everything()
-        for group in (self.clauses, self.learnts):
-            for c in [c for c in group if c.dep >= k]:
-                self._detach(c)
-                group.remove(c)
-                if not c.learnt:
-                    self._count_occs(c.lits, -1)
-        dropped = [c for c in self.unit_clauses if c.dep >= k]
-        for c in dropped:
-            self.unit_clauses.remove(c)
-            if not c.learnt:
-                self._count_occs(c.lits, -1)
-        self._pending_units = list(self.unit_clauses)
-        if self.unsat_dep is not None and self.unsat_dep >= k:
-            self.unsat_dep = None
-
-    def _cancel_everything(self):
-        for lit in reversed(self.trail):
-            v = abs(lit)
-            self.assign[v] = 0
-            self.reason_[v] = None
-        self.trail.clear()
-        self.trail_lim.clear()
-        self.qhead = 0
-        self._pending_units = list(self.unit_clauses)
-        self._lz_pending = True
-
     # -- trail -------------------------------------------------------------
 
     def enqueue(self, lit: int, reason: Optional[Clause] = None):
@@ -270,13 +209,6 @@ class SatSolver:
         self.assign[v] = 1 if lit > 0 else -1
         self.level[v] = self.decision_level
         self.reason_[v] = reason
-        d = 0
-        if reason is not None:
-            d = reason.dep
-            for l in reason.lits:
-                if abs(l) != v and self.dep[abs(l)] > d:
-                    d = self.dep[abs(l)]
-        self.dep[v] = d
         self.trail.append(lit)
         self.stats.propagations += 1
 
@@ -401,19 +333,18 @@ class SatSolver:
             raise ValueError(f"bad client response {tag!r}")
 
     def _theory_clause(self, lits, prop_lit: Optional[int] = None) -> Clause:
-        """Record a theory lemma (valid clause, frame-independent)."""
+        """Record a theory lemma (a valid clause)."""
         lits = list(lits)
         if prop_lit is not None and lits and lits[0] != prop_lit:
             lits.remove(prop_lit)
             lits.insert(0, prop_lit)
         if len(lits) >= 2:
-            c = self.add_clause(lits, learnt=True, dep=0)
+            c = self.add_clause(lits, learnt=True)
             if c is None:  # tautological lemma: harmless, fabricate detached
-                c = Clause(lits, True, 0)
+                c = Clause(lits, True)
             return c
-        c = Clause(lits, True, 0)
+        c = Clause(lits, True)
         if len(lits) == 1:
-            self.unit_clauses.append(c)
             self._pending_units.append(c)
         return c
 
@@ -434,12 +365,11 @@ class SatSolver:
             self.cla_inc *= 1e-20
 
     def analyze(self, confl: Clause):
-        """First-UIP learning.  Returns (learnt_lits, backjump_level, dep)."""
+        """First-UIP learning.  Returns (learnt_lits, backjump_level)."""
         learnt = [0]
         seen = [False] * (self.nvars + 1)
         counter = 0
         p = None
-        dep = confl.dep
         index = len(self.trail)
         c = confl
         while True:
@@ -451,8 +381,6 @@ class SatSolver:
                     # the literal this reason clause implied; already resolved
                     continue
                 if self.level[v] == 0:
-                    if self.dep[v] > dep:
-                        dep = self.dep[v]
                     continue
                 if not seen[v]:
                     seen[v] = True
@@ -472,8 +400,6 @@ class SatSolver:
                 break
             c = self.reason_[v]
             seen[v] = False
-            if c.dep > dep:
-                dep = c.dep
         learnt[0] = -p
         if len(learnt) == 1:
             bt = 0
@@ -482,9 +408,7 @@ class SatSolver:
             m = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
             learnt[1], learnt[m] = learnt[m], learnt[1]
             bt = self.level[abs(learnt[1])]
-        if self._learn_log is not None:
-            self._learn_log(list(learnt), self.decision_level)
-        return learnt, bt, dep
+        return learnt, bt
 
     def analyze_final(self, p: int) -> list[int]:
         """Core of assumptions implying the failure of assumption ``p``."""
@@ -553,7 +477,7 @@ class SatSolver:
         assumptions = list(assumptions)
         self.cancel_until(0)
         self._lz_pending = True
-        if self.unsat_dep is not None:
+        if self.unsat:
             return SolveResult("unsat", core=[])
         restart_num = 0
         conflicts_since = 0
@@ -587,19 +511,14 @@ class SatSolver:
                 if top < self.decision_level:
                     self.cancel_until(top)
                 if self.decision_level == 0:
-                    d = confl.dep
-                    for l in confl.lits:
-                        if self.dep[abs(l)] > d:
-                            d = self.dep[abs(l)]
-                    if self.unsat_dep is None or d < self.unsat_dep:
-                        self.unsat_dep = d
+                    self.unsat = True
                     return SolveResult("unsat", core=[])
                 if assumptions and self.decision_level <= len(assumptions):
                     core = self._conflict_core(confl)
                     return SolveResult("unsat", core=core)
-                learnt, bt, dep = self.analyze(confl)
+                learnt, bt = self.analyze(confl)
                 self.cancel_until(bt)
-                c = self.add_clause(learnt, learnt=True, dep=dep)
+                c = self.add_clause(learnt, learnt=True)
                 if c is not None:
                     if self.value(learnt[0]) == 0:
                         if len(learnt) > 1:
@@ -668,35 +587,3 @@ class SatSolver:
             self.trail_lim.append(len(self.trail))
             self.stats.decisions += 1
             self.enqueue(v if self.phase[v] else -v, None)
-
-    # -- convenience -------------------------------------------------------
-
-    def solve_simple(self, assumptions=()) -> SolveResult:
-        return self.solve(assumptions, None)
-
-
-def read_dimacs(text: str):
-    """Parse DIMACS CNF; returns (num_vars, clauses)."""
-    nvars = 0
-    clauses = []
-    current = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad DIMACS header: {line!r}")
-            nvars = int(parts[2])
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(current)
-                current = []
-            else:
-                current.append(lit)
-    if current:
-        raise ValueError("unterminated clause at end of DIMACS input")
-    return nvars, clauses

@@ -78,6 +78,18 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "crosscheck"])
+def test_deeply_nested_input_exit_code(tmp_path, capsys, command):
+    deep = tmp_path / "deep.smt2"
+    deep.write_text(
+        "(declare-fun cost () Real)(declare-fun p () Bool)"
+        "(assert " + "(and p " * 3000 + "p" + ")" * 3000 + ")(minimize cost)"
+    )
+    code = main([command, str(deep)])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_timeout_reports_interrupted(ex1, capsys):
     code = main(["solve", ex1, "--timeout", "0"])
     out = capsys.readouterr().out

@@ -1,14 +1,10 @@
 """Objective minimization on a feasible simplex state."""
 
-from fractions import Fraction
-
-import pytest
-
 from helpers import bounded_literals
 from omtq.arith import DeltaRational
 from omtq.formula import normalize_atom
 from omtq.lra import LraSolver
-from omtq.optimize import conjunction_min, maximize_conflict_bound, minimize_var
+from omtq.optimize import conjunction_min, minimize_var
 from omtq.oracle import fm_minimize
 
 
@@ -107,15 +103,6 @@ def test_free_variable_is_unbounded():
     lra = LraSolver()
     cid = lra.new_var(0)
     assert minimize_var(lra, cid).status == "unbounded"
-
-
-def test_conflict_bound_maximization():
-    lits = _lits(({0: 1}, -6, ">="))
-    assert maximize_conflict_bound(lits, 0, Fraction(4)) == 6
-    bad = _lits(({0: 1}, -6, ">="), ({0: 1}, 0, "<="))
-    assert maximize_conflict_bound(bad, 0, Fraction(0)) is None
-    with pytest.raises(ValueError):
-        maximize_conflict_bound(_lits(({0: 1}, -6, "<=")), 0, Fraction(0))
 
 
 def test_agreement_with_elimination_oracle():
