@@ -6,8 +6,9 @@ queries that run on the same SAT and simplex cores, so a fault shared
 with those cores goes unseen; independent certificates are ROADMAP item
 5), bench (run a batch of instances under all engine configurations and
 emit CSV).  Exit codes: 0 solved (optimum, unsat or unbounded),
-2 usage, 3 parse or validation error, 4 interrupted, 5 failed
-crosscheck.
+2 usage (including a ``generate`` size that makes no instance and a
+``solve --stats`` file that cannot be written), 3 parse or validation
+error, 4 interrupted, 5 failed crosscheck.
 """
 
 from __future__ import annotations
@@ -104,7 +105,11 @@ def cmd_solve(args) -> int:
     outcome = solve(problem, _config_from_args(args))
     _print_outcome(problem, outcome)
     if args.stats:
-        _write_stats(args.stats, outcome)
+        try:
+            _write_stats(args.stats, outcome)
+        except OSError as exc:
+            print(f"error: cannot write stats: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_INTERRUPTED if outcome.status == INTERRUPTED else EXIT_OK
 
 
@@ -122,16 +127,29 @@ def cmd_crosscheck(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_generate(args) -> int:
+def _generate_text(args) -> str:
+    """The requested instance; raises ValueError on a size that makes no
+    instance."""
     if args.family == "strip-packing":
-        try:
-            width = parse_rat(args.width)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        text, _ = strip_packing_instance(args.n, width, args.seed)
-    else:
-        text, _ = jobshop_instance(args.jobs, args.machines, args.seed)
+        width = parse_rat(args.width)
+        if args.n < 1:
+            raise ValueError(f"-n must be at least 1, got {args.n}")
+        if width <= 0:
+            raise ValueError(f"--width must be positive, got {args.width}")
+        return strip_packing_instance(args.n, width, args.seed)[0]
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.machines < 1:
+        raise ValueError(f"--machines must be at least 1, got {args.machines}")
+    return jobshop_instance(args.jobs, args.machines, args.seed)[0]
+
+
+def cmd_generate(args) -> int:
+    try:
+        text = _generate_text(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
 
-from .arith import format_rat
 from .formula import (
     BAtom,
     BImplies,

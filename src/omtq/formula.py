@@ -81,6 +81,19 @@ class Atom:
     const: Fraction
     rel: str  # LE, LT or EQ
 
+    # atoms key the theory solver's per-literal caches, so the hash of the
+    # Fraction coefficients is computed once instead of on every lookup
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.coeffs, self.const, self.rel)))
+
+    def __hash__(self):
+        return self._hash
+
+    # string hashes differ between processes, so a pickled atom is rebuilt
+    # from its fields instead of carrying the stored hash along
+    def __reduce__(self):
+        return Atom, (self.coeffs, self.const, self.rel)
+
     def variables(self):
         return [v for v, _ in self.coeffs]
 

@@ -39,6 +39,10 @@ class LraSolver:
         self.lower: list[Optional[tuple[DeltaRational, int]]] = []
         self.upper: list[Optional[tuple[DeltaRational, int]]] = []
         self.slack_of: dict[tuple, int] = {}
+        # (atom, polarity) -> effective_bounds entries; safe to keep for the
+        # solver's lifetime because pivots never renumber variables and an
+        # atom's bound values are constants
+        self.bounds_of: dict[tuple[Atom, bool], list] = {}
         self.undo: list[tuple] = []
         self.pivot_count = 0
 
@@ -123,7 +127,12 @@ class LraSolver:
         raise ValueError(f"unknown relation {atom.rel!r}")
 
     def effective_bounds(self, atom: Atom, polarity: bool):
-        """List of (var, is_lower, value) bounds asserted by the literal."""
+        """List of (var, is_lower, value) bounds asserted by the literal.
+
+        Computed once per literal; callers must not mutate the list."""
+        out = self.bounds_of.get((atom, polarity))
+        if out is not None:
+            return out
         vid, flipped = self.slack_for(atom.coeffs)
         out = []
         for is_lower, val in self._atom_bounds(atom, polarity):
@@ -131,6 +140,7 @@ class LraSolver:
                 out.append((vid, not is_lower, val.scaled(Fraction(-1))))
             else:
                 out.append((vid, is_lower, val))
+        self.bounds_of[(atom, polarity)] = out
         return out
 
     def mark(self) -> int:

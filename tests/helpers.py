@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from omtq import SplitMix64
-from omtq.arith import EQ, LE, LT
+from omtq.arith import EQ
 from omtq.formula import CnfFormula, OmtProblem, normalize_atom
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,15 @@ def test_solve_writes_stats_csv(ex1, tmp_path, capsys):
     assert all(cell.isdigit() for cell in rows[1])
 
 
+def test_unwritable_stats_path_is_a_usage_error(ex1, tmp_path, capsys):
+    code = main(["solve", ex1, "--stats", str(tmp_path / "missing" / "stats.csv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.startswith("optimum")
+    assert "error: cannot write stats:" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.smt2"
     bad.write_text("(assert (> x 0))\n")
@@ -142,10 +151,24 @@ def test_generate_jobshop(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("optimum")
 
 
-def test_generate_rejects_bad_width(capsys):
-    code = main(["generate", "strip-packing", "-n", "3", "--width", "wide"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strip-packing", "-n", "3", "--width", "wide"],
+        ["strip-packing", "-n", "0"],
+        ["strip-packing", "-n", "3", "--width", "0"],
+        ["strip-packing", "-n", "3", "--width", "-1"],
+        ["jobshop", "--jobs", "0", "--machines", "2"],
+        ["jobshop", "--jobs", "2", "--machines", "0"],
+    ],
+    ids=["width-wide", "n-0", "width-0", "width-minus-1", "jobs-0", "machines-0"],
+)
+def test_generate_rejects_bad_sizes(capsys, argv):
+    code = main(["generate", *argv])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_bench_emits_one_row_per_configuration(ex1, tmp_path, capsys):

@@ -1,5 +1,9 @@
 """Atoms, CNF conversion and problem construction."""
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -89,6 +93,27 @@ def test_atom_interning_shares_solver_vars():
     assert f.lit_for_atom(a1, False) == -l1
     assert f.atom_of(l1) == a1
     assert list(f.theory_atoms()) == [(l1, a1)]
+
+
+def test_pickled_atom_keys_survive_another_hash_seed():
+    # an atom stores its hash, and string hashes differ between processes:
+    # a dict keyed by atoms must still be usable after unpickling elsewhere
+    atom, _ = normalize_atom({0: 1, 1: 2}, 3, "<=")
+    child = (
+        "import pickle, sys\n"
+        "from omtq.formula import normalize_atom\n"
+        "table = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(table.get(normalize_atom({0: 1, 1: 2}, 3, '<=')[0]))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", child],
+        input=pickle.dumps({atom: 7}),
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.stdout.strip() == b"7", done.stderr
 
 
 def test_duplicate_names_rejected():

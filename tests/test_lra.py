@@ -156,6 +156,38 @@ def test_entailment_from_bounds():
     assert got == (False, [5])
 
 
+def _entailment_follows_bounds(lra, coeffs):
+    """Ask the same atom (term <= 3) under changing bounds on the term:
+    the answer must follow the current bounds, not an earlier call."""
+    le3, _ = _lit(coeffs, -3, LE)
+    le2, p2 = _lit(coeffs, -2, LE)
+    ge5, p5 = _lit(coeffs, -5, ">=")
+    m = lra.mark()
+    assert lra.assert_atom(le2, p2, 1) is None
+    assert lra.entailed(le3) == (True, [1])
+    lra.backtrack_to(m)
+    assert lra.entailed(le3) is None
+    assert lra.assert_atom(ge5, p5, 2) is None
+    assert lra.entailed(le3) == (False, [2])
+
+
+def test_entailment_is_recomputed_after_backtracking():
+    _entailment_follows_bounds(LraSolver(), {0: 1})
+
+
+def test_entailment_is_recomputed_after_a_pivot():
+    lra = LraSolver()
+    ge1, p1 = _lit({0: 1, 1: 1}, -1, ">=")  # x + y >= 1
+    le3, _ = _lit({0: 1, 1: 1}, -3, LE)
+    assert lra.assert_atom(ge1, p1, 9) is None
+    assert lra.entailed(le3) is None
+    (slack,) = lra.slack_of.values()
+    assert slack in lra.rows
+    assert lra.check()[0] == "sat"
+    assert slack not in lra.rows  # the check pivoted the slack out
+    _entailment_follows_bounds(lra, {0: 1, 1: 1})
+
+
 def test_agreement_with_elimination_oracle():
     for seed in range(300):
         lits = random_literals(seed)

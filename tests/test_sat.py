@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from helpers import brute_sat, random_cnf
 from omtq.sat import SatSolver, luby
 
