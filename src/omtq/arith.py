@@ -31,52 +31,92 @@ def rat(value, den=None) -> Fraction:
     return Fraction(value)
 
 
+_ZERO = Fraction(0)
+
+
 class DeltaRational:
-    """real + eps * delta, ordered lexicographically on (real, eps)."""
+    """real + eps * delta, ordered lexicographically on (real, eps).
+
+    Both fields are always Fractions.  The simplex hot loop builds and
+    compares these by the million, so results are made by ``_make``
+    without re-wrapping their fields, a zero eps is the shared ``_ZERO``
+    (operations skip eps arithmetic when an operand's eps is that
+    object), and comparisons look at ``eps`` only when the reals tie.
+    """
 
     __slots__ = ("real", "eps")
 
     def __init__(self, real, eps=0):
-        self.real = Fraction(real)
-        self.eps = Fraction(eps)
+        self.real = real if type(real) is Fraction else Fraction(real)
+        if type(eps) is not Fraction:
+            eps = Fraction(eps)
+        self.eps = _nonzero_or_shared(eps)
 
     def __add__(self, other: "DeltaRational") -> "DeltaRational":
-        return DeltaRational(self.real + other.real, self.eps + other.eps)
+        e, f = self.eps, other.eps
+        if f is _ZERO:
+            return _make(self.real + other.real, e)
+        if e is _ZERO:
+            return _make(self.real + other.real, f)
+        return _make(self.real + other.real, _nonzero_or_shared(e + f))
 
     def __sub__(self, other: "DeltaRational") -> "DeltaRational":
-        return DeltaRational(self.real - other.real, self.eps - other.eps)
+        e, f = self.eps, other.eps
+        if f is _ZERO:
+            return _make(self.real - other.real, e)
+        if e is _ZERO:
+            return _make(self.real - other.real, -f)
+        return _make(self.real - other.real, _nonzero_or_shared(e - f))
 
     def __neg__(self) -> "DeltaRational":
-        return DeltaRational(-self.real, -self.eps)
+        e = self.eps
+        return _make(-self.real, e if e is _ZERO else -e)
 
     def scaled(self, k) -> "DeltaRational":
-        k = Fraction(k)
-        return DeltaRational(self.real * k, self.eps * k)
+        if type(k) is not Fraction:
+            k = Fraction(k)
+        e = self.eps
+        return _make(self.real * k, e if e is _ZERO else _nonzero_or_shared(e * k))
 
     def divided(self, k) -> "DeltaRational":
-        k = Fraction(k)
-        return DeltaRational(self.real / k, self.eps / k)
-
-    def _key(self):
-        return (self.real, self.eps)
+        if type(k) is not Fraction:
+            k = Fraction(k)
+        e = self.eps
+        return _make(self.real / k, e if e is _ZERO else e / k)
 
     def __eq__(self, other):
-        return isinstance(other, DeltaRational) and self._key() == other._key()
+        return (
+            isinstance(other, DeltaRational)
+            and self.real == other.real
+            and self.eps == other.eps
+        )
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.real, self.eps))
 
     def __lt__(self, other):
-        return self._key() < other._key()
+        a, b = self.real, other.real
+        if a == b:
+            return self.eps < other.eps
+        return a < b
 
     def __le__(self, other):
-        return self._key() <= other._key()
+        a, b = self.real, other.real
+        if a == b:
+            return self.eps <= other.eps
+        return a < b
 
     def __gt__(self, other):
-        return self._key() > other._key()
+        a, b = self.real, other.real
+        if a == b:
+            return self.eps > other.eps
+        return a > b
 
     def __ge__(self, other):
-        return self._key() >= other._key()
+        a, b = self.real, other.real
+        if a == b:
+            return self.eps >= other.eps
+        return a > b
 
     def substitute(self, epsilon) -> Fraction:
         """Concrete value once delta is fixed to a positive rational."""
@@ -86,6 +126,21 @@ class DeltaRational:
         if self.eps == 0:
             return f"{self.real}"
         return f"({self.real} + {self.eps}d)"
+
+
+_new_delta = object.__new__
+
+
+def _make(real: Fraction, eps: Fraction) -> DeltaRational:
+    """DeltaRational from two Fractions, without converting them."""
+    d = _new_delta(DeltaRational)
+    d.real = real
+    d.eps = eps
+    return d
+
+
+def _nonzero_or_shared(eps: Fraction) -> Fraction:
+    return eps if eps else _ZERO
 
 
 def materialize_epsilon(valuation, literals) -> Fraction:

@@ -7,8 +7,8 @@ with those cores goes unseen; independent certificates are ROADMAP item
 5), bench (run a batch of instances under all engine configurations and
 emit CSV).  Exit codes: 0 solved (optimum, unsat or unbounded),
 2 usage (including a ``generate`` size that makes no instance and a
-``solve --stats`` file that cannot be written), 3 parse or validation
-error, 4 interrupted, 5 failed crosscheck.
+``solve --stats`` or ``-o`` file that cannot be written), 3 parse or
+validation error, 4 interrupted, 5 failed crosscheck.
 """
 
 from __future__ import annotations
@@ -151,8 +151,12 @@ def cmd_generate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -211,19 +215,24 @@ BENCH_COLUMNS = [
 
 
 def cmd_bench(args) -> int:
-    tasks = []
-    for path in args.files:
-        for schema in ("offline", "inline"):
-            for search in ("linear", "binary"):
-                tasks.append((path, schema, search, args.timeout))
-    if args.jobs <= 1:
-        rows = [_bench_one(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_one, tasks))
-    rows.sort(key=lambda r: (r["instance"], r["schema"], r["search"]))
-    out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
+        # opened before the runs, so an unwritable path fails at once
+        out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        tasks = []
+        for path in args.files:
+            for schema in ("offline", "inline"):
+                for search in ("linear", "binary"):
+                    tasks.append((path, schema, search, args.timeout))
+        if args.jobs <= 1:
+            rows = [_bench_one(t) for t in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                rows = list(pool.map(_bench_one, tasks))
+        rows.sort(key=lambda r: (r["instance"], r["schema"], r["search"]))
         w = csv.DictWriter(out, fieldnames=BENCH_COLUMNS)
         w.writeheader()
         for r in rows:

@@ -10,6 +10,19 @@ reasons.  Strict bounds are handled symbolically with delta-rationals.
 Assertions are scoped with mark()/backtrack_to(); pivots persist across
 backtracking, only bounds are undone, so the current assignment always
 satisfies every row.
+
+``check`` does not scan every row for a violated bound.  The solver
+keeps a set of candidate basic variables that may be out of bounds: a
+basic variable joins it when its value changes, when one of its bounds
+tightens, or when it enters the basis, and leaves it when it leaves the
+basis or a scan finds it within its bounds.  Every violated basic
+variable is a candidate, so scanning the sorted candidates finds the
+same smallest violated variable a full scan would, and Bland's rule
+makes the same pivots.
+
+Each ``check`` (and each ``optimize.minimize_var``) call may pivot at
+most ``MAX_PIVOTS`` times; past that it raises ``PivotBudgetExhausted``,
+which the engines report as an interrupted search.
 """
 
 from __future__ import annotations
@@ -20,11 +33,11 @@ from typing import Optional
 from .arith import DeltaRational
 from .formula import Atom, EQ, LE, LT
 
-MAX_PIVOTS = 1_000_000
+MAX_PIVOTS = 1_000_000  # per check or minimize_var call
 
 
-class LraConflict(Exception):
-    pass
+class PivotBudgetExhausted(Exception):
+    """A single check or minimization needed more than MAX_PIVOTS pivots."""
 
 
 class LraSolver:
@@ -44,7 +57,11 @@ class LraSolver:
         # atom's bound values are constants
         self.bounds_of: dict[tuple[Atom, bool], list] = {}
         self.undo: list[tuple] = []
-        self.pivot_count = 0
+        # basic variables that may violate a bound; every violated basic
+        # variable is in here
+        self.candidates: set[int] = set()
+        self.pivot_count = 0  # over the solver's lifetime
+        self.call_pivots = 0  # since the current check or minimize_var began
 
     # -- variables and slacks ---------------------------------------------
 
@@ -68,9 +85,11 @@ class LraSolver:
         for vid, a in coeffs:
             if vid in self.rows:
                 for y, b in self.rows[vid].items():
-                    acc[y] = acc.get(y, Fraction(0)) + a * b
+                    old = acc.get(y)
+                    acc[y] = a * b if old is None else old + a * b
             else:
-                acc[vid] = acc.get(vid, Fraction(0)) + a
+                old = acc.get(vid)
+                acc[vid] = a if old is None else old + a
         return {y: a for y, a in acc.items() if a != 0}
 
     def slack_for(self, coeffs) -> tuple[int, bool]:
@@ -155,12 +174,14 @@ class LraSolver:
                 self.upper[vid] = old
 
     def _update_nonbasic(self, x: int, v: DeltaRational):
-        delta = v - self.beta[x]
+        beta = self.beta
+        delta = v - beta[x]
         for b, row in self.rows.items():
             a = row.get(x)
             if a:
-                self.beta[b] = self.beta[b] + delta.scaled(a)
-        self.beta[x] = v
+                beta[b] = beta[b] + delta.scaled(a)
+                self.candidates.add(b)
+        beta[x] = v
 
     def assert_atom(self, atom: Atom, polarity: bool, reason: int) -> Optional[list[int]]:
         """Assert one literal; returns a conflict clause (list of solver
@@ -175,7 +196,9 @@ class LraSolver:
                     return dedupe_lits([-reason, -up[1]])
                 self.undo.append((vid, "lo", cur))
                 self.lower[vid] = (val, reason)
-                if vid not in self.rows and self.beta[vid] < val:
+                if vid in self.rows:
+                    self.candidates.add(vid)
+                elif self.beta[vid] < val:
                     self._update_nonbasic(vid, val)
             else:
                 cur = self.upper[vid]
@@ -186,7 +209,9 @@ class LraSolver:
                     return dedupe_lits([-reason, -lo[1]])
                 self.undo.append((vid, "up", cur))
                 self.upper[vid] = (val, reason)
-                if vid not in self.rows and self.beta[vid] > val:
+                if vid in self.rows:
+                    self.candidates.add(vid)
+                elif self.beta[vid] > val:
                     self._update_nonbasic(vid, val)
         return None
 
@@ -194,53 +219,69 @@ class LraSolver:
 
     def _pivot(self, leave: int, enter: int):
         """Swap a basic and a nonbasic variable."""
+        if self.call_pivots >= MAX_PIVOTS:
+            raise PivotBudgetExhausted(f"more than {MAX_PIVOTS} pivots in one call")
+        self.call_pivots += 1
+        self.pivot_count += 1
         row = self.rows.pop(leave)
         a = row.pop(enter)
         new_row = {leave: Fraction(1) / a}
         for z, coeff in row.items():
             new_row[z] = -coeff / a
         self.rows[enter] = new_row
+        self.candidates.discard(leave)
+        self.candidates.add(enter)
         for b, r in self.rows.items():
             if b == enter:
                 continue
             cy = r.pop(enter, None)
             if cy:
                 for z, coeff in new_row.items():
-                    nv = r.get(z, Fraction(0)) + cy * coeff
-                    if nv == 0:
-                        r.pop(z, None)
+                    old = r.get(z)
+                    if old is None:
+                        r[z] = cy * coeff
                     else:
-                        r[z] = nv
-        self.pivot_count += 1
-        if self.pivot_count > MAX_PIVOTS:
-            raise LraConflict("pivot budget exhausted")
+                        nv = old + cy * coeff
+                        if nv:
+                            r[z] = nv
+                        else:
+                            del r[z]
 
     def _pivot_and_update(self, leave: int, enter: int, v: DeltaRational):
+        beta = self.beta
         a = self.rows[leave][enter]
-        theta = (v - self.beta[leave]).divided(a)
-        self.beta[leave] = v
-        self.beta[enter] = self.beta[enter] + theta
+        theta = (v - beta[leave]).divided(a)
+        beta[leave] = v
+        beta[enter] = beta[enter] + theta
         for b, row in self.rows.items():
             if b == leave:
                 continue
             ab = row.get(enter)
             if ab:
-                self.beta[b] = self.beta[b] + theta.scaled(ab)
+                beta[b] = beta[b] + theta.scaled(ab)
+                self.candidates.add(b)
         self._pivot(leave, enter)
 
+    def _violated(self):
+        """(x, need_raise, bound) for the smallest basic variable x outside
+        its bounds, or None; candidates found within bounds are dropped."""
+        for x in sorted(self.candidates):
+            lo = self.lower[x]
+            if lo is not None and self.beta[x] < lo[0]:
+                return x, True, lo[0]
+            up = self.upper[x]
+            if up is not None and self.beta[x] > up[0]:
+                return x, False, up[0]
+            self.candidates.discard(x)
+        return None
+
     def check(self):
-        """Repair feasibility.  Returns ('sat', None) or ('unsat', clause)."""
+        """Repair feasibility.  Returns ('sat', None) or ('unsat', clause).
+
+        Raises PivotBudgetExhausted after MAX_PIVOTS pivots."""
+        self.call_pivots = 0
         while True:
-            broken = None
-            for x in sorted(self.rows):
-                lo = self.lower[x]
-                up = self.upper[x]
-                if lo is not None and self.beta[x] < lo[0]:
-                    broken = (x, True, lo[0])
-                    break
-                if up is not None and self.beta[x] > up[0]:
-                    broken = (x, False, up[0])
-                    break
+            broken = self._violated()
             if broken is None:
                 return "sat", None
             x, need_raise, target = broken

@@ -28,7 +28,7 @@ from typing import Optional
 
 from .arith import EQ, LE, LT, DeltaRational, materialize_epsilon
 from .formula import OmtProblem, normalize_atom
-from .lra import LraSolver, dedupe_lits
+from .lra import LraSolver, PivotBudgetExhausted, dedupe_lits
 from .optimize import MINIMUM, UNBOUNDED as MIN_UNBOUNDED, conjunction_min, minimize_var
 from .sat import SatSolver, TheoryClient
 
@@ -316,7 +316,14 @@ def _range_is_empty(l, l_strict, u, u_strict) -> bool:
 def solve_offline(problem: OmtProblem, config: Optional[OmtConfig] = None) -> OmtOutcome:
     config = config if config is not None else OmtConfig(schema=OFFLINE)
     bridge = TheoryBridge(problem, config)
-    sat, stats = bridge.sat, bridge.stats
+    try:
+        return _offline_search(bridge)
+    except PivotBudgetExhausted:
+        return bridge.outcome(INTERRUPTED)
+
+
+def _offline_search(bridge: TheoryBridge) -> OmtOutcome:
+    config, sat, stats = bridge.cfg, bridge.sat, bridge.stats
     counter = 0
 
     while not _range_is_empty(bridge.l, bridge.l_strict, bridge.u, bridge.u_strict):
@@ -515,7 +522,10 @@ class InlineBridge(TheoryBridge):
 def solve_inline(problem: OmtProblem, config: Optional[OmtConfig] = None) -> OmtOutcome:
     config = config if config is not None else OmtConfig(schema=INLINE)
     bridge = InlineBridge(problem, config)
-    res = bridge.sat.solve((), bridge)
+    try:
+        res = bridge.sat.solve((), bridge)
+    except PivotBudgetExhausted:
+        return bridge.outcome(INTERRUPTED)
     if res.status == "halted":
         if res.halt == "unbounded":
             return bridge.outcome(UNBOUNDED)
@@ -547,7 +557,10 @@ def smt_decide(problem: OmtProblem, extra_literals=(), config: Optional[OmtConfi
         lit = bridge.formula.lit_for_atom(atom, pol)
         sat.ensure_vars(bridge.formula.num_solver_vars)
         sat.add_clause([lit])
-    res = sat.solve((), bridge)
+    try:
+        res = sat.solve((), bridge)
+    except PivotBudgetExhausted:
+        raise TimeoutError("decision query interrupted") from None
     if res.status == "halted":
         raise TimeoutError("decision query interrupted")
     return res.status

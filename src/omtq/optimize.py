@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import DeltaRational
-from .lra import LraSolver, MAX_PIVOTS
+from .lra import LraSolver
 
 UNBOUNDED = "unbounded"
 MINIMUM = "min"
@@ -36,7 +36,10 @@ class MinResult:
 
 def minimize_var(lra: LraSolver, cid: int) -> MinResult:
     """Drive variable ``cid`` to its minimum over the asserted bounds.
-    The solver must be in a feasible state (check() returned sat)."""
+    The solver must be in a feasible state (check() returned sat).
+
+    Raises ``lra.PivotBudgetExhausted`` after ``lra.MAX_PIVOTS`` pivots."""
+    lra.call_pivots = 0
     if cid not in lra.rows:
         owner = None
         for b in sorted(lra.rows):
@@ -52,11 +55,7 @@ def minimize_var(lra: LraSolver, cid: int) -> MinResult:
             return MinResult(MINIMUM, lo[0])
         lra._pivot(owner, cid)
 
-    steps = 0
     while True:
-        steps += 1
-        if steps > MAX_PIVOTS:
-            raise RuntimeError("minimization pivot budget exhausted")
         row = lra.rows[cid]
         enter = direction = None
         for y in sorted(row):

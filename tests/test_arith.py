@@ -67,6 +67,43 @@ def test_delta_arithmetic():
     assert a.substitute(Fraction(1, 8)) == Fraction(25, 8)
 
 
+# int and Fraction values, each with a zero and a non-zero eps; the
+# reals repeat so that comparisons also tie on real and fall to eps
+DELTA_INPUTS = [
+    (real, eps)
+    for real in (0, 2, Fraction(2), Fraction(-3, 4))
+    for eps in (0, Fraction(0), 1, Fraction(-1, 3))
+]
+SCALARS = [1, -2, Fraction(3, 5), Fraction(-7, 2)]
+
+
+def _check_delta(d, real, eps):
+    assert (d.real, d.eps) == (real, eps)
+    assert type(d.real) is Fraction and type(d.eps) is Fraction
+    assert hash(d) == hash((d.real, d.eps)) == hash((Fraction(real), Fraction(eps)))
+
+
+def test_delta_rational_matches_pair_arithmetic():
+    for r1, e1 in DELTA_INPUTS:
+        a = DeltaRational(r1, e1)
+        _check_delta(a, r1, e1)
+        _check_delta(-a, -r1, -e1)
+        for k in SCALARS:
+            _check_delta(a.scaled(k), r1 * k, e1 * k)
+            _check_delta(a.divided(k), Fraction(r1) / k, Fraction(e1) / k)
+        for r2, e2 in DELTA_INPUTS:
+            b = DeltaRational(r2, e2)
+            _check_delta(a + b, r1 + r2, e1 + e2)
+            _check_delta(a - b, r1 - r2, e1 - e2)
+            pa, pb = (r1, e1), (r2, e2)
+            assert (a < b) == (pa < pb)
+            assert (a <= b) == (pa <= pb)
+            assert (a > b) == (pa > pb)
+            assert (a >= b) == (pa >= pb)
+            assert (a == b) == (pa == pb)
+            assert (a != b) == (pa != pb)
+
+
 def _atom(coeffs, const, op):
     atom, pol = normalize_atom(coeffs, const, op)
     return atom, pol

@@ -72,6 +72,21 @@ def test_unwritable_stats_path_is_a_usage_error(ex1, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["generate-strip", "generate-jobshop", "bench"])
+def test_unwritable_output_path_is_a_usage_error(ex1, tmp_path, capsys, command):
+    argv = {
+        "generate-strip": ["generate", "strip-packing", "-n", "3"],
+        "generate-jobshop": ["generate", "jobshop", "--jobs", "2", "--machines", "2"],
+        "bench": ["bench", ex1, "--jobs", "1"],
+    }[command]
+    code = main([*argv, "-o", str(tmp_path / "missing" / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: cannot write output:" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.smt2"
     bad.write_text("(assert (> x 0))\n")

@@ -1,5 +1,6 @@
 """Incremental simplex over conjunctions of atoms."""
 
+import random
 from fractions import Fraction
 
 from helpers import random_literals
@@ -198,3 +199,68 @@ def test_agreement_with_elimination_oracle():
             valuation = {v: lra.value_of(v) for v in vids}
             for atom, pol in lits:
                 assert _satisfied(atom, pol, valuation), seed
+
+
+class _FullScanSolver(LraSolver):
+    """Reference: picks the violated basic variable by scanning every
+    row, ignoring the candidate set."""
+
+    def _violated(self):
+        for x in sorted(self.rows):
+            lo, up = self.lower[x], self.upper[x]
+            if lo is not None and self.beta[x] < lo[0]:
+                return x, True, lo[0]
+            if up is not None and self.beta[x] > up[0]:
+                return x, False, up[0]
+        return None
+
+
+def _assert_tableau_holds(lra, where):
+    for b, row in lra.rows.items():
+        real = sum((a * lra.beta[y].real for y, a in row.items()), Fraction(0))
+        eps = sum((a * lra.beta[y].eps for y, a in row.items()), Fraction(0))
+        assert lra.beta[b] == DeltaRational(real, eps), where
+    for v, val in enumerate(lra.beta):
+        lo, up = lra.lower[v], lra.upper[v]
+        assert lo is None or lo[0] <= val, where
+        assert up is None or val <= up[0], where
+
+
+def _same_state(lra, ref):
+    return (lra.beta, lra.rows, lra.lower, lra.upper) == (ref.beta, ref.rows, ref.lower, ref.upper)
+
+
+def test_candidate_set_check_matches_a_full_row_scan():
+    """Random assert/mark/backtrack/check sequences, run on a solver and on
+    a full-scan reference in lockstep: every answer and the whole state
+    must agree, and a sat check must leave every row equation exact and
+    every variable within its bounds."""
+    for seed in range(150):
+        rng = random.Random(seed)
+        nvars = rng.randint(3, 5)
+        pool = [lit for j in range(4) for lit in random_literals(seed * 4 + j, nvars)]
+        lra, ref = LraSolver(), _FullScanSolver()
+        marks = []
+        for step in range(40):
+            where = (seed, step)
+            roll = rng.random()
+            if roll < 0.5:
+                atom, pol = rng.choice(pool)
+                reason = step + 1
+                got = lra.assert_atom(atom, pol, reason)
+                assert got == ref.assert_atom(atom, pol, reason), where
+            elif roll < 0.65:
+                marks.append((lra.mark(), ref.mark()))
+            elif roll < 0.8:
+                if marks:
+                    i = rng.randrange(len(marks))
+                    m, mr = marks[i]
+                    del marks[i:]  # later marks point past the restored state
+                    lra.backtrack_to(m)
+                    ref.backtrack_to(mr)
+            else:
+                got = lra.check()
+                assert got == ref.check(), where
+                if got[0] == "sat":
+                    _assert_tableau_holds(lra, where)
+            assert _same_state(lra, ref), where

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import model_satisfies
-from omtq import OmtConfig, SearchStats, compute_pivot, crosscheck, omt, solve
+from omtq import OmtConfig, SearchStats, compute_pivot, crosscheck, lra, omt, solve
 from omtq.encodings import jobshop_problem, strip_packing_problem
 from omtq.omt import _use_binary, smt_decide
 from omtq.parser import parse_problem
@@ -358,3 +358,28 @@ def test_search_is_pinned_on_benchmark_instances(monkeypatch):
         assert (out.status, out.value, out.attained) == ("optimum", value, True), key
         assert out.stats == SearchStats(*counters), key
         assert [s.stats.propagations for s in solvers] == [propagations], key
+
+
+# -- pivot budget ------------------------------------------------------------
+# on jobshop_problem(5, 4, 2) one check or minimization takes at most 11
+# pivots under any configuration, and a whole search 233-375
+
+
+def test_exhausted_pivot_budget_interrupts_every_configuration(monkeypatch):
+    problem, _ = jobshop_problem(5, 4, 2)
+    monkeypatch.setattr(lra, "MAX_PIVOTS", 2)
+    for cfg in ALL_CONFIGS:
+        out = solve(problem, cfg)
+        assert out.status == "interrupted", cfg
+        assert out.stats.simplex_pivots > 0, cfg
+
+
+def test_pivot_budget_is_per_call(monkeypatch):
+    problem, _ = jobshop_problem(5, 4, 2)
+    monkeypatch.setattr(lra, "MAX_PIVOTS", 12)
+    for cfg in ALL_CONFIGS:
+        out = solve(problem, cfg)
+        assert out.status == "optimum", cfg
+        assert crosscheck(problem, out)[0], cfg
+        # the counter stays the lifetime total
+        assert out.stats.simplex_pivots > 12, cfg
