@@ -23,11 +23,6 @@ def rat(value, den=None) -> Fraction:
         return Fraction(value, den)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str) and "." in value:
-        num, _, frac = value.partition(".")
-        sign = -1 if num.strip().startswith("-") else 1
-        whole = int(num) if num not in ("", "-", "+") else 0
-        return Fraction(whole) + sign * Fraction(int(frac or 0), 10 ** len(frac))
     return Fraction(value)
 
 
@@ -194,6 +189,6 @@ def parse_rat(text: str) -> Fraction:
     """Parse 'p', 'p/q' or a decimal literal, with optional sign."""
     text = text.strip()
     try:
-        return rat(text) if "." in text else Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc

@@ -8,7 +8,9 @@ with those cores goes unseen; independent certificates are ROADMAP item
 emit CSV).  Exit codes: 0 solved (optimum, unsat or unbounded),
 2 usage (including a ``generate`` size that makes no instance and a
 ``solve --stats`` or ``-o`` file that cannot be written), 3 parse or
-validation error, 4 interrupted, 5 failed crosscheck.
+validation error, 4 interrupted (``crosscheck`` also exits 4, printing
+``crosscheck: skipped (interrupted)``, when one of its decision queries
+runs out of pivot budget), 5 failed crosscheck.
 """
 
 from __future__ import annotations
@@ -122,7 +124,12 @@ def cmd_crosscheck(args) -> int:
     if outcome.status == INTERRUPTED:
         print("crosscheck: skipped (interrupted)")
         return EXIT_INTERRUPTED
-    ok, msg = crosscheck(problem, outcome)
+    try:
+        ok, msg = crosscheck(problem, outcome)
+    except TimeoutError:
+        # a decision query ran out of pivot budget
+        print("crosscheck: skipped (interrupted)")
+        return EXIT_INTERRUPTED
     print(f"crosscheck: {'pass' if ok else 'fail'} ({msg})")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -20,13 +20,20 @@ variable is a candidate, so scanning the sorted candidates finds the
 same smallest violated variable a full scan would, and Bland's rule
 makes the same pivots.
 
-Each ``check`` (and each ``optimize.minimize_var``) call may pivot at
-most ``MAX_PIVOTS`` times; past that it raises ``PivotBudgetExhausted``,
-which the engines report as an interrupted search.
+``minimize_var`` drives one variable to its minimum on the same
+tableau, so the search's cost minimization and conflict generalization
+(``conjunction_min``) share the pivots, the bounds and the entering rule
+of ``check``.
+
+Each ``check`` and each ``minimize_var`` call may pivot at most
+``MAX_PIVOTS`` times, and no pivot starts once ``LraSolver.deadline``
+has passed; either way ``_pivot`` raises ``Interrupted``, which the
+engines report as an interrupted search.
 """
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from typing import Optional
 
@@ -36,8 +43,9 @@ from .formula import Atom, EQ, LE, LT
 MAX_PIVOTS = 1_000_000  # per check or minimize_var call
 
 
-class PivotBudgetExhausted(Exception):
-    """A single check or minimization needed more than MAX_PIVOTS pivots."""
+class Interrupted(Exception):
+    """A single check or minimization needed more than MAX_PIVOTS pivots,
+    or the solver's deadline passed while it was pivoting."""
 
 
 class LraSolver:
@@ -62,6 +70,7 @@ class LraSolver:
         self.candidates: set[int] = set()
         self.pivot_count = 0  # over the solver's lifetime
         self.call_pivots = 0  # since the current check or minimize_var began
+        self.deadline: Optional[float] = None  # time.monotonic() value
 
     # -- variables and slacks ---------------------------------------------
 
@@ -220,7 +229,9 @@ class LraSolver:
     def _pivot(self, leave: int, enter: int):
         """Swap a basic and a nonbasic variable."""
         if self.call_pivots >= MAX_PIVOTS:
-            raise PivotBudgetExhausted(f"more than {MAX_PIVOTS} pivots in one call")
+            raise Interrupted(f"more than {MAX_PIVOTS} pivots in one call")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise Interrupted("deadline passed")
         self.call_pivots += 1
         self.pivot_count += 1
         row = self.rows.pop(leave)
@@ -275,10 +286,23 @@ class LraSolver:
             self.candidates.discard(x)
         return None
 
+    def _entering(self, row: dict[int, Fraction], need_raise: bool) -> Optional[int]:
+        """Bland's rule: the smallest nonbasic variable of the row that can
+        move the row's basic variable up (``need_raise``) or down, or None."""
+        for y in sorted(row):
+            a = row[y]
+            if need_raise:
+                ok = (a > 0 and self._below_upper(y)) or (a < 0 and self._above_lower(y))
+            else:
+                ok = (a > 0 and self._above_lower(y)) or (a < 0 and self._below_upper(y))
+            if ok:
+                return y
+        return None
+
     def check(self):
         """Repair feasibility.  Returns ('sat', None) or ('unsat', clause).
 
-        Raises PivotBudgetExhausted after MAX_PIVOTS pivots."""
+        Raises Interrupted after MAX_PIVOTS pivots or past the deadline."""
         self.call_pivots = 0
         while True:
             broken = self._violated()
@@ -286,16 +310,7 @@ class LraSolver:
                 return "sat", None
             x, need_raise, target = broken
             row = self.rows[x]
-            enter = None
-            for y in sorted(row):
-                a = row[y]
-                if need_raise:
-                    ok = (a > 0 and self._below_upper(y)) or (a < 0 and self._above_lower(y))
-                else:
-                    ok = (a > 0 and self._above_lower(y)) or (a < 0 and self._below_upper(y))
-                if ok:
-                    enter = y
-                    break
+            enter = self._entering(row, need_raise)
             if enter is None:
                 reasons = [self.lower[x][1] if need_raise else self.upper[x][1]]
                 for y in sorted(row):
@@ -357,6 +372,101 @@ class LraSolver:
         if vid is None:
             return DeltaRational(0)
         return self.beta[vid]
+
+
+def minimize_var(lra: LraSolver, cid: int) -> Optional[DeltaRational]:
+    """Drive variable ``cid`` to its minimum over the asserted bounds and
+    return that minimum, or None when ``cid`` is unbounded below.
+
+    Bounded-variable simplex descent with Bland's rule (smallest entering
+    index, smallest leaving index among tied ratios).  The solver must be
+    in a feasible state (check() returned sat) and stays in one, with
+    ``cid`` at its minimum.  A minimum with a positive eps part means the
+    real infimum is its real part but is not attained, because only
+    strict bounds block further descent.
+
+    Raises Interrupted after MAX_PIVOTS pivots or past the deadline."""
+    lra.call_pivots = 0
+    if cid not in lra.rows:
+        owner = None
+        for b in sorted(lra.rows):
+            if lra.rows[b].get(cid):
+                owner = b
+                break
+        if owner is None:
+            lo = lra.lower[cid]
+            if lo is None:
+                return None
+            if lra.beta[cid] != lo[0]:
+                lra._update_nonbasic(cid, lo[0])
+            return lo[0]
+        lra._pivot(owner, cid)
+
+    while True:
+        row = lra.rows[cid]
+        enter = lra._entering(row, False)
+        if enter is None:
+            return lra.beta[cid]
+        direction = -1 if row[enter] > 0 else 1
+
+        # ratio test: how far can `enter` move in `direction`
+        best_theta = None
+        leave_id = None
+        leave_target = None
+        own = lra.lower[enter] if direction < 0 else lra.upper[enter]
+        if own is not None:
+            best_theta = (lra.beta[enter] - own[0]).scaled(Fraction(direction, -1))
+            leave_id, leave_target = enter, own[0]
+        for b in sorted(lra.rows):
+            ab = lra.rows[b].get(enter)
+            if not ab:
+                continue
+            rate = ab * direction
+            if rate > 0:
+                bound = lra.upper[b]
+                if bound is None:
+                    continue
+                theta = (bound[0] - lra.beta[b]).divided(rate)
+            else:
+                bound = lra.lower[b]
+                if bound is None:
+                    continue
+                theta = (lra.beta[b] - bound[0]).divided(-rate)
+            if (
+                best_theta is None
+                or theta < best_theta
+                or (theta == best_theta and b < leave_id)
+            ):
+                best_theta = theta
+                leave_id, leave_target = b, bound[0]
+        if best_theta is None:
+            return None
+        if leave_id == enter:
+            lra._update_nonbasic(enter, leave_target)
+        else:
+            lra._pivot_and_update(leave_id, enter, leave_target)
+            if leave_id == cid:
+                # the minimized variable itself hit its own lower bound
+                # and left the basis; it cannot go below that bound
+                return lra.beta[cid]
+
+
+def conjunction_min(literals, cost_key) -> tuple[str, Optional[DeltaRational]]:
+    """Minimum of a variable under a conjunction of atom literals, computed
+    on a fresh solver.  ``cost_key`` must match the keying used in the
+    atoms' coefficient lists.  Returns ('unsat', None), ('unbounded',
+    None) or ('min', value)."""
+    lra = LraSolver()
+    cid = lra.new_var(cost_key)
+    for i, (atom, polarity) in enumerate(literals):
+        if lra.assert_atom(atom, polarity, i + 1) is not None:
+            return "unsat", None
+    if lra.check()[0] == "unsat":
+        return "unsat", None
+    value = minimize_var(lra, cid)
+    if value is None:
+        return "unbounded", None
+    return "min", value
 
 
 def dedupe_lits(lits) -> list[int]:

@@ -28,8 +28,7 @@ from typing import Optional
 
 from .arith import EQ, LE, LT, DeltaRational, materialize_epsilon
 from .formula import OmtProblem, normalize_atom
-from .lra import LraSolver, PivotBudgetExhausted, dedupe_lits
-from .optimize import MINIMUM, UNBOUNDED as MIN_UNBOUNDED, conjunction_min, minimize_var
+from .lra import Interrupted, LraSolver, conjunction_min, dedupe_lits, minimize_var
 from .sat import SatSolver, TheoryClient
 
 OPTIMUM = "optimum"
@@ -50,7 +49,6 @@ class OmtConfig:
     always_binary: bool = False
     early_pruning: bool = True
     pure_literal: bool = True
-    conflict_generalization: bool = True
     timeout: Optional[float] = None  # seconds
     max_loops: Optional[int] = None  # bound on range-update iterations
 
@@ -105,8 +103,8 @@ class TheoryBridge(TheoryClient):
     The bridge owns one engine's whole state: a private copy of the
     formula (the input stays reusable), the SAT solver loaded with its
     clauses and the units pinning the cost into [lb, ub[, the simplex
-    solver, the deadline, the counters, the cost range [l, u[ with its
-    trace of lower ends, and the best model found so far.
+    solver with the deadline, the counters, the cost range [l, u[ with
+    its trace of lower ends, and the best model found so far.
     """
 
     def __init__(self, problem: OmtProblem, config: OmtConfig):
@@ -125,7 +123,7 @@ class TheoryBridge(TheoryClient):
         self.ptr = 0
         self.marks: list[tuple] = []  # (trail_pos, lra_mark, atom, polarity)
         self.forced_lits: set[int] = set()
-        self.deadline = None if config.timeout is None else time.monotonic() + config.timeout
+        self.lra.deadline = None if config.timeout is None else time.monotonic() + config.timeout
         if problem.lb is not None:
             self.sat.add_clause([-self.cost_lit(problem.lb, LT)])
         if problem.ub is not None:
@@ -144,7 +142,7 @@ class TheoryBridge(TheoryClient):
     # -- timeout
 
     def timed_out(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
+        return self.lra.deadline is not None and time.monotonic() > self.lra.deadline
 
     def tick(self, solver):
         if self.timed_out():
@@ -237,10 +235,9 @@ class TheoryBridge(TheoryClient):
         bound that excludes it and everything above), or None when the
         cost is unbounded."""
         self.stats.minimize_calls += 1
-        mres = minimize_var(self.lra, self.cost_id)
-        if mres.status == MIN_UNBOUNDED:
+        m = minimize_var(self.lra, self.cost_id)
+        if m is None:
             return None
-        m = mres.value
         if self.best is None or m < self.best[0]:
             eps, model = self.snapshot_model()
             self.best = (m, model, eps)
@@ -318,7 +315,7 @@ def solve_offline(problem: OmtProblem, config: Optional[OmtConfig] = None) -> Om
     bridge = TheoryBridge(problem, config)
     try:
         return _offline_search(bridge)
-    except PivotBudgetExhausted:
+    except Interrupted:
         return bridge.outcome(INTERRUPTED)
 
 
@@ -397,9 +394,7 @@ class InlineBridge(TheoryBridge):
             polarity = lit > 0
             if not polarity and atom.rel == EQ:
                 continue
-            for is_lower, val in LraSolver._atom_bounds(atom, polarity):
-                if sv[1] == -1:
-                    is_lower, val = not is_lower, val.scaled(Fraction(-1))
+            for _, is_lower, val in self.lra.effective_bounds(atom, polarity):
                 if is_lower:
                     if best_lo is None or val > best_lo:
                         best_lo = val
@@ -487,8 +482,6 @@ class InlineBridge(TheoryBridge):
     # -- conflict generalization
 
     def transform_conflict(self, solver, clause):
-        if not self.cfg.conflict_generalization:
-            return clause
         p = self.pivot_lit
         if p is None or -p not in clause or solver.value(p) != 1:
             return clause
@@ -502,7 +495,7 @@ class InlineBridge(TheoryBridge):
                 return clause
             eta.append((atom, l < 0))
         status, val = conjunction_min(eta, self.problem.cost)
-        if status != MINIMUM:
+        if status != "min":
             return clause
         r, k = val.real, val.eps
         if self.u is not None and self.u_lit is not None:
@@ -524,7 +517,7 @@ def solve_inline(problem: OmtProblem, config: Optional[OmtConfig] = None) -> Omt
     bridge = InlineBridge(problem, config)
     try:
         res = bridge.sat.solve((), bridge)
-    except PivotBudgetExhausted:
+    except Interrupted:
         return bridge.outcome(INTERRUPTED)
     if res.status == "halted":
         if res.halt == "unbounded":
@@ -559,7 +552,7 @@ def smt_decide(problem: OmtProblem, extra_literals=(), config: Optional[OmtConfi
         sat.add_clause([lit])
     try:
         res = sat.solve((), bridge)
-    except PivotBudgetExhausted:
+    except Interrupted:
         raise TimeoutError("decision query interrupted") from None
     if res.status == "halted":
         raise TimeoutError("decision query interrupted")

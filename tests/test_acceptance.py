@@ -27,8 +27,7 @@ from omtq.encodings import (
     strip_packing_instance,
     strip_packing_problem,
 )
-from omtq.lra import LraSolver
-from omtq.optimize import conjunction_min
+from omtq.lra import LraSolver, conjunction_min
 from omtq.oracle import fm_minimize, oracle_solve
 from omtq.parser import parse_problem
 from omtq.sat import SatSolver

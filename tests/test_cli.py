@@ -4,7 +4,9 @@ import csv
 
 import pytest
 
+from omtq import cli, lra
 from omtq.cli import main
+from omtq.encodings import jobshop_instance
 
 EX1 = """(declare-fun cost () Real)
 (declare-fun a () Real)
@@ -126,6 +128,24 @@ def test_crosscheck_pass(ex1, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "crosscheck: pass (optimum confirmed)" in out
+
+
+def test_crosscheck_out_of_pivot_budget_is_interrupted(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "jobshop.smt2"
+    path.write_text(jobshop_instance(3, 2, 0)[0])
+    solve = cli.solve
+
+    def solve_then_starve(problem, config):
+        outcome = solve(problem, config)
+        monkeypatch.setattr(lra, "MAX_PIVOTS", 0)  # only the decision queries starve
+        return outcome
+
+    monkeypatch.setattr(cli, "solve", solve_then_starve)
+    code = main(["crosscheck", str(path)])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert out.splitlines()[0] == "optimum"
+    assert out.splitlines()[-1] == "crosscheck: skipped (interrupted)"
 
 
 def test_usage_error_exits_two(capsys):

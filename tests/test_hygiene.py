@@ -1,10 +1,16 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene, checked on the syntax trees.
 
-No linter ships with the test environment, so this scans the syntax
-trees itself.  A name counts as used when it appears as an identifier
-anywhere in the module.  Exempt are
-``from __future__`` imports and the re-exports a package lists in
-``__all__``.
+No linter ships with the test environment, so this scans the trees
+itself.
+
+* No module imports a name it never uses.  A name counts as used when it
+  appears as an identifier anywhere in the module.  Exempt are
+  ``from __future__`` imports and the re-exports a package lists in
+  ``__all__``.
+* A package module reads a private (single leading underscore) attribute
+  of anything but ``self`` or ``cls`` only when the same module defines
+  that name, so private state, such as the simplex tableau, has one
+  owning module.
 """
 
 import ast
@@ -13,7 +19,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "omtq").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "omtq").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree):
@@ -46,3 +53,41 @@ def test_no_unused_imports(path):
     used = _used(tree) | _exported(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _defined(tree) -> set[str]:
+    """Every name the module binds: functions, classes, assigned names
+    and assigned attributes."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+    return out
+
+
+def _foreign_private_reads(tree) -> list[str]:
+    """'name (line n)' for each private attribute read off an object
+    other than self or cls whose name the module does not define."""
+    defined = _defined(tree)
+    return [
+        f"{node.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and _private(node.attr)
+        and node.attr not in defined
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_reads_across_modules(path):
+    found = _foreign_private_reads(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name} reads private names of another module: {', '.join(found)}"

@@ -1,12 +1,15 @@
 """Incremental simplex over conjunctions of atoms."""
 
 import random
+import time
 from fractions import Fraction
+
+import pytest
 
 from helpers import random_literals
 from omtq.arith import EQ, LE, LT, DeltaRational
 from omtq.formula import normalize_atom
-from omtq.lra import LraSolver
+from omtq.lra import Interrupted, LraSolver
 from omtq.oracle import fm_minimize
 
 
@@ -138,6 +141,22 @@ def test_pivots_survive_backtracking():
     assert lra.check()[0] == "sat"
     total = lra.value_of(0) + lra.value_of(1)
     assert DeltaRational(3) <= total <= DeltaRational(4)
+
+
+def test_past_deadline_interrupts_a_pivoting_check():
+    lra = LraSolver()
+    s, sp = _lit({0: 1, 1: 1}, 0, LE)  # x + y <= 0
+    x1, xp = _lit({0: 1}, -1, ">=")  # x >= 1, so y must pivot in
+    assert lra.assert_atom(s, sp, 1) is None
+    assert lra.assert_atom(x1, xp, 2) is None
+    lra.deadline = time.monotonic() - 1
+    with pytest.raises(Interrupted):
+        lra.check()
+    assert lra.pivot_count == 0
+    lra.deadline = None
+    assert lra.check()[0] == "sat"
+    assert lra.value_of(0) >= DeltaRational(1)
+    assert lra.value_of(0) + lra.value_of(1) <= DeltaRational(0)
 
 
 def test_entailment_from_bounds():

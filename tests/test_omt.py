@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import model_satisfies
+from helpers import corpus_problem, model_satisfies
 from omtq import OmtConfig, SearchStats, compute_pivot, crosscheck, lra, omt, solve
 from omtq.encodings import jobshop_problem, strip_packing_problem
 from omtq.omt import _use_binary, smt_decide
+from omtq.oracle import oracle_solve
 from omtq.parser import parse_problem
 
 ALL_CONFIGS = [
@@ -316,6 +317,45 @@ def test_input_problem_is_not_mutated():
     solve(problem, OmtConfig(schema="offline", search="binary"))
     assert len(problem.formula.clauses) == before
     assert problem.formula.num_solver_vars == vars_before
+
+
+# -- flag combinations against the reference solver -------------------------
+# always_binary is left out: it spins on vanishing ranges by design
+
+
+def test_flag_combinations_match_the_oracle(monkeypatch):
+    generalized = []
+    conjunction_min = omt.conjunction_min
+
+    def counting_conjunction_min(literals, cost_key):
+        generalized.append(cost_key)
+        return conjunction_min(literals, cost_key)
+
+    monkeypatch.setattr(omt, "conjunction_min", counting_conjunction_min)
+    mismatches = []
+    for seed in range(60):
+        problem = corpus_problem(seed)
+        want = oracle_solve(problem)
+        expect = (want.status, want.value, want.attained)
+        for schema in ("offline", "inline"):
+            for search in ("linear", "binary"):
+                for early_pruning in (True, False):
+                    for pure_literal in (True, False):
+                        cfg = OmtConfig(
+                            schema=schema,
+                            search=search,
+                            early_pruning=early_pruning,
+                            pure_literal=pure_literal,
+                        )
+                        out = solve(problem, cfg)
+                        got = (out.status, out.value, out.attained)
+                        if got != expect:
+                            mismatches.append((seed, cfg, got, expect))
+                        elif out.model is not None and not model_satisfies(problem, out.model):
+                            mismatches.append((seed, cfg, "model violates the input"))
+    assert not mismatches, mismatches[:3]
+    # conflict generalization ran, so the sweep covers it
+    assert generalized
 
 
 # the exact search on two small benchmark instances: any change to the

@@ -114,6 +114,12 @@ def test_unknown_identifier_position():
     assert "unknown identifier" in str(info.value)
 
 
+@pytest.mark.parametrize("literal", ["1.-5", "1.+5"])
+def test_malformed_decimal_is_a_parse_error(literal):
+    with pytest.raises(ParseError, match="unknown identifier"):
+        parse_problem(f"(declare-fun x () Real)(assert (<= x {literal}))(minimize x)")
+
+
 def test_sort_errors():
     with pytest.raises(ParseError, match="used in a term"):
         parse_problem(
