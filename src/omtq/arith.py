@@ -10,6 +10,7 @@ bound (c, +1).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 LE = "<="
@@ -18,11 +19,14 @@ EQ = "="
 
 
 def rat(value, den=None) -> Fraction:
-    """Build a Fraction from ints, strings ('3', '-7/2', '3.5') or Fractions."""
+    """Build a Fraction from ints, strings ('3', '-7/2', '3.5', read by
+    ``parse_rat``) or Fractions."""
     if den is not None:
         return Fraction(value, den)
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        return parse_rat(value)
     return Fraction(value)
 
 
@@ -185,10 +189,17 @@ def format_rat(q: Fraction) -> str:
     return str(q)
 
 
+# SMT-LIB numerals and decimals, plus the signed p/q that format_rat prints
+_NUMERAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+|/[0-9]+)?")
+
+
 def parse_rat(text: str) -> Fraction:
-    """Parse 'p', 'p/q' or a decimal literal, with optional sign."""
+    """Parse 'p', 'p/q' or a decimal 'p.d', with optional sign; nothing
+    else (no exponents, digit separators or bare '.5')."""
     text = text.strip()
+    if _NUMERAL.fullmatch(text) is None:
+        raise ValueError(f"not a rational: {text!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ValueError(f"not a rational: {text!r}") from exc

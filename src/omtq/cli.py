@@ -6,8 +6,10 @@ queries that run on the same SAT and simplex cores, so a fault shared
 with those cores goes unseen; independent certificates are ROADMAP item
 5), bench (run a batch of instances under all engine configurations and
 emit CSV).  Exit codes: 0 solved (optimum, unsat or unbounded),
-2 usage (including a ``generate`` size that makes no instance and a
-``solve --stats`` or ``-o`` file that cannot be written), 3 parse or
+2 usage (including a ``--lb``/``--ub``/``--width`` that is not a
+numeral ``arith.parse_rat`` reads, a ``generate`` size that makes no
+instance and a ``solve --stats`` or ``-o`` file that cannot be
+written), 3 parse or
 validation error, 4 interrupted (``crosscheck`` also exits 4, printing
 ``crosscheck: skipped (interrupted)``, when one of its decision queries
 runs out of pivot budget), 5 failed crosscheck.
@@ -21,7 +23,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from .arith import format_rat, parse_rat
 from .encodings import jobshop_instance, strip_packing_instance
@@ -169,23 +170,22 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+BENCH_COLUMNS = [
+    "instance",
+    "schema",
+    "search",
+    "status",
+    "objective",
+    "attained",
+    "wall_ms",
+] + STATS_COLUMNS
+
+
 def _bench_one(task):
     path, schema, search, timeout = task
     config = OmtConfig(schema=schema, search=search, timeout=timeout)
-    row = {
-        "instance": os.path.basename(path),
-        "schema": schema,
-        "search": search,
-        "status": "error",
-        "objective": "",
-        "attained": "",
-        "wall_ms": "",
-        "decisions": "",
-        "conflicts": "",
-        "theory_checks": "",
-        "minimize_calls": "",
-        "pivots": "",
-    }
+    row = dict.fromkeys(BENCH_COLUMNS, "")
+    row.update(instance=os.path.basename(path), schema=schema, search=search, status="error")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             problem = parse_problem(fh.read())
@@ -200,25 +200,9 @@ def _bench_one(task):
         row["objective"] = format_rat(outcome.value)
         row["attained"] = "true" if outcome.attained else "false"
     row["wall_ms"] = f"{elapsed:.1f}"
-    for c in ("decisions", "conflicts", "theory_checks", "minimize_calls", "pivots"):
+    for c in STATS_COLUMNS:
         row[c] = getattr(outcome.stats, c)
     return row
-
-
-BENCH_COLUMNS = [
-    "instance",
-    "schema",
-    "search",
-    "status",
-    "objective",
-    "attained",
-    "wall_ms",
-    "decisions",
-    "conflicts",
-    "theory_checks",
-    "minimize_calls",
-    "pivots",
-]
 
 
 def cmd_bench(args) -> int:
@@ -253,8 +237,8 @@ def cmd_bench(args) -> int:
 def _add_engine_options(p: argparse.ArgumentParser):
     p.add_argument("--schema", choices=["offline", "inline"], default="inline")
     p.add_argument("--search", choices=["linear", "binary"], default="binary")
-    p.add_argument("--lb", type=Fraction, default=None, help="override the lower range bound")
-    p.add_argument("--ub", type=Fraction, default=None, help="override the upper range bound")
+    p.add_argument("--lb", type=parse_rat, default=None, help="override the lower range bound")
+    p.add_argument("--ub", type=parse_rat, default=None, help="override the upper range bound")
     p.add_argument("--timeout", type=float, default=None, help="seconds before giving up")
     p.add_argument("--no-pure-literal", action="store_true")
     p.add_argument("--no-early-pruning", action="store_true")

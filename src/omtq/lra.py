@@ -28,7 +28,8 @@ of ``check``.
 Each ``check`` and each ``minimize_var`` call may pivot at most
 ``MAX_PIVOTS`` times, and no pivot starts once ``LraSolver.deadline``
 has passed; either way ``_pivot`` raises ``Interrupted``, which the
-engines report as an interrupted search.
+engines report as an interrupted search.  The engines test the same
+deadline through ``check_deadline`` between simplex calls.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ MAX_PIVOTS = 1_000_000  # per check or minimize_var call
 
 
 class Interrupted(Exception):
-    """A single check or minimization needed more than MAX_PIVOTS pivots,
-    or the solver's deadline passed while it was pivoting."""
+    """The one early stop of a search: a single check or minimization
+    needed more than MAX_PIVOTS pivots, the solver's deadline passed
+    (``check_deadline``), or the search's loop budget ran out."""
 
 
 class LraSolver:
@@ -226,12 +228,16 @@ class LraSolver:
 
     # -- the check loop ----------------------------------------------------
 
+    def check_deadline(self):
+        """Raise Interrupted once the deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise Interrupted("deadline passed")
+
     def _pivot(self, leave: int, enter: int):
         """Swap a basic and a nonbasic variable."""
         if self.call_pivots >= MAX_PIVOTS:
             raise Interrupted(f"more than {MAX_PIVOTS} pivots in one call")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise Interrupted("deadline passed")
+        self.check_deadline()
         self.call_pivots += 1
         self.pivot_count += 1
         row = self.rows.pop(leave)

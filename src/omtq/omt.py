@@ -1,7 +1,9 @@
 """Cost-minimizing search over the CDCL and simplex cores.
 
 Two engines find the minimum of a designated rational variable subject
-to a CNF formula, both maintaining a shrinking candidate range [l, u[:
+to a CNF formula, both shrinking one candidate range [l, u[, which one
+``CostRange`` owns: its ends, the alternation of linear and binary
+steps, the loop count and budget, and the trace of lower ends.
 
 * solve_offline: repeated full solver calls.  Linear steps ask for any
   model and learn a unit bound just below its minimized cost; binary
@@ -17,6 +19,10 @@ to a CNF formula, both maintaining a shrinking candidate range [l, u[:
 
 Values are exact; strict minima are reported as unattained infima with
 a model materialized at a safely small epsilon.
+
+Every early stop (the deadline, the loop budget, the per-call pivot
+budget of the simplex) raises ``lra.Interrupted``, which the engines
+report as an interrupted search with the best model so far.
 """
 
 from __future__ import annotations
@@ -103,8 +109,8 @@ class TheoryBridge(TheoryClient):
     The bridge owns one engine's whole state: a private copy of the
     formula (the input stays reusable), the SAT solver loaded with its
     clauses and the units pinning the cost into [lb, ub[, the simplex
-    solver with the deadline, the counters, the cost range [l, u[ with
-    its trace of lower ends, and the best model found so far.
+    solver with the deadline, the counters, the cost range and the best
+    model found so far.
     """
 
     def __init__(self, problem: OmtProblem, config: OmtConfig):
@@ -128,9 +134,7 @@ class TheoryBridge(TheoryClient):
             self.sat.add_clause([-self.cost_lit(problem.lb, LT)])
         if problem.ub is not None:
             self.sat.add_clause([self.cost_lit(problem.ub, LT)])
-        self.l, self.l_strict = problem.lb, False
-        self.u, self.u_strict = problem.ub, True
-        self.trace: list = [self.l] if self.l is not None else []
+        self.range = CostRange(config, problem.lb, problem.ub)
         self.best: Optional[tuple] = None  # (DeltaRational, model, eps)
 
     def cost_lit(self, value: Fraction, rel: str) -> int:
@@ -138,16 +142,6 @@ class TheoryBridge(TheoryClient):
         lit = self.formula.lit_for_atom(*_cost_atom(self.problem, value, rel))
         self.sat.ensure_vars(self.formula.num_solver_vars)
         return lit
-
-    # -- timeout
-
-    def timed_out(self) -> bool:
-        return self.lra.deadline is not None and time.monotonic() > self.lra.deadline
-
-    def tick(self, solver):
-        if self.timed_out():
-            return ("halt", "timeout")
-        return None
 
     # -- trail -> simplex
 
@@ -187,8 +181,7 @@ class TheoryBridge(TheoryClient):
             self.ptr = trail_len
 
     def after_bcp(self, solver, complete: bool):
-        if self.timed_out():
-            return ("halt", "timeout")
+        self.lra.check_deadline()
         if not (self.cfg.early_pruning or complete):
             return None
         confl = self._assert_up_to(solver, len(solver.trail))
@@ -253,7 +246,8 @@ class TheoryBridge(TheoryClient):
         self.stats.conflicts = sat_stats.conflicts
         self.stats.restarts = sat_stats.restarts
         self.stats.simplex_pivots = self.lra.pivot_count
-        out = OmtOutcome(status, lower_trace=self.trace, stats=self.stats)
+        self.stats.loops = self.range.loops
+        out = OmtOutcome(status, lower_trace=self.range.trace, stats=self.stats)
         if status == UNBOUNDED:
             return out
         if self.best is None:
@@ -287,23 +281,58 @@ def compute_pivot(l, u) -> Fraction:
     return (Fraction(l) + Fraction(u)) / 2
 
 
-def _use_binary(config: OmtConfig, l, u, counter: int):
-    """Whether this iteration runs in binary mode, plus the new counter."""
-    if config.search != BINARY or l is None or u is None:
-        return False, counter
-    if config.always_binary:
-        return True, counter
-    if l == u:
-        # degenerate range: only an attainment probe is left, and a pivot
-        # at the midpoint would contradict the learned bounds outright
-        return False, counter
-    return counter % 2 == 0, counter + 1
+class CostRange:
+    """The candidate range [l, u[ of the cost, shrunk by both engines.
 
+    The ends are delta-rational bounds on the cost, the form the simplex
+    keeps bounds in: ``lo`` is l or l+delta and ``hi`` is u-delta or u
+    (None while unknown), so the range is empty when ``hi < lo``.  A
+    model lowers ``hi``; a refuted pivot or a unit bound raises ``lo``,
+    and ``trace`` records each new value of l.  ``loops`` counts the
+    range-update iterations (offline: solver calls; inline: changes of
+    the root bounds) against ``max_loops``.
+    """
 
-def _range_is_empty(l, l_strict, u, u_strict) -> bool:
-    if l is None or u is None:
-        return False
-    return u < l or (u == l and (u_strict or l_strict))
+    def __init__(self, config: OmtConfig, lb: Optional[Fraction], ub: Optional[Fraction]):
+        self.binary = config.search == BINARY
+        self.always_binary = config.always_binary
+        self.max_loops = config.max_loops
+        self.lo = None if lb is None else DeltaRational(lb)
+        self.hi = None if ub is None else DeltaRational(ub, -1)
+        self.trace: list = [] if lb is None else [lb]
+        self.loops = 0
+        self.steps = 0  # non-degenerate pivot() calls, for the alternation
+
+    def empty(self) -> bool:
+        return self.lo is not None and self.hi is not None and self.hi < self.lo
+
+    def count_loop(self):
+        """Count one range-update iteration; raises Interrupted instead
+        once ``max_loops`` of them have run."""
+        if self.max_loops is not None and self.loops >= self.max_loops:
+            raise Interrupted(f"more than {self.max_loops} range updates")
+        self.loops += 1
+
+    def raise_lo(self, lo: DeltaRational):
+        self.lo = lo
+        if not self.trace or self.trace[-1] != lo.real:
+            self.trace.append(lo.real)
+
+    def pivot(self) -> Optional[Fraction]:
+        """The midpoint to probe next, or None for a linear step.  Binary
+        steps alternate with linear ones unless ``always_binary``."""
+        if not self.binary or self.lo is None or self.hi is None:
+            return None
+        l, u = self.lo.real, self.hi.real
+        if not self.always_binary:
+            if l == u:
+                # degenerate range: only an attainment probe is left, and a
+                # pivot at the midpoint would contradict the learned bounds
+                return None
+            self.steps += 1
+            if self.steps % 2 == 0:
+                return None
+        return compute_pivot(l, u)
 
 
 # ---------------------------------------------------------------------------
@@ -320,39 +349,30 @@ def solve_offline(problem: OmtProblem, config: Optional[OmtConfig] = None) -> Om
 
 
 def _offline_search(bridge: TheoryBridge) -> OmtOutcome:
-    config, sat, stats = bridge.cfg, bridge.sat, bridge.stats
-    counter = 0
+    sat, rng = bridge.sat, bridge.range
 
-    while not _range_is_empty(bridge.l, bridge.l_strict, bridge.u, bridge.u_strict):
-        out_of_loops = config.max_loops is not None and stats.loops >= config.max_loops
-        if out_of_loops or bridge.timed_out():
-            return bridge.outcome(INTERRUPTED)
-        stats.loops += 1
-        binary, counter = _use_binary(config, bridge.l, bridge.u, counter)
-
-        if binary:
-            pivot = compute_pivot(bridge.l, bridge.u)
+    while not rng.empty():
+        rng.count_loop()
+        pivot = rng.pivot()
+        if pivot is not None:
             plit = bridge.cost_lit(pivot, LT)
             bridge.forced_lits = {plit}
-            stats.pivots += 1
+            bridge.stats.pivots += 1
             res = sat.solve([plit], bridge)
             bridge.forced_lits = set()
         else:
             plit = None
             res = sat.solve((), bridge)
 
-        if res.status == "halted":
-            return bridge.outcome(INTERRUPTED)
         if res.status == "sat":
             found = bridge.minimize()
             if found is None:
                 return bridge.outcome(UNBOUNDED)
             m, ulit = found
-            bridge.u, bridge.u_strict = m.real, m.eps == 0
+            rng.hi = DeltaRational(m.real, 0 if m.eps else -1)  # the bound ulit asserts
             sat.add_clause([ulit])
-        elif plit is not None and res.core and plit in res.core:
-            bridge.l = pivot
-            bridge.trace.append(pivot)
+        elif plit is not None and plit in res.core:
+            rng.raise_lo(DeltaRational(pivot))
             sat.add_clause([-plit])
         else:
             break  # unsat independently of the pivot: range exhausted
@@ -369,8 +389,7 @@ class InlineBridge(TheoryBridge):
 
     def __init__(self, problem: OmtProblem, config: OmtConfig):
         super().__init__(problem, config)
-        self.u_lit: Optional[int] = None
-        self.counter = 0
+        self.u_lit: Optional[int] = None  # the root literal that asserts range.hi
         self.suggest: Optional[int] = None
         self.pivot_lit: Optional[int] = None
         self.pivot_val: Optional[Fraction] = None
@@ -378,9 +397,10 @@ class InlineBridge(TheoryBridge):
     # -- range maintenance at level 0
 
     def _scan_root_bounds(self, solver):
-        """Derive (l, u) from the unit-implied bounds on the cost variable."""
+        """(lo, hi, literal asserting hi) from the input lower bound and
+        the unit-implied bounds on the cost variable."""
         best_lo: Optional[DeltaRational] = None
-        best_up: Optional[tuple] = None  # (DeltaRational, lit)
+        best_up: tuple = (None, None)  # (DeltaRational, lit)
         if self.problem.lb is not None:
             best_lo = DeltaRational(self.problem.lb)
         for lit in solver.trail:
@@ -398,42 +418,31 @@ class InlineBridge(TheoryBridge):
                 if is_lower:
                     if best_lo is None or val > best_lo:
                         best_lo = val
-                else:
-                    if best_up is None or val < best_up[0]:
-                        best_up = (val, lit)
-        if best_lo is not None:
-            self.l, self.l_strict = best_lo.real, best_lo.eps > 0
-        if best_up is not None:
-            self.u, self.u_strict = best_up[0].real, best_up[0].eps < 0
-            self.u_lit = best_up[1]
+                elif best_up[0] is None or val < best_up[0]:
+                    best_up = (val, lit)
+        return best_lo, *best_up
 
     def on_level_zero(self, solver):
-        if self.timed_out():
-            return ("halt", "timeout")
-        old = (self.l, self.l_strict, self.u, self.u_strict)
-        self._scan_root_bounds(solver)
-        if (self.l, self.l_strict, self.u, self.u_strict) != old:
-            self.stats.loops += 1
-            if self.l is not None and (not self.trace or self.trace[-1] != self.l):
-                self.trace.append(self.l)
-        if self.cfg.max_loops is not None and self.stats.loops > self.cfg.max_loops:
-            return ("halt", "loop budget exhausted")
-        if _range_is_empty(self.l, self.l_strict, self.u, self.u_strict):
-            return ("halt", "range-empty")
-        use, self.counter = _use_binary(self.cfg, self.l, self.u, self.counter)
-        if use:
-            pivot = compute_pivot(self.l, self.u)
+        self.lra.check_deadline()
+        rng = self.range
+        lo, hi, self.u_lit = self._scan_root_bounds(solver)
+        # root units only accumulate, so the scan never loses an end
+        if lo != rng.lo or hi != rng.hi:
+            rng.count_loop()
+            rng.hi = hi
+            if lo is not None:
+                rng.raise_lo(lo)
+        if rng.empty():
+            return ("halt", OPTIMUM)
+        pivot = rng.pivot()
+        self.suggest = None
+        if pivot is None:
+            self.pivot_lit = self.pivot_val = None
+        else:
             lit = self.cost_lit(pivot, LT)
             if solver.value(lit) == 0:
-                self.suggest = lit
-                self.pivot_lit = lit
+                self.suggest = self.pivot_lit = lit
                 self.pivot_val = pivot
-            else:
-                self.suggest = None
-        else:
-            self.suggest = None
-            self.pivot_lit = None
-            self.pivot_val = None
         return None
 
     def suggest_decision(self, solver):
@@ -448,19 +457,17 @@ class InlineBridge(TheoryBridge):
     # -- model handling
 
     def on_theory_sat(self, solver):
-        if self.timed_out():
-            return ("halt", "timeout")
+        self.lra.check_deadline()
         found = self.minimize()
         if found is None:
-            return ("halt", "unbounded")
+            return ("halt", UNBOUNDED)
         m, ulit = found
         directives = [([ulit], False)]
         if self.pivot_lit is not None and solver.value(self.pivot_lit) == 1:
             # the pivot unit is only a consequence when the fresh upper
             # bound sits below the pivot; the minimum can land on or
             # above it because pivot atoms are pure-literal invisible
-            implied = m.real <= self.pivot_val if m.eps == 0 else m.real < self.pivot_val
-            if implied:
+            if m <= DeltaRational(self.pivot_val):
                 directives.append(([self.pivot_lit], True))
         blocking = self._blocking_clause(ulit)
         if blocking is not None:
@@ -497,13 +504,10 @@ class InlineBridge(TheoryBridge):
         status, val = conjunction_min(eta, self.problem.cost)
         if status != "min":
             return clause
-        r, k = val.real, val.eps
-        if self.u is not None and self.u_lit is not None:
-            refutes_upper = r > self.u or (r == self.u and (self.u_strict or k > 0))
-            if refutes_upper:
-                return dedupe_lits(eta_lits + [-self.u_lit])
-        if r > self.pivot_val:
-            litr = self.cost_lit(r, LT)
+        if self.u_lit is not None and val > self.range.hi:
+            return dedupe_lits(eta_lits + [-self.u_lit])
+        if val.real > self.pivot_val:
+            litr = self.cost_lit(val.real, LT)
             c1 = self.sat.add_clause(dedupe_lits(eta_lits + [-litr]), learnt=True)
             c2 = self.sat.add_clause([-p, litr], learnt=True)
             for c in (c1, c2):
@@ -519,14 +523,10 @@ def solve_inline(problem: OmtProblem, config: Optional[OmtConfig] = None) -> Omt
         res = bridge.sat.solve((), bridge)
     except Interrupted:
         return bridge.outcome(INTERRUPTED)
-    if res.status == "halted":
-        if res.halt == "unbounded":
-            return bridge.outcome(UNBOUNDED)
-        if res.halt != "range-empty":
-            return bridge.outcome(INTERRUPTED)
-    elif res.status != "unsat":
+    if res.status == "sat":
         raise RuntimeError("inline search ended in a plain sat state")
-    return bridge.outcome(OPTIMUM)
+    # a halt carries the final status; unsat means the range is exhausted
+    return bridge.outcome(res.halt if res.status == "halted" else OPTIMUM)
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +554,6 @@ def smt_decide(problem: OmtProblem, extra_literals=(), config: Optional[OmtConfi
         res = sat.solve((), bridge)
     except Interrupted:
         raise TimeoutError("decision query interrupted") from None
-    if res.status == "halted":
-        raise TimeoutError("decision query interrupted")
     return res.status
 
 

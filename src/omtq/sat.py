@@ -56,10 +56,6 @@ class TheoryClient:
     def note_suggested_taken(self, solver, lit: int):
         pass
 
-    def tick(self, solver):
-        """Called once per conflict; may return ('halt', payload)."""
-        return None
-
 
 @dataclass
 class SolveResult:
@@ -300,8 +296,8 @@ class SatSolver:
 
     def propagate(self):
         """BCP plus theory fixpoint.  Returns None, a conflicting Clause,
-        or ('halt', payload) / ('relearned',) style directives raised by
-        the client (returned verbatim)."""
+        or the client's ('learn', ...) or ('halt', payload) directive,
+        verbatim."""
         while True:
             confl = self._bcp()
             if confl is not None:
@@ -412,33 +408,14 @@ class SatSolver:
 
     def analyze_final(self, p: int) -> list[int]:
         """Core of assumptions implying the failure of assumption ``p``."""
-        core = [p]
         if self.decision_level == 0:
-            return core
-        seen = {abs(p)}
-        for i in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
-            lit = self.trail[i]
-            v = abs(lit)
-            if v not in seen:
-                continue
-            r = self.reason_[v]
-            if r is None:
-                if lit != p:
-                    core.append(lit)
-            else:
-                for l in r.lits:
-                    if abs(l) != v and self.level[abs(l)] > 0:
-                        seen.add(abs(l))
-        return core
+            return [p]
+        return [p] + self._assumption_core({abs(p)})
 
-    def _conflict_core(self, confl: Clause) -> list[int]:
-        """Assumptions reachable from a conflict inside the assumption
-        prefix of the trail."""
+    def _assumption_core(self, seen: set) -> list[int]:
+        """Assumptions, the decisions of the assumption prefix of the
+        trail, from which the variables in ``seen`` were derived."""
         core = []
-        seen = set()
-        for l in confl.lits:
-            if self.level[abs(l)] > 0:
-                seen.add(abs(l))
         for i in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
             lit = self.trail[i]
             v = abs(lit)
@@ -500,10 +477,6 @@ class SatSolver:
             if confl is not None:
                 self.stats.conflicts += 1
                 conflicts_since += 1
-                if self.client is not None:
-                    t = self.client.tick(self)
-                    if t is not None and t[0] == "halt":
-                        return SolveResult("halted", halt=t[1])
                 # make sure the conflict clause has a literal at the
                 # current level (theory lemmas may lag behind)
                 levels = [self.level[abs(l)] for l in confl.lits]
@@ -514,8 +487,8 @@ class SatSolver:
                     self.unsat = True
                     return SolveResult("unsat", core=[])
                 if assumptions and self.decision_level <= len(assumptions):
-                    core = self._conflict_core(confl)
-                    return SolveResult("unsat", core=core)
+                    seen = {abs(l) for l in confl.lits if self.level[abs(l)] > 0}
+                    return SolveResult("unsat", core=self._assumption_core(seen))
                 learnt, bt = self.analyze(confl)
                 self.cancel_until(bt)
                 c = self.add_clause(learnt, learnt=True)

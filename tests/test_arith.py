@@ -31,8 +31,6 @@ def test_parse_rat_accepts_the_printed_form():
         assert parse_rat(format_rat(q)) == q
     assert parse_rat(" 3/4 ") == Fraction(3, 4)
     assert parse_rat("2.5") == Fraction(5, 2)
-    assert parse_rat("-.5") == Fraction(-1, 2)
-    assert parse_rat("1.5_0") == Fraction(3, 2)
 
 
 def test_parse_rat_rejects_junk():
@@ -40,7 +38,7 @@ def test_parse_rat_rejects_junk():
         parse_rat("seven")
     with pytest.raises(ValueError):
         parse_rat("1/0")
-    for text in ("1.-5", "1.+5", "-1.-5"):
+    for text in ("1.-5", "1.+5", "-1.-5", "-.5", "1.5_0"):
         with pytest.raises(ValueError):
             parse_rat(text)
         with pytest.raises(ValueError):

@@ -154,6 +154,13 @@ def test_usage_error_exits_two(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--lb", "--ub"])
+def test_range_override_must_be_a_numeral(ex1, capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", ex1, flag, "1e3"])
+    assert info.value.code == 2
+
+
 def test_generate_strip_is_deterministic(capsys):
     assert main(["generate", "strip-packing", "-n", "3", "--seed", "7"]) == 0
     first = capsys.readouterr().out
@@ -212,7 +219,13 @@ def test_bench_emits_one_row_per_configuration(ex1, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     with open(out_csv, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == [
+        "instance", "schema", "search", "status", "objective", "attained", "wall_ms",
+        "decisions", "conflicts", "restarts", "theory_checks", "minimize_calls",
+        "pivots", "loops", "simplex_pivots",
+    ]
     assert len(rows) == 4
     assert {(r["schema"], r["search"]) for r in rows} == {
         ("offline", "linear"),

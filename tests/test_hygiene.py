@@ -11,12 +11,18 @@ itself.
   of anything but ``self`` or ``cls`` only when the same module defines
   that name, so private state, such as the simplex tableau, has one
   owning module.
+* Every span the benchmark's tracer (``perfbench/tracing.py``) installs
+  names a callable that its owner in the package defines, so a rename
+  inside ``omtq`` cannot silently drop a layer from the traced split.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import omtq
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "omtq").glob("*.py"))
@@ -91,3 +97,18 @@ def _foreign_private_reads(tree) -> list[str]:
 def test_no_private_reads_across_modules(path):
     found = _foreign_private_reads(ast.parse(path.read_text(encoding="utf-8")))
     assert not found, f"{path.name} reads private names of another module: {', '.join(found)}"
+
+
+def test_perfbench_spans_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    missing = []
+    for layer, path, attr in tracing.SPANS:
+        owner = omtq
+        for part in filter(None, path.split(".")):
+            owner = getattr(owner, part, None)
+        # the owner's own attribute: a name only inherited from a base
+        # class would wrap the base's version instead
+        if not callable(getattr(owner, "__dict__", {}).get(attr)):
+            missing.append(f"{layer}: " + ".".join(filter(None, ("omtq", path, attr))))
+    assert not missing, f"tracer spans that omtq does not define: {', '.join(missing)}"

@@ -7,7 +7,7 @@ import pytest
 from helpers import corpus_problem, model_satisfies
 from omtq import OmtConfig, SearchStats, compute_pivot, crosscheck, lra, omt, solve
 from omtq.encodings import jobshop_problem, strip_packing_problem
-from omtq.omt import _use_binary, smt_decide
+from omtq.omt import CostRange, smt_decide
 from omtq.oracle import oracle_solve
 from omtq.parser import parse_problem
 
@@ -62,31 +62,26 @@ def test_pivot_requires_finite_bounds():
 
 
 def test_binary_mode_alternates_with_linear():
-    cfg = OmtConfig(schema="offline", search="binary")
-    picks, counter = [], 0
-    for _ in range(4):
-        use, counter = _use_binary(cfg, Fraction(0), Fraction(16), counter)
-        picks.append(use)
-    assert picks == [True, False, True, False]
+    rng = CostRange(OmtConfig(schema="offline", search="binary"), Fraction(0), Fraction(16))
+    assert [rng.pivot() for _ in range(4)] == [8, None, 8, None]
 
 
 def test_binary_mode_needs_two_finite_bounds():
     cfg = OmtConfig(schema="offline", search="binary")
-    assert _use_binary(cfg, Fraction(0), None, 0) == (False, 0)
-    assert _use_binary(cfg, None, Fraction(16), 0) == (False, 0)
+    assert CostRange(cfg, Fraction(0), None).pivot() is None
+    assert CostRange(cfg, None, Fraction(16)).pivot() is None
 
 
 def test_linear_mode_never_pivots():
     cfg = OmtConfig(schema="offline", search="linear")
-    assert _use_binary(cfg, Fraction(0), Fraction(16), 0) == (False, 0)
+    assert CostRange(cfg, Fraction(0), Fraction(16)).pivot() is None
 
 
 def test_degenerate_range_probes_linearly():
     cfg = OmtConfig(schema="offline", search="binary")
-    assert _use_binary(cfg, Fraction(3), Fraction(3), 0) == (False, 0)
+    assert CostRange(cfg, Fraction(3), Fraction(3)).pivot() is None
     forced = OmtConfig(schema="offline", search="binary", always_binary=True)
-    use, _ = _use_binary(forced, Fraction(3), Fraction(3), 0)
-    assert use
+    assert CostRange(forced, Fraction(3), Fraction(3)).pivot() == 3
 
 
 def test_config_validation():
@@ -226,6 +221,16 @@ def test_loop_budget_before_any_model():
     out = _solve_text(EX1, schema="offline", search="binary", max_loops=0)
     assert out.status == "interrupted"
     assert out.value is None
+
+
+def test_loop_budget_stops_both_schemas_at_the_budget():
+    # the pinned searches below take 5-7 loops on this instance
+    problem, _ = jobshop_problem(4, 3, 1)
+    for cfg in ALL_CONFIGS:
+        for k in (1, 2, 3):
+            out = solve(problem, OmtConfig(schema=cfg.schema, search=cfg.search, max_loops=k))
+            assert out.status == "interrupted", (cfg, k)
+            assert out.stats.loops == k, (cfg, k)
 
 
 # -- repeated pivot refutation hazard ----------------------------------------
@@ -398,6 +403,17 @@ def test_search_is_pinned_on_benchmark_instances(monkeypatch):
         assert (out.status, out.value, out.attained) == ("optimum", value, True), key
         assert out.stats == SearchStats(*counters), key
         assert [s.stats.propagations for s in solvers] == [propagations], key
+
+
+def test_lower_trace_rises_to_the_reported_value():
+    problems = [strip_packing_problem(4, 1, 2)[0], jobshop_problem(4, 3, 1)[0]]
+    for problem in problems:
+        for cfg in ALL_CONFIGS:
+            out = solve(problem, cfg)
+            trace = out.lower_trace
+            assert trace, cfg
+            assert all(a < b for a, b in zip(trace, trace[1:])), (cfg, trace)
+            assert trace[-1] <= out.value, (cfg, trace, out.value)
 
 
 # -- pivot budget ------------------------------------------------------------

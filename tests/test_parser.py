@@ -120,6 +120,12 @@ def test_malformed_decimal_is_a_parse_error(literal):
         parse_problem(f"(declare-fun x () Real)(assert (<= x {literal}))(minimize x)")
 
 
+@pytest.mark.parametrize("literal", ["1e3", "1_0", ".5"])
+def test_numeral_outside_smtlib_is_a_parse_error(literal):
+    with pytest.raises(ParseError, match="unknown identifier"):
+        parse_problem(f"(declare-fun x () Real)(assert (>= x {literal}))(minimize x)")
+
+
 def test_sort_errors():
     with pytest.raises(ParseError, match="used in a term"):
         parse_problem(
