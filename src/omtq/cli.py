@@ -76,8 +76,6 @@ def _load_or_report(args):
         return _load_problem(args.file, args.lb, args.ub)
     except (OSError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-    except RecursionError:
-        print("error: input nested too deeply", file=sys.stderr)
     return None
 
 
@@ -192,7 +190,7 @@ def _bench_one(task):
         start = time.monotonic()
         outcome = solve(problem, config)
         elapsed = (time.monotonic() - start) * 1000.0
-    except (OSError, ParseError, ValueError, RecursionError) as exc:
+    except (OSError, ParseError, ValueError) as exc:
         row["status"] = f"error: {exc}"
         return row
     row["status"] = outcome.status
@@ -234,11 +232,21 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _bound(text: str):
+    """A --lb/--ub value; argparse turns the error into a usage message."""
+    try:
+        return parse_rat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a bound: give a numeral such as 3, -7/2 or 2.5"
+        ) from None
+
+
 def _add_engine_options(p: argparse.ArgumentParser):
     p.add_argument("--schema", choices=["offline", "inline"], default="inline")
     p.add_argument("--search", choices=["linear", "binary"], default="binary")
-    p.add_argument("--lb", type=parse_rat, default=None, help="override the lower range bound")
-    p.add_argument("--ub", type=parse_rat, default=None, help="override the upper range bound")
+    p.add_argument("--lb", type=_bound, default=None, help="override the lower range bound")
+    p.add_argument("--ub", type=_bound, default=None, help="override the upper range bound")
     p.add_argument("--timeout", type=float, default=None, help="seconds before giving up")
     p.add_argument("--no-pure-literal", action="store_true")
     p.add_argument("--no-early-pruning", action="store_true")

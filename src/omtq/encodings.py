@@ -26,7 +26,6 @@ from math import isqrt
 
 from .formula import (
     BAtom,
-    BImplies,
     BNot,
     BOr,
     BProp,
@@ -111,7 +110,7 @@ def encode_lgdp(variables, cost: str, disjunctions, lb=None, ub=None, exclusive:
         parts.append(disj([BProp(y) for y in ys]))
         for y, constraints in zip(ys, alts):
             body = conj([_atom(f, ids, c, op, rhs) for (c, op, rhs) in constraints])
-            parts.append(BImplies(BProp(y), body))
+            parts.append(BOr([BNot(BProp(y)), body]))
         if exclusive:
             for a in range(len(ys)):
                 for b in range(a + 1, len(ys)):

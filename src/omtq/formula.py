@@ -6,7 +6,10 @@ one propositional variable.  CNF conversion is the polarity-based
 Tseitin variant (Plaisted-Greenbaum): definitional clauses are emitted
 only for the polarities that actually occur, which keeps the result
 equisatisfiable, linear in size, and lets models of the output project
-onto models of the input.
+onto models of the input.  The same walk keeps negated equalities away
+from the theory solver: an equality leaf met in a negative position
+continues as the conjunction of its two weak halves, whose negation is
+a disjunction of two strict inequalities.
 """
 
 from __future__ import annotations
@@ -212,14 +215,6 @@ class BOr(BoolExpr):
         self.args = list(args)
 
 
-class BImplies(BoolExpr):
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs, rhs):
-        self.lhs = lhs
-        self.rhs = rhs
-
-
 class BIff(BoolExpr):
     __slots__ = ("lhs", "rhs")
 
@@ -366,61 +361,27 @@ def _fold_ground(coeffs, const, op) -> Optional[bool]:
     raise ValueError(f"bad op {op!r}")
 
 
-def _split_equalities(expr: BoolExpr, positive_only: bool) -> BoolExpr:
-    """Rewrite equality leaves that occur under negation (or both
-    polarities) into conjunctions of two weak inequalities, so negated
-    equalities turn into (< or >) disjunctions during clausification and
-    the theory solver never sees a negated equality."""
-    if isinstance(expr, (BConst, BProp)):
-        return expr
-    if isinstance(expr, BAtom):
-        op = expr.op
-        if op == "!=":
-            expr = BNot(BAtom(expr.coeffs, expr.const, EQ))
-            return _split_equalities(expr, positive_only)
-        if op == EQ and not positive_only:
-            neg = {v: -c for v, c in expr.coeffs.items()}
-            return BAnd([
-                BAtom(expr.coeffs, expr.const, LE),
-                BAtom(neg, -expr.const, LE),
-            ])
-        return expr
-    if isinstance(expr, BNot):
-        return BNot(_split_equalities(expr.arg, not positive_only))
-    if isinstance(expr, BAnd):
-        return BAnd([_split_equalities(a, positive_only) for a in expr.args])
-    if isinstance(expr, BOr):
-        return BOr([_split_equalities(a, positive_only) for a in expr.args])
-    if isinstance(expr, BImplies):
-        return BImplies(
-            _split_equalities(expr.lhs, not positive_only),
-            _split_equalities(expr.rhs, positive_only),
-        )
-    if isinstance(expr, BIff):
-        return BIff(
-            _split_equalities(expr.lhs, False),
-            _split_equalities(expr.rhs, False),
-        )
-    raise TypeError(f"not a BoolExpr: {expr!r}")
-
-
 class _Cnfizer:
     def __init__(self, formula: CnfFormula):
         self.f = formula
         self.labels: dict[int, int] = {}  # id(node) -> label var
         self.defined: set[tuple[int, bool]] = set()
+        self.halves: dict[int, BAnd] = {}  # id(equality leaf) -> its halves
 
-    def literal_of_leaf(self, node, sign: bool) -> Optional[int]:
-        if isinstance(node, BProp):
-            return node.var if sign else -node.var
-        if isinstance(node, BAtom):
-            folded = _fold_ground(node.coeffs, node.const, node.op)
-            if folded is not None:
-                # caller deals with constants; encode as the trivial label
-                return None
-            atom, pol = normalize_atom(node.coeffs, node.const, node.op)
-            return self.f.lit_for_atom(atom, pol == sign)
-        return None
+    def _split_negated(self, node: BoolExpr, sign: bool) -> tuple[BoolExpr, bool]:
+        """An equality leaf t = 0 that occurs negatively (``=`` under sign
+        False, ``!=`` under sign True) continues as its weak halves
+        t <= 0 and -t <= 0 under sign False, so the clauses never hold a
+        negated equality.  The halves are built once per leaf from its
+        raw coefficients; other nodes pass through."""
+        if isinstance(node, BAtom) and node.op == ("!=" if sign else EQ):
+            halves = self.halves.get(id(node))
+            if halves is None:
+                neg = {v: -c for v, c in node.coeffs.items()}
+                halves = BAnd([BAtom(node.coeffs, node.const, LE), BAtom(neg, -node.const, LE)])
+                self.halves[id(node)] = halves
+            return halves, False
+        return node, sign
 
     def pos_lit(self, part: BoolExpr) -> Union[int, bool]:
         """Literal standing for ``part`` in a positive clause position.
@@ -431,14 +392,15 @@ class _Cnfizer:
         while isinstance(part, BNot):
             sign = not sign
             part = part.arg
+        part, sign = self._split_negated(part, sign)
         if isinstance(part, BConst):
             return part.value == sign
         if isinstance(part, BAtom):
             folded = _fold_ground(part.coeffs, part.const, part.op)
             if folded is not None:
                 return folded == sign
-            lit = self.literal_of_leaf(part, sign)
-            return lit
+            atom, pol = normalize_atom(part.coeffs, part.const, part.op)
+            return self.f.lit_for_atom(atom, pol == sign)
         if isinstance(part, BProp):
             return part.var if sign else -part.var
         q = self.labels.get(id(part))
@@ -473,6 +435,7 @@ class _Cnfizer:
 
     def clauses(self, expr: BoolExpr, polarity: bool):
         """Yield clauses (lists of lits), True (tautology) or False (empty)."""
+        expr, polarity = self._split_negated(expr, polarity)
         if isinstance(expr, BConst):
             yield True if expr.value == polarity else False
             return
@@ -497,13 +460,6 @@ class _Cnfizer:
                 for a in expr.args:
                     yield from self.clauses(a, False)
             return
-        if isinstance(expr, BImplies):
-            if polarity:
-                yield self._clause([BNot(expr.lhs), expr.rhs])
-            else:
-                yield from self.clauses(expr.lhs, True)
-                yield from self.clauses(expr.rhs, False)
-            return
         if isinstance(expr, BIff):
             a, b = expr.lhs, expr.rhs
             if polarity:
@@ -517,13 +473,10 @@ class _Cnfizer:
 
 
 def cnfize(expr: BoolExpr, into: Optional[CnfFormula] = None) -> CnfFormula:
-    """Clausify ``expr`` and append the result to ``into`` (or a fresh
-    formula).  Raises ValueError when the expression folds to false at
-    the top level with no variables involved; an unconditionally false
-    input still produces the empty clause rather than raising, as long
-    as it mentions structure."""
+    """Clausify ``expr`` in one walk and append the result to ``into``
+    (or a fresh formula).  An input that folds to false yields the empty
+    clause."""
     f = into if into is not None else CnfFormula()
-    expr = _split_equalities(expr, True)
     conv = _Cnfizer(f)
     for cl in conv.clauses(expr, True):
         if cl is True:

@@ -5,7 +5,9 @@ minimize (exactly one, naming a declared Real), set-info with :lb / :ub
 range hints, and the no-ops set-logic / set-option / check-sat / exit.
 Boolean structure may use and, or, not, =>, = (on Bools) and the
 comparisons =, <=, <, >=, > on linear terms built from +, -, * and
-constant division.  Errors carry line:column positions.
+constant division.  An n-ary (=> a1 ... an b) reads as
+(or (not a1) ... (not an) b).  Parentheses nest at most MAX_DEPTH
+deep.  Errors carry line:column positions.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .formula import (
     BAtom,
     BConst,
     BIff,
-    BImplies,
     BNot,
     BOr,
     BProp,
@@ -33,7 +34,17 @@ from .formula import (
 )
 
 COMPARISONS = ("<=", "<", ">=", ">")
-BOOL_HEADS = ("and", "or", "not", "=>")
+
+# every application of these is Bool-valued, '=' included whatever its operands
+BOOL_HEADS = ("and", "or", "not", "=>", "=") + COMPARISONS
+
+# Deepest parenthesis nesting accepted, counting the command's own
+# parenthesis.  The reader and the CNF conversion recurse once per level
+# (the conversion up to three frames per level); from the top level of a
+# program with Python's default recursion limit of 1000, nested 'or's
+# over equalities overflow past about 330 levels, and the cap leaves the
+# rest of the stack to the caller.
+MAX_DEPTH = 200
 
 
 class ParseError(ValueError):
@@ -92,6 +103,8 @@ def parse_sexprs(text: str) -> list[SExpr]:
     top: list[SExpr] = []
     for kind, tok, line, col in _tokens(text):
         if kind == "(":
+            if len(stack) == MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", line, col)
             stack.append(SExpr([], None, line, col))
         elif kind == ")":
             if not stack:
@@ -185,12 +198,7 @@ class _ProblemBuilder:
             if node.text in ("true", "false"):
                 return True
             return self.formula.prop(node.text) is not None
-        head = node.head()
-        if head in BOOL_HEADS or head in COMPARISONS:
-            return True
-        if head == "=":
-            return self._looks_boolean(node.items[1]) if len(node.items) > 1 else False
-        return False
+        return node.head() in BOOL_HEADS
 
     # -- boolean expressions
 
@@ -227,10 +235,8 @@ class _ProblemBuilder:
         if head == "=>":
             if len(args) < 2:
                 raise ParseError("'=>' needs two arguments", node.line, node.col)
-            expr = self.bool_expr(args[-1])
-            for a in reversed(args[:-1]):
-                expr = BImplies(self.bool_expr(a), expr)
-            return expr
+            # right-associative, so (=> a1 a2 b) is a1 => (a2 => b)
+            return BOr([BNot(self.bool_expr(a)) for a in args[:-1]] + [self.bool_expr(args[-1])])
         if head in COMPARISONS or head == "=":
             if len(args) != 2:
                 raise ParseError(f"{head!r} compares exactly two operands", node.line, node.col)

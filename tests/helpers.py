@@ -7,6 +7,7 @@ longest-path reasoning over difference constraints (packing/scheduling).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from omtq import SplitMix64
 from omtq.arith import EQ
 from omtq.formula import CnfFormula, OmtProblem, normalize_atom
+from omtq.parser import parse_sexprs
 
 # ---------------------------------------------------------------------------
 # random CNF + brute force (numpy)
@@ -330,3 +332,108 @@ def model_satisfies(problem: OmtProblem, model: dict) -> bool:
     remap = {v: i + 1 for i, v in enumerate(vars_left)}
     mapped = [[(1 if l > 0 else -1) * remap[abs(l)] for l in cl] for cl in residual]
     return brute_sat(len(vars_left), mapped)
+
+
+# ---------------------------------------------------------------------------
+# random Boolean structure in the textual format
+
+
+def boolean_structure_text(seed: int) -> str:
+    """SMT-LIB text over 1-3 Reals (the first is the cost) and 0-3 Bools.
+
+    Assertions nest and, or, not, n-ary => and Bool = around comparisons,
+    equalities among them, so equalities occur under every sign and
+    inside both sides of a Bool =.  A lower bound on the cost and a range
+    are each added in half the cases.
+    """
+    rng = SplitMix64(seed)
+    reals = ["cost"] + [f"x{i}" for i in range(1, 1 + rng.randint(0, 2))]
+    bools = [f"p{i}" for i in range(rng.randint(0, 3))]
+
+    def num(q):
+        return str(q) if q >= 0 else f"(- {-q})"
+
+    def comparison():
+        op = ("=", "=", "<=", "<", ">=", ">")[rng.randint(0, 5)]
+        if rng.randint(0, 9) == 0:
+            return f"({op} {num(rng.randint(-1, 1))} 0)"  # ground
+        chosen = []
+        for _ in range(rng.randint(1, 2)):
+            v = reals[rng.randint(0, len(reals) - 1)]
+            if v not in chosen:
+                chosen.append(v)
+        # signs are random, so half the leading coefficients are negative
+        coeffs = [rng.randint(1, 3) * (1 if rng.randint(0, 1) else -1) for _ in chosen]
+        terms = " ".join(f"(* {num(c)} {v})" for c, v in zip(coeffs, chosen))
+        return f"({op} (+ {terms}) {num(rng.randint(-4, 4))})"
+
+    def expr(depth):
+        roll = rng.randint(0, 9) if depth else 0
+        if roll < 3:
+            if bools and rng.randint(0, 3) == 0:
+                return bools[rng.randint(0, len(bools) - 1)]
+            return comparison()
+        if roll == 3:
+            return f"(not {expr(depth - 1)})"
+        if roll < 6:
+            return f"({('and', 'or')[roll - 4]} {expr(depth - 1)} {expr(depth - 1)})"
+        if roll < 8:
+            args = " ".join(expr(depth - 1) for _ in range(rng.randint(2, 3)))
+            return f"(=> {args})"
+        return f"(= {expr(depth - 1)} {expr(depth - 1)})"
+
+    lines = [f"(declare-fun {v} () Real)" for v in reals]
+    lines += [f"(declare-fun {b} () Bool)" for b in bools]
+    lines.append(f"(assert {expr(2)})")
+    if rng.randint(0, 1):
+        lines.append(f"(assert {expr(1)})")
+    if rng.randint(0, 1):
+        lines.append(f"(assert (>= cost {num(rng.randint(-6, 0))}))")
+    if rng.randint(0, 1):
+        lb = rng.randint(-6, 2)
+        lines.append(f"(set-info :lb {num(lb)})")
+        lines.append(f"(set-info :ub {num(lb + 1 + rng.randint(0, 8))})")
+    lines.append("(minimize cost)")
+    return "\n".join(lines) + "\n"
+
+
+COMPARE = {
+    "=": operator.eq, "<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt
+}
+
+
+def text_holds(text: str, model: dict) -> bool:
+    """Do the assertions of ``text`` hold under the rational valuation
+    ``model`` for some value of its Bools?  Evaluates the S-expressions
+    directly, without the reader's Boolean AST or the CNF."""
+    nodes = parse_sexprs(text)
+    bools = [
+        n.items[1].text for n in nodes if n.head() == "declare-fun" and n.items[3].text == "Bool"
+    ]
+    asserts = [n.items[1] for n in nodes if n.head() == "assert"]
+
+    def value(node, env):
+        if node.is_atom:
+            return env[node.text] if node.text in env else Fraction(node.text)
+        head, args = node.head(), [value(a, env) for a in node.items[1:]]
+        if head == "and":
+            return all(args)
+        if head == "or":
+            return any(args)
+        if head == "not":
+            return not args[0]
+        if head == "=>":
+            return not all(args[:-1]) or args[-1]
+        if head == "+":
+            return sum(args, Fraction(0))
+        if head == "-":
+            return -args[0] if len(args) == 1 else args[0] - sum(args[1:], Fraction(0))
+        if head == "*":
+            return args[0] * args[1]
+        return COMPARE[head](*args)
+
+    for row in truth_table(len(bools)).astype(bool):
+        env = dict(model, **{b: bool(t) for b, t in zip(bools, row)})
+        if all(value(a, env) for a in asserts):
+            return True
+    return False

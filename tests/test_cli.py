@@ -159,6 +159,9 @@ def test_range_override_must_be_a_numeral(ex1, capsys, flag):
     with pytest.raises(SystemExit) as info:
         main(["solve", ex1, flag, "1e3"])
     assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "numeral such as 3, -7/2 or 2.5" in err
+    assert "parse_rat" not in err
 
 
 def test_generate_strip_is_deterministic(capsys):

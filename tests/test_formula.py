@@ -1,10 +1,12 @@
 """Atoms, CNF conversion and problem construction."""
 
+import hashlib
 import os
 import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,6 @@ from omtq.formula import (
     BAtom,
     BConst,
     BIff,
-    BImplies,
     BNot,
     BOr,
     BProp,
@@ -26,6 +27,10 @@ from omtq.formula import (
     disj,
     normalize_atom,
 )
+from omtq.encodings import jobshop_instance, strip_packing_instance
+from omtq.parser import parse_problem
+
+FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "families"
 
 
 def test_linterm_builder():
@@ -210,7 +215,7 @@ def test_cnfize_false_formula_emits_the_empty_clause():
 def test_cnfize_implication_and_iff():
     f = CnfFormula()
     p, q = f.new_prop("p"), f.new_prop("q")
-    cnfize(BImplies(BProp(p), BProp(q)), f)
+    cnfize(BOr([BNot(BProp(p)), BProp(q)]), f)
     assert _clause_sets(f) == {frozenset([-p, q])}
     g = CnfFormula()
     p, q = g.new_prop("p"), g.new_prop("q")
@@ -250,3 +255,45 @@ def test_problem_rejects_negated_equality_clauses():
     f.add_clause([f.lit_for_atom(atom, False)])
     with pytest.raises(ValueError):
         OmtProblem(f, 0)
+
+
+# texts whose CNF is pinned next to the benchmark inputs: the two reference
+# instances, a two-argument implication, and equalities negated at the top
+# level and inside connectives, some written with a negative leading
+# coefficient so that the order of the two weak halves shows in the CNF
+PINNED_TEXTS = [
+    """(declare-fun cost () Real)(declare-fun a () Real)(set-info :lb 0)(set-info :ub 16)
+    (assert (>= cost (+ a 15)))(assert (>= a 0))(minimize cost)""",
+    """(declare-fun cost () Real)(declare-fun a () Real)(set-info :lb 0)(set-info :ub 16)
+    (assert (>= cost a))(assert (or (> a 0) (> a 1)))(minimize cost)""",
+    """(declare-fun cost () Real)(declare-fun x () Real)(declare-fun p () Bool)
+    (assert (=> (= x 1) (>= cost x)))(assert (=> p (>= cost 2)))
+    (assert (not (=> p (< cost x))))(minimize cost)""",
+    """(declare-fun cost () Real)(declare-fun x () Real)(declare-fun p () Bool)
+    (assert (not (= 1 x)))(assert (not (= cost (* 2 x))))
+    (assert (or p (not (= (- x) cost)) (and (= x 3) (not (= 1 1)))))
+    (assert (not (and p (= (- 4 x) cost) (or (= x 2) (not (= 0 0))))))
+    (assert (>= cost 0))(minimize cost)""",
+]
+
+
+def _pinned_cnf_digest():
+    texts = [path.read_text() for path in sorted(FAMILIES.glob("*.smt2"))]
+    assert len(texts) == 6
+    texts += [
+        strip_packing_instance(n, width, 1)[0]
+        for n in range(2, 7)
+        for width in (Fraction(1), Fraction(3, 2))
+    ]
+    texts += [jobshop_instance(j, m, 1)[0] for j in range(2, 6) for m in range(2, 5)]
+    texts += PINNED_TEXTS
+    digest = hashlib.sha256()
+    for text in texts:
+        f = parse_problem(text).formula
+        digest.update(repr((f.clauses, f.kind, [repr(p) for p in f.payload], f.rat_names)).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_cnf_is_pinned_on_benchmark_inputs():
+    # recorded on the converter that split equalities in a separate pass
+    assert _pinned_cnf_digest() == "b8ab297f98f1539f"

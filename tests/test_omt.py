@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import corpus_problem, model_satisfies
+from helpers import boolean_structure_text, corpus_problem, model_satisfies, text_holds
 from omtq import OmtConfig, SearchStats, compute_pivot, crosscheck, lra, omt, solve
 from omtq.encodings import jobshop_problem, strip_packing_problem
 from omtq.omt import CostRange, smt_decide
@@ -414,6 +414,56 @@ def test_lower_trace_rises_to_the_reported_value():
             assert trace, cfg
             assert all(a < b for a, b in zip(trace, trace[1:])), (cfg, trace)
             assert trace[-1] <= out.value, (cfg, trace, out.value)
+
+
+# -- the reader's Boolean structure against the reference solver ------------
+
+
+def test_boolean_structure_matches_the_oracle():
+    mismatches = []
+    for seed in range(250):
+        text = boolean_structure_text(seed)
+        problem = parse_problem(text)
+        want = oracle_solve(problem)
+        expect = (want.status, want.value, want.attained)
+        for cfg in ALL_CONFIGS:
+            out = solve(problem, cfg)
+            got = (out.status, out.value, out.attained)
+            if got != expect:
+                mismatches.append((seed, cfg, got, expect))
+            elif out.model is not None and not (
+                model_satisfies(problem, out.model) and text_holds(text, out.model)
+            ):
+                mismatches.append((seed, cfg, "model violates the input"))
+    assert not mismatches, mismatches[:3]
+
+
+@pytest.mark.parametrize("body", ["(= p (not (= x 1)))", "(= p (=> (= x 1) q))"])
+@pytest.mark.parametrize("extra", ["", "(assert p)", "(assert (not p))"])
+def test_equality_negated_inside_a_bool_equality(body, extra):
+    problem = parse_problem(
+        "(declare-fun cost () Real)(declare-fun x () Real)"
+        "(declare-fun p () Bool)(declare-fun q () Bool)"
+        f"(assert (>= cost x))(assert (>= x (- 3)))(assert {body}){extra}(minimize cost)"
+    )
+    want = oracle_solve(problem)
+    for cfg in ALL_CONFIGS:
+        out = solve(problem, cfg)
+        got = (out.status, out.value, out.attained)
+        assert got == (want.status, want.value, want.attained), cfg
+
+
+def test_flat_implication_with_a_thousand_arguments():
+    names = [f"p{i}" for i in range(1000)]
+    problem = parse_problem(
+        "(declare-fun cost () Real)"
+        + "".join(f"(declare-fun {n} () Bool)" for n in names)
+        + f"(assert (=> {' '.join(names)}))(assert (>= cost 1))(minimize cost)"
+    )
+    # one clause: the negated premises and the conclusion
+    assert [len(c) for c in problem.formula.clauses] == [1000, 1]
+    out = solve(problem)
+    assert (out.status, out.value) == ("optimum", 1)
 
 
 # -- pivot budget ------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from omtq.arith import EQ
-from omtq.parser import ParseError, parse_problem, parse_sexprs
+from omtq.parser import MAX_DEPTH, ParseError, parse_problem, parse_sexprs
 
 EX1 = """
 (set-logic QF_LRA)
@@ -186,3 +186,60 @@ def test_empty_range_rejected_at_parse_time():
             "(declare-fun x () Real)(set-info :lb 4)(set-info :ub 4)"
             "(assert (> x 0))(minimize x)"
         )
+
+
+def _nest(pairs, leaf, levels):
+    """``leaf`` inside ``levels`` applications, cycling through the
+    (opening, closing) text pairs."""
+    chosen = [pairs[i % len(pairs)] for i in range(levels)]
+    return "".join(o for o, _ in chosen) + leaf + "".join(c for _, c in reversed(chosen))
+
+
+def _depth(text):
+    depth = deepest = 0
+    for ch in text:
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        deepest = max(deepest, depth)
+    return deepest
+
+
+# assertion bodies nesting ``levels`` deep, one per connective and operator
+NESTINGS = {
+    "and": lambda levels: _nest([("(and p ", ")")], "p", levels),
+    "or": lambda levels: _nest([("(or (= x 1) ", ")")], "(= x 2)", levels - 1),
+    "not": lambda levels: _nest([("(not ", ")")], "(= x 1)", levels - 1),
+    "=>": lambda levels: _nest([("(=> p (= x 1) ", ")")], "(= x 2)", levels - 1),
+    "bool =": lambda levels: _nest([("(= p ", ")")], "(= x 1)", levels - 1),
+    "mixed": lambda levels: _nest(
+        [("(= p ", ")"), ("(or p ", ")"), ("(not ", ")"), ("(and (= x 1) ", ")"), ("(=> ", " p)")],
+        "(= x 2)",
+        levels - 1,
+    ),
+    "arithmetic": lambda levels: "(<= "
+    + _nest([("(+ 1 ", ")"), ("(- ", ")"), ("(* 2 ", ")"), ("(/ ", " 2)")], "x", levels - 1)
+    + " 0)",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_every_connective_parses_nested_to_the_cap(shape):
+    def text(levels):
+        body = NESTINGS[shape](levels)
+        return (
+            "(declare-fun cost () Real)(declare-fun x () Real)(declare-fun p () Bool)"
+            f"(assert {body})(minimize cost)"
+        )
+
+    at_cap = text(MAX_DEPTH - 1)  # the assert adds a level
+    assert _depth(at_cap) == MAX_DEPTH
+    assert parse_problem(at_cap).formula.clauses
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_problem(text(MAX_DEPTH))
+
+
+def test_nesting_past_the_cap_is_a_parse_error():
+    text = "(declare-fun p () Bool)(assert " + "(and p " * 3000 + "p" + ")" * 3000 + ")"
+    with pytest.raises(ParseError, match="nesting deeper than") as info:
+        parse_problem(text)
+    # reported at the first parenthesis past the cap
+    assert (info.value.line, info.value.col) == (1, 32 + 7 * (MAX_DEPTH - 1))
