@@ -77,12 +77,6 @@ class DeltaRational:
         e = self.eps
         return _make(self.real * k, e if e is _ZERO else _nonzero_or_shared(e * k))
 
-    def divided(self, k) -> "DeltaRational":
-        if type(k) is not Fraction:
-            k = Fraction(k)
-        e = self.eps
-        return _make(self.real / k, e if e is _ZERO else e / k)
-
     def __eq__(self, other):
         return (
             isinstance(other, DeltaRational)

@@ -12,7 +12,8 @@ instance and a ``solve --stats`` or ``-o`` file that cannot be
 written), 3 parse or
 validation error, 4 interrupted (``crosscheck`` also exits 4, printing
 ``crosscheck: skipped (interrupted)``, when one of its decision queries
-runs out of pivot budget), 5 failed crosscheck.
+runs out of pivot budget or of what the solve left of ``--timeout``),
+5 failed crosscheck.
 """
 
 from __future__ import annotations
@@ -118,15 +119,17 @@ def cmd_crosscheck(args) -> int:
     problem = _load_or_report(args)
     if problem is None:
         return EXIT_PARSE
+    start = time.monotonic()
     outcome = solve(problem, _config_from_args(args))
     _print_outcome(problem, outcome)
     if outcome.status == INTERRUPTED:
         print("crosscheck: skipped (interrupted)")
         return EXIT_INTERRUPTED
+    remaining = None if args.timeout is None else args.timeout - (time.monotonic() - start)
     try:
-        ok, msg = crosscheck(problem, outcome)
+        ok, msg = crosscheck(problem, outcome, remaining)
     except TimeoutError:
-        # a decision query ran out of pivot budget
+        # a decision query ran out of pivot budget or past the deadline
         print("crosscheck: skipped (interrupted)")
         return EXIT_INTERRUPTED
     print(f"crosscheck: {'pass' if ok else 'fail'} ({msg})")

@@ -11,6 +11,16 @@ Assertions are scoped with mark()/backtrack_to(); pivots persist across
 backtracking, only bounds are undone, so the current assignment always
 satisfies every row.
 
+Rows are fraction-free.  The row of basic variable b holds ``int``
+coefficients over one positive ``int`` denominator,
+``den[b] * b = sum(rows[b][y] * y)``, and ``den[b]`` and the
+coefficients have no common factor, so each rational row has exactly
+one such form.  A pivot multiplies rows by the entering coefficient's
+magnitude and divides out a ``gcd`` only when a denominator is not 1;
+on rows of unit coefficients it does integer additions alone.  Every
+choice the search makes reads the coefficients' signs or exact ratios,
+so it pivots as a tableau of ``Fraction`` entries would.
+
 ``check`` does not scan every row for a violated bound.  The solver
 keeps a set of candidate basic variables that may be out of bounds: a
 basic variable joins it when its value changes, when one of its bounds
@@ -36,6 +46,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .arith import DeltaRational
@@ -57,7 +68,8 @@ class LraSolver:
     def __init__(self):
         self.keys: list = []
         self.var_of_key: dict = {}
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
+        self.den: dict[int, int] = {}  # basic variable -> row denominator
         self.beta: list[DeltaRational] = []
         self.lower: list[Optional[tuple[DeltaRational, int]]] = []
         self.upper: list[Optional[tuple[DeltaRational, int]]] = []
@@ -90,18 +102,22 @@ class LraSolver:
     def var(self, key) -> int:
         return self.var_of_key[key]
 
-    def _expand(self, coeffs: list[tuple[int, Fraction]]) -> dict[int, Fraction]:
-        """Rewrite a combination of variables over the current nonbasics."""
+    def _expand(self, coeffs: list[tuple[int, Fraction]]) -> tuple[dict[int, int], int]:
+        """Rewrite a combination of variables over the current nonbasics,
+        as a fraction-free row and its denominator."""
         acc: dict[int, Fraction] = {}
         for vid, a in coeffs:
-            if vid in self.rows:
-                for y, b in self.rows[vid].items():
-                    old = acc.get(y)
-                    acc[y] = a * b if old is None else old + a * b
+            row = self.rows.get(vid)
+            if row is None:
+                acc[vid] = acc.get(vid, 0) + a
             else:
-                old = acc.get(vid)
-                acc[vid] = a if old is None else old + a
-        return {y: a for y, a in acc.items() if a != 0}
+                d = self.den[vid]
+                for y, c in row.items():
+                    acc[y] = acc.get(y, 0) + a * c / d
+        acc = {y: a for y, a in acc.items() if a != 0}
+        # the lcm of reduced denominators leaves no common factor
+        den = lcm(*(a.denominator for a in acc.values()))
+        return {y: a.numerator * (den // a.denominator) for y, a in acc.items()}, den
 
     def slack_for(self, coeffs) -> tuple[int, bool]:
         """Variable representing the term, plus a flag telling whether the
@@ -123,12 +139,13 @@ class LraSolver:
             self.var_of_key[name] = vid
             self.lower.append(None)
             self.upper.append(None)
-            row = self._expand(ids)
+            row, den = self._expand(ids)
             val = DeltaRational(0)
             for y, a in row.items():
                 val = val + self.beta[y].scaled(a)
-            self.beta.append(val)
+            self.beta.append(_times(val, 1, den))
             self.rows[vid] = row
+            self.den[vid] = den
             self.slack_of[key] = vid
         return vid, flipped
 
@@ -185,12 +202,12 @@ class LraSolver:
                 self.upper[vid] = old
 
     def _update_nonbasic(self, x: int, v: DeltaRational):
-        beta = self.beta
+        beta, den = self.beta, self.den
         delta = v - beta[x]
         for b, row in self.rows.items():
             a = row.get(x)
             if a:
-                beta[b] = beta[b] + delta.scaled(a)
+                beta[b] = beta[b] + _times(delta, a, den[b])
                 self.candidates.add(b)
         beta[x] = v
 
@@ -240,12 +257,22 @@ class LraSolver:
         self.check_deadline()
         self.call_pivots += 1
         self.pivot_count += 1
+        den = self.den
         row = self.rows.pop(leave)
         a = row.pop(enter)
-        new_row = {leave: Fraction(1) / a}
-        for z, coeff in row.items():
-            new_row[z] = -coeff / a
+        # a * enter = den[leave] * leave - (the rest of the row); the new
+        # row inherits the old one's lack of a common factor
+        if a > 0:
+            new_row = {leave: den.pop(leave)}
+            for z, coeff in row.items():
+                new_row[z] = -coeff
+            d = a
+        else:
+            new_row = {leave: -den.pop(leave)}
+            new_row.update(row)
+            d = -a
         self.rows[enter] = new_row
+        den[enter] = d
         self.candidates.discard(leave)
         self.candidates.add(enter)
         for b, r in self.rows.items():
@@ -253,6 +280,11 @@ class LraSolver:
                 continue
             cy = r.pop(enter, None)
             if cy:
+                # den[b] * b = cy * enter + rest; multiply through by d
+                if d != 1:
+                    for z in r:
+                        r[z] *= d
+                    den[b] *= d
                 for z, coeff in new_row.items():
                     old = r.get(z)
                     if old is None:
@@ -263,11 +295,17 @@ class LraSolver:
                             r[z] = nv
                         else:
                             del r[z]
+                db = den[b]
+                if db != 1:
+                    g = gcd(db, *r.values())
+                    if g != 1:
+                        den[b] = db // g
+                        for z in r:
+                            r[z] //= g
 
     def _pivot_and_update(self, leave: int, enter: int, v: DeltaRational):
-        beta = self.beta
-        a = self.rows[leave][enter]
-        theta = (v - beta[leave]).divided(a)
+        beta, den = self.beta, self.den
+        theta = _times(v - beta[leave], den[leave], self.rows[leave][enter])
         beta[leave] = v
         beta[enter] = beta[enter] + theta
         for b, row in self.rows.items():
@@ -275,7 +313,7 @@ class LraSolver:
                 continue
             ab = row.get(enter)
             if ab:
-                beta[b] = beta[b] + theta.scaled(ab)
+                beta[b] = beta[b] + _times(theta, ab, den[b])
                 self.candidates.add(b)
         self._pivot(leave, enter)
 
@@ -292,7 +330,7 @@ class LraSolver:
             self.candidates.discard(x)
         return None
 
-    def _entering(self, row: dict[int, Fraction], need_raise: bool) -> Optional[int]:
+    def _entering(self, row: dict[int, int], need_raise: bool) -> Optional[int]:
         """Bland's rule: the smallest nonbasic variable of the row that can
         move the row's basic variable up (``need_raise``) or down, or None."""
         for y in sorted(row):
@@ -380,6 +418,20 @@ class LraSolver:
         return self.beta[vid]
 
 
+def _times(v: DeltaRational, num: int, den: int) -> DeltaRational:
+    """``v * num / den`` for nonzero ints; no multiplication for a unit
+    ratio."""
+    if den < 0:
+        num, den = -num, -den
+    if den == 1:
+        if num == 1:
+            return v
+        if num == -1:
+            return -v
+        return v.scaled(num)
+    return v.scaled(Fraction(num, den))
+
+
 def minimize_var(lra: LraSolver, cid: int) -> Optional[DeltaRational]:
     """Drive variable ``cid`` to its minimum over the asserted bounds and
     return that minimum, or None when ``cid`` is unbounded below.
@@ -421,7 +473,7 @@ def minimize_var(lra: LraSolver, cid: int) -> Optional[DeltaRational]:
         leave_target = None
         own = lra.lower[enter] if direction < 0 else lra.upper[enter]
         if own is not None:
-            best_theta = (lra.beta[enter] - own[0]).scaled(Fraction(direction, -1))
+            best_theta = _times(lra.beta[enter] - own[0], -direction, 1)
             leave_id, leave_target = enter, own[0]
         for b in sorted(lra.rows):
             ab = lra.rows[b].get(enter)
@@ -432,12 +484,12 @@ def minimize_var(lra: LraSolver, cid: int) -> Optional[DeltaRational]:
                 bound = lra.upper[b]
                 if bound is None:
                     continue
-                theta = (bound[0] - lra.beta[b]).divided(rate)
+                theta = _times(bound[0] - lra.beta[b], lra.den[b], rate)
             else:
                 bound = lra.lower[b]
                 if bound is None:
                     continue
-                theta = (lra.beta[b] - bound[0]).divided(-rate)
+                theta = _times(lra.beta[b] - bound[0], lra.den[b], -rate)
             if (
                 best_theta is None
                 or theta < best_theta

@@ -557,16 +557,26 @@ def smt_decide(problem: OmtProblem, extra_literals=(), config: Optional[OmtConfi
     return res.status
 
 
-def crosscheck(problem: OmtProblem, outcome: OmtOutcome) -> tuple[bool, str]:
+def crosscheck(
+    problem: OmtProblem, outcome: OmtOutcome, timeout: Optional[float] = None
+) -> tuple[bool, str]:
     """Validate an outcome with decision queries, each on a fresh engine
-    built from the same SAT and simplex cores as the search."""
+    built from the same SAT and simplex cores as the search.  With a
+    ``timeout`` (seconds), each query gets the time that remains of it,
+    and one that runs out raises TimeoutError."""
+    deadline = None if timeout is None else time.monotonic() + timeout
+
+    def decide(extra_literals=()):
+        remaining = None if deadline is None else deadline - time.monotonic()
+        return smt_decide(problem, extra_literals, OmtConfig(timeout=remaining))
+
     if outcome.status == UNSAT:
-        st = smt_decide(problem)
+        st = decide()
         if st != "unsat":
             return False, "reported unsat but the formula is satisfiable in range"
         return True, "unsat confirmed"
     if outcome.status == UNBOUNDED:
-        st = smt_decide(problem)
+        st = decide()
         if st != "sat":
             return False, "reported unbounded but the formula is unsatisfiable"
         return True, "unbounded: satisfiability confirmed"
@@ -574,12 +584,12 @@ def crosscheck(problem: OmtProblem, outcome: OmtOutcome) -> tuple[bool, str]:
         return True, f"nothing to check for status {outcome.status}"
     v = outcome.value
     if outcome.attained:
-        if smt_decide(problem, [_cost_atom(problem, v, LT)]) != "unsat":
+        if decide([_cost_atom(problem, v, LT)]) != "unsat":
             return False, "a model strictly below the reported optimum exists"
-        if smt_decide(problem, [_cost_atom(problem, v, EQ)]) != "sat":
+        if decide([_cost_atom(problem, v, EQ)]) != "sat":
             return False, "the reported optimum value is not realizable"
         return True, "optimum confirmed"
-    if smt_decide(problem, [_cost_atom(problem, v, LE)]) != "unsat":
+    if decide([_cost_atom(problem, v, LE)]) != "unsat":
         return False, "a model at or below the reported infimum exists"
     gaps = [Fraction(1, 2 ** 32)]
     if outcome.epsilon is not None:
@@ -587,6 +597,6 @@ def crosscheck(problem: OmtProblem, outcome: OmtOutcome) -> tuple[bool, str]:
     if problem.ub is not None:
         gaps.append((problem.ub - v) / 2)
     eps = min(g for g in gaps if g > 0)
-    if smt_decide(problem, [_cost_atom(problem, v + eps, EQ)]) != "sat":
+    if decide([_cost_atom(problem, v + eps, EQ)]) != "sat":
         return False, "no model exists just above the reported infimum"
     return True, "infimum confirmed"

@@ -1,6 +1,8 @@
 """Command line front end."""
 
 import csv
+import dataclasses
+import time
 
 import pytest
 
@@ -142,6 +144,24 @@ def test_crosscheck_out_of_pivot_budget_is_interrupted(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(cli, "solve", solve_then_starve)
     code = main(["crosscheck", str(path)])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert out.splitlines()[0] == "optimum"
+    assert out.splitlines()[-1] == "crosscheck: skipped (interrupted)"
+
+
+def test_crosscheck_past_the_timeout_is_interrupted(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "jobshop.smt2"
+    path.write_text(jobshop_instance(3, 2, 0)[0])
+    solve = cli.solve
+
+    def solve_past_the_timeout(problem, config):
+        outcome = solve(problem, dataclasses.replace(config, timeout=None))
+        time.sleep(config.timeout)  # the solve used up all of --timeout
+        return outcome
+
+    monkeypatch.setattr(cli, "solve", solve_past_the_timeout)
+    code = main(["crosscheck", str(path), "--timeout", "0.05"])
     out = capsys.readouterr().out
     assert code == 4
     assert out.splitlines()[0] == "optimum"

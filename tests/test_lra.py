@@ -1,16 +1,22 @@
 """Incremental simplex over conjunctions of atoms."""
 
+import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import random_literals
 from omtq.arith import EQ, LE, LT, DeltaRational
 from omtq.formula import normalize_atom
-from omtq.lra import Interrupted, LraSolver
+from omtq.lra import Interrupted, LraSolver, minimize_var
+from omtq.omt import InlineBridge, OmtConfig
 from omtq.oracle import fm_minimize
+from omtq.parser import parse_problem
+
+FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "families"
 
 
 def _lit(coeffs, const, op):
@@ -235,9 +241,14 @@ class _FullScanSolver(LraSolver):
 
 
 def _assert_tableau_holds(lra, where):
+    assert set(lra.den) == set(lra.rows), where
     for b, row in lra.rows.items():
-        real = sum((a * lra.beta[y].real for y, a in row.items()), Fraction(0))
-        eps = sum((a * lra.beta[y].eps for y, a in row.items()), Fraction(0))
+        d = lra.den[b]
+        assert type(d) is int and d > 0, where
+        assert all(type(a) is int for a in row.values()), where
+        assert math.gcd(d, *row.values()) == 1, where
+        real = sum((Fraction(a, d) * lra.beta[y].real for y, a in row.items()), Fraction(0))
+        eps = sum((Fraction(a, d) * lra.beta[y].eps for y, a in row.items()), Fraction(0))
         assert lra.beta[b] == DeltaRational(real, eps), where
     for v, val in enumerate(lra.beta):
         lo, up = lra.lower[v], lra.upper[v]
@@ -246,7 +257,9 @@ def _assert_tableau_holds(lra, where):
 
 
 def _same_state(lra, ref):
-    return (lra.beta, lra.rows, lra.lower, lra.upper) == (ref.beta, ref.rows, ref.lower, ref.upper)
+    return (lra.beta, lra.rows, lra.den, lra.lower, lra.upper) == (
+        ref.beta, ref.rows, ref.den, ref.lower, ref.upper
+    )
 
 
 def test_candidate_set_check_matches_a_full_row_scan():
@@ -283,3 +296,147 @@ def test_candidate_set_check_matches_a_full_row_scan():
                 if got[0] == "sat":
                     _assert_tableau_holds(lra, where)
             assert _same_state(lra, ref), where
+
+
+class _FractionTableauSolver(LraSolver):
+    """Reference: the tableau as rows of Fraction coefficients, each over
+    the denominator 1, updated with Fraction arithmetic."""
+
+    def _expand(self, coeffs):
+        acc = {}
+        for vid, a in coeffs:
+            if vid in self.rows:
+                for y, b in self.rows[vid].items():
+                    old = acc.get(y)
+                    acc[y] = a * b if old is None else old + a * b
+            else:
+                old = acc.get(vid)
+                acc[vid] = a if old is None else old + a
+        return {y: a for y, a in acc.items() if a != 0}, 1
+
+    def _update_nonbasic(self, x, v):
+        beta = self.beta
+        delta = v - beta[x]
+        for b, row in self.rows.items():
+            a = row.get(x)
+            if a:
+                beta[b] = beta[b] + delta.scaled(a)
+                self.candidates.add(b)
+        beta[x] = v
+
+    def _pivot(self, leave, enter):
+        self.call_pivots += 1
+        self.pivot_count += 1
+        row = self.rows.pop(leave)
+        del self.den[leave]
+        a = row.pop(enter)
+        new_row = {leave: Fraction(1) / a}
+        for z, coeff in row.items():
+            new_row[z] = -coeff / a
+        self.rows[enter] = new_row
+        self.den[enter] = 1
+        self.candidates.discard(leave)
+        self.candidates.add(enter)
+        for b, r in self.rows.items():
+            if b == enter:
+                continue
+            cy = r.pop(enter, None)
+            if cy:
+                for z, coeff in new_row.items():
+                    old = r.get(z)
+                    if old is None:
+                        r[z] = cy * coeff
+                    else:
+                        nv = old + cy * coeff
+                        if nv:
+                            r[z] = nv
+                        else:
+                            del r[z]
+
+    def _pivot_and_update(self, leave, enter, v):
+        beta = self.beta
+        a = self.rows[leave][enter]
+        d = v - beta[leave]
+        theta = DeltaRational(d.real / a, d.eps / a)
+        beta[leave] = v
+        beta[enter] = beta[enter] + theta
+        for b, row in self.rows.items():
+            if b == leave:
+                continue
+            ab = row.get(enter)
+            if ab:
+                beta[b] = beta[b] + theta.scaled(ab)
+                self.candidates.add(b)
+        self._pivot(leave, enter)
+
+
+def _same_tableau(lra, ref):
+    """Same assignment, bounds and candidates, and each fraction-free row
+    equal to the reference's Fraction row."""
+    if (lra.beta, lra.lower, lra.upper, lra.candidates) != (
+        ref.beta, ref.lower, ref.upper, ref.candidates
+    ):
+        return False
+    if lra.rows.keys() != ref.rows.keys():
+        return False
+    return all(
+        {y: Fraction(a, lra.den[b]) for y, a in row.items()} == ref.rows[b]
+        for b, row in lra.rows.items()
+    )
+
+
+def test_fraction_free_rows_match_a_fraction_tableau():
+    """Random assert/mark/backtrack/check/minimize_var sequences, run on a
+    solver and on a Fraction-tableau reference in lockstep: answers,
+    assignments, bounds, candidates and every row coefficient agree."""
+    general_rows = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        nvars = rng.randint(3, 5)
+        pool = [lit for j in range(4) for lit in random_literals(seed * 4 + j, nvars)]
+        lra, ref = LraSolver(), _FractionTableauSolver()
+        marks = []
+        feasible = True
+        for step in range(40):
+            where = (seed, step)
+            roll = rng.random()
+            if roll < 0.45:
+                atom, pol = rng.choice(pool)
+                reason = step + 1
+                got = lra.assert_atom(atom, pol, reason)
+                assert got == ref.assert_atom(atom, pol, reason), where
+                feasible = False
+            elif roll < 0.6:
+                marks.append((lra.mark(), ref.mark()))
+            elif roll < 0.7:
+                if marks:
+                    i = rng.randrange(len(marks))
+                    m, mr = marks[i]
+                    del marks[i:]
+                    lra.backtrack_to(m)
+                    ref.backtrack_to(mr)
+            elif roll < 0.85 or not feasible or not lra.keys:
+                got = lra.check()
+                assert got == ref.check(), where
+                feasible = got[0] == "sat"
+                if feasible:
+                    _assert_tableau_holds(lra, where)
+            else:
+                cid = rng.randrange(len(lra.keys))
+                assert minimize_var(lra, cid) == minimize_var(ref, cid), where
+                _assert_tableau_holds(lra, where)
+            assert _same_tableau(lra, ref), where
+            general_rows += any(d != 1 for d in lra.den.values())
+    assert general_rows > 0  # the sequences reach rows of non-unit ratios
+
+
+def test_family_rows_stay_unit():
+    """On the paper's families every tableau entry is a unit and every
+    row denominator stays 1."""
+    problem = parse_problem((FAMILIES / "jobshop-5x4-s2.smt2").read_text())
+    bridge = InlineBridge(problem, OmtConfig())
+    bridge.sat.solve((), bridge)
+    lra = bridge.lra
+    assert lra.pivot_count > 0
+    assert set(lra.den.values()) == {1}
+    assert all(type(a) is int for row in lra.rows.values() for a in row.values())

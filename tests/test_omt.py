@@ -1,6 +1,7 @@
 """End-to-end optimization engine: offline and inline search."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from omtq.encodings import jobshop_problem, strip_packing_problem
 from omtq.omt import CostRange, smt_decide
 from omtq.oracle import oracle_solve
 from omtq.parser import parse_problem
+
+FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "families"
 
 ALL_CONFIGS = [
     OmtConfig(schema=schema, search=search)
@@ -295,6 +298,16 @@ def test_crosscheck_confirms_unsat_and_unbounded():
     assert out.status == "unbounded"
     ok, _ = crosscheck(free, out)
     assert ok
+
+
+def test_crosscheck_queries_stop_at_the_timeout():
+    problem = parse_problem((FAMILIES / "jobshop-5x4-s2.smt2").read_text())
+    out = solve(problem, OmtConfig())
+    assert out.status == "optimum"
+    assert crosscheck(problem, out, timeout=60) == (True, "optimum confirmed")
+    # every decision query tests its deadline at each BCP fixpoint
+    with pytest.raises(TimeoutError):
+        crosscheck(problem, out, timeout=0)
 
 
 def test_decision_queries():
