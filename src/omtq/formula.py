@@ -321,12 +321,6 @@ class CnfFormula:
     def add_clause(self, lits: Iterable[int]):
         self.clauses.append(list(lits))
 
-    def theory_atoms(self):
-        """(solver var, Atom) pairs in registration order."""
-        for i, k in enumerate(self.kind):
-            if k == ATOM:
-                yield i + 1, self.payload[i]
-
     def copy(self) -> "CnfFormula":
         """Independent clone; the search engines register new atoms and
         clauses on their copy so the input formula stays reusable."""

@@ -30,6 +30,15 @@ variable is a candidate, so scanning the sorted candidates finds the
 same smallest violated variable a full scan would, and Bland's rule
 makes the same pivots.
 
+``bounded`` is the set of variables with at least one asserted bound:
+``assert_atom`` adds a variable when it sets a bound and
+``backtrack_to`` removes it when both of its bounds are back to
+``None``.  An atom can only be entailed by a bound on its own variable,
+so a caller that propagates by ``entailed`` need only ask about atoms on
+these variables.  ``var_of_atom`` maps each atom ``effective_bounds``
+has seen to the variable it bounds, so a caller can learn an atom's
+variable without creating its slack.
+
 ``minimize_var`` drives one variable to its minimum on the same
 tableau, so the search's cost minimization and conflict generalization
 (``conjunction_min``) share the pivots, the bounds and the entering rule
@@ -78,10 +87,12 @@ class LraSolver:
         # solver's lifetime because pivots never renumber variables and an
         # atom's bound values are constants
         self.bounds_of: dict[tuple[Atom, bool], list] = {}
+        self.var_of_atom: dict[Atom, int] = {}  # filled by effective_bounds
         self.undo: list[tuple] = []
         # basic variables that may violate a bound; every violated basic
         # variable is in here
         self.candidates: set[int] = set()
+        self.bounded: set[int] = set()  # variables with a lower or upper bound
         self.pivot_count = 0  # over the solver's lifetime
         self.call_pivots = 0  # since the current check or minimize_var began
         self.deadline: Optional[float] = None  # time.monotonic() value
@@ -188,18 +199,22 @@ class LraSolver:
             else:
                 out.append((vid, is_lower, val))
         self.bounds_of[(atom, polarity)] = out
+        self.var_of_atom[atom] = vid
         return out
 
     def mark(self) -> int:
         return len(self.undo)
 
     def backtrack_to(self, m: int):
-        while len(self.undo) > m:
-            vid, which, old = self.undo.pop()
+        lower, upper, undo = self.lower, self.upper, self.undo
+        while len(undo) > m:
+            vid, which, old = undo.pop()
             if which == "lo":
-                self.lower[vid] = old
+                lower[vid] = old
             else:
-                self.upper[vid] = old
+                upper[vid] = old
+            if old is None and lower[vid] is None and upper[vid] is None:
+                self.bounded.discard(vid)
 
     def _update_nonbasic(self, x: int, v: DeltaRational):
         beta, den = self.beta, self.den
@@ -207,7 +222,7 @@ class LraSolver:
         for b, row in self.rows.items():
             a = row.get(x)
             if a:
-                beta[b] = beta[b] + _times(delta, a, den[b])
+                beta[b] = _plus_times(beta[b], delta, a, den[b])
                 self.candidates.add(b)
         beta[x] = v
 
@@ -224,6 +239,7 @@ class LraSolver:
                     return dedupe_lits([-reason, -up[1]])
                 self.undo.append((vid, "lo", cur))
                 self.lower[vid] = (val, reason)
+                self.bounded.add(vid)
                 if vid in self.rows:
                     self.candidates.add(vid)
                 elif self.beta[vid] < val:
@@ -237,6 +253,7 @@ class LraSolver:
                     return dedupe_lits([-reason, -lo[1]])
                 self.undo.append((vid, "up", cur))
                 self.upper[vid] = (val, reason)
+                self.bounded.add(vid)
                 if vid in self.rows:
                     self.candidates.add(vid)
                 elif self.beta[vid] > val:
@@ -313,7 +330,7 @@ class LraSolver:
                 continue
             ab = row.get(enter)
             if ab:
-                beta[b] = beta[b] + _times(theta, ab, den[b])
+                beta[b] = _plus_times(beta[b], theta, ab, den[b])
                 self.candidates.add(b)
         self._pivot(leave, enter)
 
@@ -430,6 +447,18 @@ def _times(v: DeltaRational, num: int, den: int) -> DeltaRational:
             return -v
         return v.scaled(num)
     return v.scaled(Fraction(num, den))
+
+
+def _plus_times(u: DeltaRational, v: DeltaRational, num: int, den: int) -> DeltaRational:
+    """``u + v * num / den`` for nonzero ints and ``den > 0``; a unit
+    ratio costs one addition or subtraction."""
+    if den == 1:
+        if num == 1:
+            return u + v
+        if num == -1:
+            return u - v
+        return u + v.scaled(num)
+    return u + v.scaled(Fraction(num, den))
 
 
 def minimize_var(lra: LraSolver, cid: int) -> Optional[DeltaRational]:

@@ -129,6 +129,12 @@ class TheoryBridge(TheoryClient):
         self.ptr = 0
         self.marks: list[tuple] = []  # (trail_pos, lra_mark, atom, polarity)
         self.forced_lits: set[int] = set()
+        # solver vars of the theory atoms by the simplex variable they bound,
+        # for entailment; an atom joins once the simplex has computed its
+        # bounds, and until then it is pending and asked at every fixpoint
+        self.atoms_on: dict[int, list[int]] = {}
+        self.pending: list[int] = []
+        self.registered = 0  # solver vars looked at for new atoms
         self.lra.deadline = None if config.timeout is None else time.monotonic() + config.timeout
         if problem.lb is not None:
             self.sat.add_clause([-self.cost_lit(problem.lb, LT)])
@@ -200,11 +206,41 @@ class TheoryBridge(TheoryClient):
         return None
 
     def _entailed_props(self, solver):
+        """Literals the bounds force among the unassigned theory atoms.
+
+        Only a bound on an atom's own variable can force it, so the atoms
+        asked are those on bounded variables plus the pending ones, in
+        ascending solver var order.  A pending atom's slack is made by
+        its first assert or ask, in the order a scan of every atom would
+        make it, so the pivots Bland's rule picks do not change."""
+        formula, lra = self.formula, self.lra
+        n = formula.num_solver_vars
+        if self.registered < n:
+            self.pending.extend(
+                v for v in range(self.registered + 1, n + 1) if formula.atom_of(v) is not None
+            )
+            self.registered = n
+        atoms_on = self.atoms_on
+        if self.pending:
+            var_of_atom = lra.var_of_atom
+            waiting = []
+            for v in self.pending:
+                x = var_of_atom.get(formula.atom_of(v))
+                if x is None:
+                    waiting.append(v)
+                else:
+                    atoms_on.setdefault(x, []).append(v)
+            self.pending = waiting
+        assign, nvars = solver.assign, solver.nvars
+        asked = [v for v in self.pending if v <= nvars and assign[v] == 0]
+        for x in lra.bounded:
+            for v in atoms_on.get(x, ()):
+                if v <= nvars and assign[v] == 0:
+                    asked.append(v)
+        asked.sort()
         out = []
-        for v, atom in self.formula.theory_atoms():
-            if v > solver.nvars or solver.assign[v] != 0:
-                continue
-            ent = self.lra.entailed(atom)
+        for v in asked:
+            ent = lra.entailed(formula.atom_of(v))
             if ent is None:
                 continue
             value, reasons = ent

@@ -97,7 +97,9 @@ def test_atom_interning_shares_solver_vars():
     assert l1 == l2
     assert f.lit_for_atom(a1, False) == -l1
     assert f.atom_of(l1) == a1
-    assert list(f.theory_atoms()) == [(l1, a1)]
+    # one solver var, and it is the atom's
+    assert f.num_solver_vars == 1
+    assert [f.atom_of(v) for v in range(1, f.num_solver_vars + 1)] == [a1]
 
 
 def test_pickled_atom_keys_survive_another_hash_seed():

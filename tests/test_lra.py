@@ -242,6 +242,9 @@ class _FullScanSolver(LraSolver):
 
 def _assert_tableau_holds(lra, where):
     assert set(lra.den) == set(lra.rows), where
+    assert lra.bounded == {
+        v for v in range(len(lra.keys)) if lra.lower[v] is not None or lra.upper[v] is not None
+    }, where
     for b, row in lra.rows.items():
         d = lra.den[b]
         assert type(d) is int and d > 0, where

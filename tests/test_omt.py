@@ -418,6 +418,78 @@ def test_search_is_pinned_on_benchmark_instances(monkeypatch):
         assert [s.stats.propagations for s in solvers] == [propagations], key
 
 
+class _FullScanEntailment:
+    """Reference: asks ``entailed`` about every unassigned theory atom at
+    each BCP fixpoint, in solver var order."""
+
+    def _entailed_props(self, solver):
+        formula = self.formula
+        out = []
+        for v in range(1, formula.num_solver_vars + 1):
+            atom = formula.atom_of(v)
+            if atom is None or v > solver.nvars or solver.assign[v] != 0:
+                continue
+            ent = self.lra.entailed(atom)
+            if ent is None:
+                continue
+            value, reasons = ent
+            lit = v if value else -v
+            out.append((lit, [lit] + [-r for r in reasons]))
+        return out
+
+
+def _recording(base, bridges):
+    """``base`` with every engine appended to ``bridges`` and the list of
+    propagations of each fixpoint kept in ``props``."""
+
+    class Recording(base):
+        def __init__(self, problem, config):
+            super().__init__(problem, config)
+            self.slacks_at_start = len(self.lra.slack_of)
+            self.props = []
+            bridges.append(self)
+
+        def _entailed_props(self, solver):
+            out = super()._entailed_props(solver)
+            self.props.append(out)
+            return out
+
+    return Recording
+
+
+def test_indexed_entailment_matches_a_full_scan(monkeypatch):
+    """The engines and a full-scan reference in lockstep: the same
+    propagations at every fixpoint, in the same order, and the same
+    slacks created in the same order.  A slack is made only when the
+    search first asserts or asks about one of its atoms, so an engine
+    starts without any."""
+    engines = {
+        "indexed": (omt.TheoryBridge, omt.InlineBridge),
+        "full scan": (
+            type("FullScanBridge", (_FullScanEntailment, omt.TheoryBridge), {}),
+            type("FullScanInlineBridge", (_FullScanEntailment, omt.InlineBridge), {}),
+        ),
+    }
+    problems = [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("*.smt2"))]
+    problems += [corpus_problem(seed) for seed in range(40)]
+    problems += [parse_problem(boolean_structure_text(seed)) for seed in range(40)]
+    entailed = 0
+    for i, problem in enumerate(problems):
+        for cfg in ALL_CONFIGS:
+            runs = {}
+            for side, (offline, inline) in engines.items():
+                bridges = []
+                monkeypatch.setattr(omt, "TheoryBridge", _recording(offline, bridges))
+                monkeypatch.setattr(omt, "InlineBridge", _recording(inline, bridges))
+                out = solve(problem, cfg)
+                assert all(b.slacks_at_start == 0 for b in bridges), (i, cfg, side)
+                runs[side] = (out.status, out.value, [(b.props, b.lra.keys) for b in bridges])
+            assert runs["indexed"] == runs["full scan"], (i, cfg)
+            for fixpoints, _ in runs["indexed"][2]:
+                entailed += sum(map(len, fixpoints))
+    assert entailed > 0  # the inputs reach theory propagations
+
+
 def test_lower_trace_rises_to_the_reported_value():
     problems = [strip_packing_problem(4, 1, 2)[0], jobshop_problem(4, 3, 1)[0]]
     for problem in problems:
