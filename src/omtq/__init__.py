@@ -24,8 +24,6 @@ from .omt import (
     crosscheck,
     smt_decide,
     solve,
-    solve_inline,
-    solve_offline,
 )
 from .oracle import fm_minimize, oracle_solve
 from .parser import ParseError, parse_problem
@@ -63,8 +61,6 @@ __all__ = [
     "rat",
     "smt_decide",
     "solve",
-    "solve_inline",
-    "solve_offline",
     "strip_packing_instance",
     "strip_packing_problem",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 import time
@@ -28,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .arith import format_rat, parse_rat
 from .encodings import jobshop_instance, strip_packing_instance
 from .formula import OmtProblem
-from .omt import INTERRUPTED, OmtConfig, OmtOutcome, crosscheck, solve
+from .omt import INTERRUPTED, OmtConfig, OmtOutcome, SearchStats, crosscheck, solve
 from .parser import ParseError, parse_problem
 
 EXIT_OK = 0
@@ -37,16 +38,7 @@ EXIT_PARSE = 3
 EXIT_INTERRUPTED = 4
 EXIT_CHECK_FAILED = 5
 
-STATS_COLUMNS = [
-    "decisions",
-    "conflicts",
-    "restarts",
-    "theory_checks",
-    "minimize_calls",
-    "pivots",
-    "loops",
-    "simplex_pivots",
-]
+STATS_COLUMNS = [f.name for f in dataclasses.fields(SearchStats)]
 
 
 def _config_from_args(args) -> OmtConfig:

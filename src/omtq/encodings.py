@@ -61,10 +61,6 @@ class SplitMix64:
         """Uniform-ish integer in [lo, hi]."""
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def uniform(self) -> Fraction:
-        """Rational in (0, 1], 53-bit resolution."""
-        return Fraction((self.next_u64() >> 11) + 1, 1 << 53)
-
 
 # ---------------------------------------------------------------------------
 # structured encoders

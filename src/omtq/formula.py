@@ -97,9 +97,6 @@ class Atom:
     def __reduce__(self):
         return Atom, (self.coeffs, self.const, self.rel)
 
-    def variables(self):
-        return [v for v, _ in self.coeffs]
-
     def single_var(self):
         """(var, coeff) when the atom mentions exactly one variable."""
         if len(self.coeffs) == 1:

@@ -7,6 +7,11 @@ and a Bland-rule pivoting loop repairs the assignment or reports an
 (irredundant, not necessarily minimal) conflict built from the bound
 reasons.  Strict bounds are handled symbolically with delta-rationals.
 
+There is one numbering.  ``LraSolver(n)`` makes the problem variables
+``0..n-1``, the ids the atoms' coefficient lists already use, and each
+slack takes the next free id from ``n`` up, in the order the slacks are
+made.
+
 Assertions are scoped with mark()/backtrack_to(); pivots persist across
 backtracking, only bounds are undone, so the current assignment always
 satisfies every row.
@@ -35,9 +40,7 @@ makes the same pivots.
 ``backtrack_to`` removes it when both of its bounds are back to
 ``None``.  An atom can only be entailed by a bound on its own variable,
 so a caller that propagates by ``entailed`` need only ask about atoms on
-these variables.  ``var_of_atom`` maps each atom ``effective_bounds``
-has seen to the variable it bounds, so a caller can learn an atom's
-variable without creating its slack.
+these variables.
 
 ``minimize_var`` drives one variable to its minimum on the same
 tableau, so the search's cost minimization and conflict generalization
@@ -71,23 +74,20 @@ class Interrupted(Exception):
 
 
 class LraSolver:
-    """Variables are registered under caller-chosen hashable keys and
-    addressed internally by dense integer ids."""
+    """Variables are dense integer ids: the problem variables ``0..n-1``,
+    then the slacks."""
 
-    def __init__(self):
-        self.keys: list = []
-        self.var_of_key: dict = {}
+    def __init__(self, n: int):
         self.rows: dict[int, dict[int, int]] = {}
         self.den: dict[int, int] = {}  # basic variable -> row denominator
-        self.beta: list[DeltaRational] = []
-        self.lower: list[Optional[tuple[DeltaRational, int]]] = []
-        self.upper: list[Optional[tuple[DeltaRational, int]]] = []
+        self.beta: list[DeltaRational] = [DeltaRational(0)] * n
+        self.lower: list[Optional[tuple[DeltaRational, int]]] = [None] * n
+        self.upper: list[Optional[tuple[DeltaRational, int]]] = [None] * n
         self.slack_of: dict[tuple, int] = {}
         # (atom, polarity) -> effective_bounds entries; safe to keep for the
         # solver's lifetime because pivots never renumber variables and an
         # atom's bound values are constants
         self.bounds_of: dict[tuple[Atom, bool], list] = {}
-        self.var_of_atom: dict[Atom, int] = {}  # filled by effective_bounds
         self.undo: list[tuple] = []
         # basic variables that may violate a bound; every violated basic
         # variable is in here
@@ -97,23 +97,9 @@ class LraSolver:
         self.call_pivots = 0  # since the current check or minimize_var began
         self.deadline: Optional[float] = None  # time.monotonic() value
 
-    # -- variables and slacks ---------------------------------------------
+    # -- slacks -------------------------------------------------------------
 
-    def new_var(self, key) -> int:
-        if key in self.var_of_key:
-            return self.var_of_key[key]
-        vid = len(self.keys)
-        self.keys.append(key)
-        self.var_of_key[key] = vid
-        self.beta.append(DeltaRational(0))
-        self.lower.append(None)
-        self.upper.append(None)
-        return vid
-
-    def var(self, key) -> int:
-        return self.var_of_key[key]
-
-    def _expand(self, coeffs: list[tuple[int, Fraction]]) -> tuple[dict[int, int], int]:
+    def _expand(self, coeffs: tuple[tuple[int, Fraction], ...]) -> tuple[dict[int, int], int]:
         """Rewrite a combination of variables over the current nonbasics,
         as a fraction-free row and its denominator."""
         acc: dict[int, Fraction] = {}
@@ -134,30 +120,26 @@ class LraSolver:
         """Variable representing the term, plus a flag telling whether the
         stored orientation is the negation of the requested one.
 
-        ``coeffs`` is an iterable of (key, coefficient) pairs."""
-        ids = sorted((self.new_var(k), Fraction(a)) for k, a in coeffs)
-        flipped = ids[0][1] < 0
+        ``coeffs`` is an atom's canonical coefficient tuple: (var,
+        Fraction) pairs sorted by var, no zeros."""
+        flipped = coeffs[0][1] < 0
         if flipped:
-            ids = [(v, -a) for v, a in ids]
-        if len(ids) == 1 and ids[0][1] == 1:
-            return ids[0][0], flipped
-        key = tuple(ids)
-        vid = self.slack_of.get(key)
+            coeffs = tuple((v, -a) for v, a in coeffs)
+        if len(coeffs) == 1 and coeffs[0][1] == 1:
+            return coeffs[0][0], flipped
+        vid = self.slack_of.get(coeffs)
         if vid is None:
-            vid = len(self.keys)
-            name = f"!s{len(self.slack_of)}"
-            self.keys.append(name)
-            self.var_of_key[name] = vid
+            vid = len(self.beta)
             self.lower.append(None)
             self.upper.append(None)
-            row, den = self._expand(ids)
+            row, den = self._expand(coeffs)
             val = DeltaRational(0)
             for y, a in row.items():
                 val = val + self.beta[y].scaled(a)
             self.beta.append(_times(val, 1, den))
             self.rows[vid] = row
             self.den[vid] = den
-            self.slack_of[key] = vid
+            self.slack_of[coeffs] = vid
         return vid, flipped
 
     # -- bound bookkeeping -------------------------------------------------
@@ -199,7 +181,6 @@ class LraSolver:
             else:
                 out.append((vid, is_lower, val))
         self.bounds_of[(atom, polarity)] = out
-        self.var_of_atom[atom] = vid
         return out
 
     def mark(self) -> int:
@@ -426,14 +407,6 @@ class LraSolver:
                     return False, [lo[1]]
         return None
 
-    # -- model -------------------------------------------------------------
-
-    def value_of(self, key) -> DeltaRational:
-        vid = self.var_of_key.get(key)
-        if vid is None:
-            return DeltaRational(0)
-        return self.beta[vid]
-
 
 def _times(v: DeltaRational, num: int, den: int) -> DeltaRational:
     """``v * num / den`` for nonzero ints; no multiplication for a unit
@@ -538,19 +511,18 @@ def minimize_var(lra: LraSolver, cid: int) -> Optional[DeltaRational]:
                 return lra.beta[cid]
 
 
-def conjunction_min(literals, cost_key) -> tuple[str, Optional[DeltaRational]]:
-    """Minimum of a variable under a conjunction of atom literals, computed
-    on a fresh solver.  ``cost_key`` must match the keying used in the
-    atoms' coefficient lists.  Returns ('unsat', None), ('unbounded',
+def conjunction_min(literals, cost: int) -> tuple[str, Optional[DeltaRational]]:
+    """Minimum of variable ``cost`` under a conjunction of atom literals,
+    computed on a fresh solver.  Returns ('unsat', None), ('unbounded',
     None) or ('min', value)."""
-    lra = LraSolver()
-    cid = lra.new_var(cost_key)
+    n = 1 + max([cost] + [atom.coeffs[-1][0] for atom, _ in literals])
+    lra = LraSolver(n)
     for i, (atom, polarity) in enumerate(literals):
         if lra.assert_atom(atom, polarity, i + 1) is not None:
             return "unsat", None
     if lra.check()[0] == "unsat":
         return "unsat", None
-    value = minimize_var(lra, cid)
+    value = minimize_var(lra, cost)
     if value is None:
         return "unbounded", None
     return "min", value

@@ -5,11 +5,13 @@ to a CNF formula, both shrinking one candidate range [l, u[, which one
 ``CostRange`` owns: its ends, the alternation of linear and binary
 steps, the loop count and budget, and the trace of lower ends.
 
-* solve_offline: repeated full solver calls.  Linear steps ask for any
+``solve`` runs the engine that ``OmtConfig.schema`` names:
+
+* offline: repeated full solver calls.  Linear steps ask for any
   model and learn a unit bound just below its minimized cost; binary
   steps solve under an assumed pivot bound cost < (l+u)/2 and use the
   unsat core to decide which half survives.
-* solve_inline: a single solver run.  The range is re-derived at every
+* inline: a single solver run.  The range is re-derived at every
   return to decision level 0 from the unit-implied bounds on the cost
   variable, pivot bounds are injected as decision suggestions, and each
   complete model triggers minimize / learn-a-tighter-bound / restart
@@ -122,18 +124,14 @@ class TheoryBridge(TheoryClient):
         self.sat.ensure_vars(formula.num_solver_vars)
         for cl in formula.clauses:
             self.sat.add_clause(cl)
-        self.lra = LraSolver()
-        for i in range(len(formula.rat_names)):
-            self.lra.new_var(i)
-        self.cost_id = self.lra.var(problem.cost)
+        self.lra = LraSolver(len(formula.rat_names))
         self.ptr = 0
         self.marks: list[tuple] = []  # (trail_pos, lra_mark, atom, polarity)
         self.forced_lits: set[int] = set()
         # solver vars of the theory atoms by the simplex variable they bound,
-        # for entailment; an atom joins once the simplex has computed its
-        # bounds, and until then it is pending and asked at every fixpoint
+        # for entailment; an atom joins at the first fixpoint after it is
+        # registered
         self.atoms_on: dict[int, list[int]] = {}
-        self.pending: list[int] = []
         self.registered = 0  # solver vars looked at for new atoms
         self.lra.deadline = None if config.timeout is None else time.monotonic() + config.timeout
         if problem.lb is not None:
@@ -208,35 +206,30 @@ class TheoryBridge(TheoryClient):
     def _entailed_props(self, solver):
         """Literals the bounds force among the unassigned theory atoms.
 
-        Only a bound on an atom's own variable can force it, so the atoms
-        asked are those on bounded variables plus the pending ones, in
-        ascending solver var order.  A pending atom's slack is made by
-        its first assert or ask, in the order a scan of every atom would
-        make it, so the pivots Bland's rule picks do not change."""
+        Only a bound on an atom's own variable can force it, so each
+        newly registered atom is indexed by that variable, in ascending
+        solver var order, and the atoms asked are the unassigned ones on
+        bounded variables, in ascending solver var order.
+
+        Indexing an atom makes its slack, and the slacks are made in the
+        order a scan asking every unassigned atom would make them, so
+        the pivots Bland's rule picks do not change.  The first call
+        runs at level 0 before any decision: every atom assigned by then
+        has been asserted in trail order, and every other one is indexed
+        in ascending var order, as the scan would ask it.  Every atom
+        registered later comes from ``cost_lit``, a bound with
+        coefficient 1 on the cost variable, which makes no slack."""
         formula, lra = self.formula, self.lra
         n = formula.num_solver_vars
-        if self.registered < n:
-            self.pending.extend(
-                v for v in range(self.registered + 1, n + 1) if formula.atom_of(v) is not None
-            )
-            self.registered = n
         atoms_on = self.atoms_on
-        if self.pending:
-            var_of_atom = lra.var_of_atom
-            waiting = []
-            for v in self.pending:
-                x = var_of_atom.get(formula.atom_of(v))
-                if x is None:
-                    waiting.append(v)
-                else:
-                    atoms_on.setdefault(x, []).append(v)
-            self.pending = waiting
-        assign, nvars = solver.assign, solver.nvars
-        asked = [v for v in self.pending if v <= nvars and assign[v] == 0]
-        for x in lra.bounded:
-            for v in atoms_on.get(x, ()):
-                if v <= nvars and assign[v] == 0:
-                    asked.append(v)
+        for v in range(self.registered + 1, n + 1):
+            atom = formula.atom_of(v)
+            if atom is not None:
+                x = lra.effective_bounds(atom, True)[0][0]
+                atoms_on.setdefault(x, []).append(v)
+        self.registered = n
+        assign = solver.assign
+        asked = [v for x in lra.bounded for v in atoms_on.get(x, ()) if assign[v] == 0]
         asked.sort()
         out = []
         for v in asked:
@@ -264,7 +257,7 @@ class TheoryBridge(TheoryClient):
         bound that excludes it and everything above), or None when the
         cost is unbounded."""
         self.stats.minimize_calls += 1
-        m = minimize_var(self.lra, self.cost_id)
+        m = minimize_var(self.lra, self.problem.cost)
         if m is None:
             return None
         if self.best is None or m < self.best[0]:
@@ -375,15 +368,6 @@ class CostRange:
 # offline engine
 
 
-def solve_offline(problem: OmtProblem, config: Optional[OmtConfig] = None) -> OmtOutcome:
-    config = config if config is not None else OmtConfig(schema=OFFLINE)
-    bridge = TheoryBridge(problem, config)
-    try:
-        return _offline_search(bridge)
-    except Interrupted:
-        return bridge.outcome(INTERRUPTED)
-
-
 def _offline_search(bridge: TheoryBridge) -> OmtOutcome:
     sat, rng = bridge.sat, bridge.range
 
@@ -482,13 +466,14 @@ class InlineBridge(TheoryBridge):
         return None
 
     def suggest_decision(self, solver):
-        if self.suggest is not None and solver.value(self.suggest) == 0:
-            return self.suggest
-        return None
-
-    def note_suggested_taken(self, solver, lit):
-        self.stats.pivots += 1
+        """The pivot literal, once, while it is unassigned; the solver
+        takes it as its next decision."""
+        lit = self.suggest
+        if lit is None or solver.value(lit) != 0:
+            return None
         self.suggest = None
+        self.stats.pivots += 1
+        return lit
 
     # -- model handling
 
@@ -552,13 +537,8 @@ class InlineBridge(TheoryBridge):
         return clause
 
 
-def solve_inline(problem: OmtProblem, config: Optional[OmtConfig] = None) -> OmtOutcome:
-    config = config if config is not None else OmtConfig(schema=INLINE)
-    bridge = InlineBridge(problem, config)
-    try:
-        res = bridge.sat.solve((), bridge)
-    except Interrupted:
-        return bridge.outcome(INTERRUPTED)
+def _inline_search(bridge: InlineBridge) -> OmtOutcome:
+    res = bridge.sat.solve((), bridge)
     if res.status == "sat":
         raise RuntimeError("inline search ended in a plain sat state")
     # a halt carries the final status; unsat means the range is exhausted
@@ -570,10 +550,17 @@ def solve_inline(problem: OmtProblem, config: Optional[OmtConfig] = None) -> Omt
 
 
 def solve(problem: OmtProblem, config: Optional[OmtConfig] = None) -> OmtOutcome:
+    """Minimize the problem's cost with the engine ``config.schema`` names
+    (default: inline binary search)."""
     config = config if config is not None else OmtConfig()
     if config.schema == OFFLINE:
-        return solve_offline(problem, config)
-    return solve_inline(problem, config)
+        bridge, search = TheoryBridge(problem, config), _offline_search
+    else:
+        bridge, search = InlineBridge(problem, config), _inline_search
+    try:
+        return search(bridge)
+    except Interrupted:
+        return bridge.outcome(INTERRUPTED)
 
 
 def smt_decide(problem: OmtProblem, extra_literals=(), config: Optional[OmtConfig] = None) -> str:

@@ -51,10 +51,9 @@ class TheoryClient:
         return None
 
     def suggest_decision(self, solver) -> Optional[int]:
+        """An unassigned literal to decide next, or None; the solver
+        always takes a returned literal."""
         return None
-
-    def note_suggested_taken(self, solver, lit: int):
-        pass
 
 
 @dataclass
@@ -167,7 +166,12 @@ class SatSolver:
 
     def add_clause(self, lits, learnt: bool = False) -> Optional[Clause]:
         """Add a clause; duplicates inside the clause are removed and
-        tautologies dropped.  Must be called at decision level 0."""
+        tautologies dropped.  Callable at any decision level.  The clause
+        does not propagate here: a one-literal clause waits for the next
+        level-0 propagation pass, a longer one is watched on its two
+        highest-level literals, and a caller whose clause is already unit
+        or false under the trail enqueues its literal or calls
+        ``queue_unit_check``."""
         seen = {}
         out = []
         for l in lits:
@@ -545,13 +549,10 @@ class SatSolver:
             lit = None
             if self.client is not None:
                 lit = self.client.suggest_decision(self)
-                if lit is not None and self.value(lit) != 0:
-                    lit = None
             if lit is not None:
                 self.trail_lim.append(len(self.trail))
                 self.stats.decisions += 1
                 self.enqueue(lit, None)
-                self.client.note_suggested_taken(self, lit)
                 continue
 
             v = self._pick_branch_var()

@@ -268,7 +268,7 @@ def test_criterion_7_component_suites():
     lra_bad = 0
     for seed in range(1_000):
         lits = random_literals(seed)
-        lra = LraSolver()
+        lra = LraSolver(3)
         verdict = True
         for i, (atom, pol) in enumerate(lits):
             if lra.assert_atom(atom, pol, i + 1) is not None:

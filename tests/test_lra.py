@@ -35,8 +35,9 @@ def _satisfied(atom, polarity, valuation) -> bool:
 
 
 def _run(lits):
-    """Assert everything; returns (verdict, solver)."""
-    lra = LraSolver()
+    """Assert everything on a solver over variables 0..2; returns
+    (verdict, solver)."""
+    lra = LraSolver(3)
     for i, (atom, pol) in enumerate(lits):
         if lra.assert_atom(atom, pol, i + 1) is not None:
             return False, lra
@@ -48,12 +49,12 @@ def test_single_variable_window():
     a2 = _lit({0: 1}, 2, ">=")  # x >= -2
     sat, lra = _run([a1, a2])
     assert sat
-    v = lra.value_of(0)
+    v = lra.beta[0]
     assert DeltaRational(-2) <= v <= DeltaRational(10)
 
 
 def test_immediate_bound_clash_names_both_reasons():
-    lra = LraSolver()
+    lra = LraSolver(2)
     le, pol = _lit({0: 1}, -1, LE)  # x <= 1
     ge, pog = _lit({0: 1}, -2, ">=")  # x >= 2
     assert lra.assert_atom(le, pol, 7) is None
@@ -67,7 +68,7 @@ def test_strict_window_is_satisfiable_symbolically():
     lt, p2 = _lit({0: 1}, Fraction(-1, 1000), LT)  # x < 1/1000
     sat, lra = _run([(gt, p1), (lt, p2)])
     assert sat
-    v = lra.value_of(0)
+    v = lra.beta[0]
     assert v.real == 0 and v.eps > 0 or 0 < v.real < Fraction(1, 1000)
 
 
@@ -79,7 +80,7 @@ def test_strict_against_weak_is_unsat():
 
 
 def test_row_conflict_collects_bound_reasons():
-    lra = LraSolver()
+    lra = LraSolver(2)
     s, sp = _lit({0: 1, 1: 1}, 0, LE)  # x + y <= 0
     x1, xp = _lit({0: 1}, -1, ">=")  # x >= 1
     y1, yp = _lit({1: 1}, -1, ">=")  # y >= 1
@@ -95,7 +96,7 @@ def test_row_conflict_collects_bound_reasons():
 def test_shared_slack_for_both_orientations():
     # x + y <= 2 and x + y >= 5 are different atoms over one term; they
     # must land on the same slack variable and clash immediately
-    lra = LraSolver()
+    lra = LraSolver(2)
     a, ap = _lit({0: 1, 1: 1}, -2, LE)
     b, bp = _lit({0: 2, 1: 2}, -10, ">=")
     assert a != b
@@ -110,12 +111,12 @@ def test_equality_pins_both_sides():
     y2, yp = _lit({1: 1}, -2, EQ)  # y = 2
     sat, lra = _run([(eq, ep), (y2, yp)])
     assert sat
-    assert lra.value_of(0) == DeltaRational(5)
-    assert lra.value_of(1) == DeltaRational(2)
+    assert lra.beta[0] == DeltaRational(5)
+    assert lra.beta[1] == DeltaRational(2)
 
 
 def test_backtracking_restores_bounds():
-    lra = LraSolver()
+    lra = LraSolver(2)
     a, ap = _lit({0: 1}, -5, LE)  # x <= 5
     lra.assert_atom(a, ap, 1)
     m = lra.mark()
@@ -126,11 +127,11 @@ def test_backtracking_restores_bounds():
     c, cp = _lit({0: 1}, -3, ">=")  # x >= 3 fits
     assert lra.assert_atom(c, cp, 3) is None
     assert lra.check()[0] == "sat"
-    assert DeltaRational(3) <= lra.value_of(0) <= DeltaRational(5)
+    assert DeltaRational(3) <= lra.beta[0] <= DeltaRational(5)
 
 
 def test_pivots_survive_backtracking():
-    lra = LraSolver()
+    lra = LraSolver(2)
     s, sp = _lit({0: 1, 1: 1}, -4, LE)  # x + y <= 4
     g, gp = _lit({0: 1, 1: 1}, -3, ">=")  # x + y >= 3
     y0, yp = _lit({1: 1}, 0, ">=")  # y >= 0
@@ -145,12 +146,12 @@ def test_pivots_survive_backtracking():
     lra.backtrack_to(m)
     # rows were pivoted during the failed check; state must still repair
     assert lra.check()[0] == "sat"
-    total = lra.value_of(0) + lra.value_of(1)
+    total = lra.beta[0] + lra.beta[1]
     assert DeltaRational(3) <= total <= DeltaRational(4)
 
 
 def test_past_deadline_interrupts_a_pivoting_check():
-    lra = LraSolver()
+    lra = LraSolver(2)
     s, sp = _lit({0: 1, 1: 1}, 0, LE)  # x + y <= 0
     x1, xp = _lit({0: 1}, -1, ">=")  # x >= 1, so y must pivot in
     assert lra.assert_atom(s, sp, 1) is None
@@ -161,12 +162,12 @@ def test_past_deadline_interrupts_a_pivoting_check():
     assert lra.pivot_count == 0
     lra.deadline = None
     assert lra.check()[0] == "sat"
-    assert lra.value_of(0) >= DeltaRational(1)
-    assert lra.value_of(0) + lra.value_of(1) <= DeltaRational(0)
+    assert lra.beta[0] >= DeltaRational(1)
+    assert lra.beta[0] + lra.beta[1] <= DeltaRational(0)
 
 
 def test_entailment_from_bounds():
-    lra = LraSolver()
+    lra = LraSolver(2)
     a, ap = _lit({0: 1}, -2, LE)  # x <= 2
     lra.assert_atom(a, ap, 5)
     loose, _ = _lit({0: 1}, -3, LE)  # x <= 3 follows
@@ -198,11 +199,11 @@ def _entailment_follows_bounds(lra, coeffs):
 
 
 def test_entailment_is_recomputed_after_backtracking():
-    _entailment_follows_bounds(LraSolver(), {0: 1})
+    _entailment_follows_bounds(LraSolver(1), {0: 1})
 
 
 def test_entailment_is_recomputed_after_a_pivot():
-    lra = LraSolver()
+    lra = LraSolver(2)
     ge1, p1 = _lit({0: 1, 1: 1}, -1, ">=")  # x + y >= 1
     le3, _ = _lit({0: 1, 1: 1}, -3, LE)
     assert lra.assert_atom(ge1, p1, 9) is None
@@ -220,10 +221,8 @@ def test_agreement_with_elimination_oracle():
         sat, lra = _run(lits)
         assert sat == (fm_minimize(lits, 0).status != "infeasible"), seed
         if sat:
-            vids = {v for atom, _ in lits for v in atom.variables()}
-            valuation = {v: lra.value_of(v) for v in vids}
             for atom, pol in lits:
-                assert _satisfied(atom, pol, valuation), seed
+                assert _satisfied(atom, pol, lra.beta), seed
 
 
 class _FullScanSolver(LraSolver):
@@ -243,7 +242,7 @@ class _FullScanSolver(LraSolver):
 def _assert_tableau_holds(lra, where):
     assert set(lra.den) == set(lra.rows), where
     assert lra.bounded == {
-        v for v in range(len(lra.keys)) if lra.lower[v] is not None or lra.upper[v] is not None
+        v for v in range(len(lra.beta)) if lra.lower[v] is not None or lra.upper[v] is not None
     }, where
     for b, row in lra.rows.items():
         d = lra.den[b]
@@ -274,7 +273,7 @@ def test_candidate_set_check_matches_a_full_row_scan():
         rng = random.Random(seed)
         nvars = rng.randint(3, 5)
         pool = [lit for j in range(4) for lit in random_literals(seed * 4 + j, nvars)]
-        lra, ref = LraSolver(), _FullScanSolver()
+        lra, ref = LraSolver(nvars), _FullScanSolver(nvars)
         marks = []
         for step in range(40):
             where = (seed, step)
@@ -397,7 +396,7 @@ def test_fraction_free_rows_match_a_fraction_tableau():
         rng = random.Random(seed)
         nvars = rng.randint(3, 5)
         pool = [lit for j in range(4) for lit in random_literals(seed * 4 + j, nvars)]
-        lra, ref = LraSolver(), _FractionTableauSolver()
+        lra, ref = LraSolver(nvars), _FractionTableauSolver(nvars)
         marks = []
         feasible = True
         for step in range(40):
@@ -418,14 +417,14 @@ def test_fraction_free_rows_match_a_fraction_tableau():
                     del marks[i:]
                     lra.backtrack_to(m)
                     ref.backtrack_to(mr)
-            elif roll < 0.85 or not feasible or not lra.keys:
+            elif roll < 0.85 or not feasible:
                 got = lra.check()
                 assert got == ref.check(), where
                 feasible = got[0] == "sat"
                 if feasible:
                     _assert_tableau_holds(lra, where)
             else:
-                cid = rng.randrange(len(lra.keys))
+                cid = rng.randrange(len(lra.beta))
                 assert minimize_var(lra, cid) == minimize_var(ref, cid), where
                 _assert_tableau_holds(lra, where)
             assert _same_tableau(lra, ref), where

@@ -461,8 +461,10 @@ def test_indexed_entailment_matches_a_full_scan(monkeypatch):
     """The engines and a full-scan reference in lockstep: the same
     propagations at every fixpoint, in the same order, and the same
     slacks created in the same order.  A slack is made only when the
-    search first asserts or asks about one of its atoms, so an engine
-    starts without any."""
+    search first asserts, indexes or asks about one of its atoms, so an
+    engine starts without any.  The families also run inline without
+    the pure-literal filter, where conflict generalization registers
+    atoms in mid-search."""
     engines = {
         "indexed": (omt.TheoryBridge, omt.InlineBridge),
         "full scan": (
@@ -470,23 +472,32 @@ def test_indexed_entailment_matches_a_full_scan(monkeypatch):
             type("FullScanInlineBridge", (_FullScanEntailment, omt.InlineBridge), {}),
         ),
     }
-    problems = [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("*.smt2"))]
-    problems += [corpus_problem(seed) for seed in range(40)]
+    families = [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("*.smt2"))]
+    problems = families + [corpus_problem(seed) for seed in range(40)]
     problems += [parse_problem(boolean_structure_text(seed)) for seed in range(40)]
+    cases = [(problem, cfg) for problem in problems for cfg in ALL_CONFIGS]
+    cases += [
+        (problem, OmtConfig(schema="inline", search=search, pure_literal=False))
+        for problem in families
+        for search in ("linear", "binary")
+    ]
     entailed = 0
-    for i, problem in enumerate(problems):
-        for cfg in ALL_CONFIGS:
-            runs = {}
-            for side, (offline, inline) in engines.items():
-                bridges = []
-                monkeypatch.setattr(omt, "TheoryBridge", _recording(offline, bridges))
-                monkeypatch.setattr(omt, "InlineBridge", _recording(inline, bridges))
-                out = solve(problem, cfg)
-                assert all(b.slacks_at_start == 0 for b in bridges), (i, cfg, side)
-                runs[side] = (out.status, out.value, [(b.props, b.lra.keys) for b in bridges])
-            assert runs["indexed"] == runs["full scan"], (i, cfg)
-            for fixpoints, _ in runs["indexed"][2]:
-                entailed += sum(map(len, fixpoints))
+    for i, (problem, cfg) in enumerate(cases):
+        runs = {}
+        for side, (offline, inline) in engines.items():
+            bridges = []
+            monkeypatch.setattr(omt, "TheoryBridge", _recording(offline, bridges))
+            monkeypatch.setattr(omt, "InlineBridge", _recording(inline, bridges))
+            out = solve(problem, cfg)
+            assert all(b.slacks_at_start == 0 for b in bridges), (i, cfg, side)
+            runs[side] = (
+                out.status,
+                out.value,
+                [(b.props, list(b.lra.slack_of)) for b in bridges],
+            )
+        assert runs["indexed"] == runs["full scan"], (i, cfg)
+        for fixpoints, _ in runs["indexed"][2]:
+            entailed += sum(map(len, fixpoints))
     assert entailed > 0  # the inputs reach theory propagations
 
 

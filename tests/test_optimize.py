@@ -62,8 +62,8 @@ def test_chained_descent():
 
 
 def test_minimize_preserves_feasibility():
-    lra = LraSolver()
-    cid = lra.new_var(0)
+    lra = LraSolver(2)
+    cid = 0
     lits = _lits(
         ({0: 1, 1: 1}, -4, ">="),  # cost + y >= 4
         ({1: 1}, -3, "<="),  # y <= 3
@@ -75,14 +75,14 @@ def test_minimize_preserves_feasibility():
     res = minimize_var(lra, cid)
     assert res == DeltaRational(1)
     # the state is a model with the objective at the reported minimum
-    assert lra.value_of(0) == DeltaRational(1)
+    assert lra.beta[0] == DeltaRational(1)
     assert lra.check()[0] == "sat"
 
 
 def test_objective_leaving_basis_at_its_own_bound():
     # cost is basic via the equality row and its own bound is binding
-    lra = LraSolver()
-    cid = lra.new_var(0)
+    lra = LraSolver(2)
+    cid = 0
     lits = _lits(
         ({0: 1, 1: -1}, 0, "="),  # cost = y
         ({0: 1}, -2, ">="),  # cost >= 2
@@ -95,8 +95,8 @@ def test_objective_leaving_basis_at_its_own_bound():
 
 
 def test_free_variable_is_unbounded():
-    lra = LraSolver()
-    cid = lra.new_var(0)
+    lra = LraSolver(1)
+    cid = 0
     assert minimize_var(lra, cid) is None
 
 
