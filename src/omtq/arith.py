@@ -6,6 +6,14 @@ assumes exact arithmetic, never floats.  Delta-rationals are pairs
 delta, which is how strict inequalities are represented inside the
 simplex core: (t < c) becomes an upper bound (c, -1) and (t > c) a lower
 bound (c, +1).
+
+A delta-rational keeps each field in one normal form: an ``int`` when
+the value is integral, otherwise a ``Fraction`` with denominator > 1.
+``int`` and ``Fraction`` mix exactly and their order and hashes agree,
+so the form changes no result, only the cost: on integral values the
+simplex adds machine-word ints instead of building Fractions.  Public
+results (values, models, epsilons) are ``Fraction`` again, and every
+division of a field is a ``Fraction`` division, never ``int / int``.
 """
 
 from __future__ import annotations
@@ -30,26 +38,25 @@ def rat(value, den=None) -> Fraction:
     return Fraction(value)
 
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 class DeltaRational:
     """real + eps * delta, ordered lexicographically on (real, eps).
 
-    Both fields are always Fractions.  The simplex hot loop builds and
-    compares these by the million, so results are made by ``_make``
-    without re-wrapping their fields, a zero eps is the shared ``_ZERO``
-    (operations skip eps arithmetic when an operand's eps is that
-    object), and comparisons look at ``eps`` only when the reals tie.
+    Each field is an ``int`` when its value is integral, else a
+    ``Fraction`` with denominator > 1; a zero eps is the int ``_ZERO``.
+    The simplex hot loop builds and compares these by the million, so
+    results are made by ``_make``, which normalizes the real part only,
+    operations skip eps arithmetic when an operand's eps is ``_ZERO``,
+    and comparisons look at ``eps`` only when the reals tie.
     """
 
     __slots__ = ("real", "eps")
 
     def __init__(self, real, eps=0):
-        self.real = real if type(real) is Fraction else Fraction(real)
-        if type(eps) is not Fraction:
-            eps = Fraction(eps)
-        self.eps = _nonzero_or_shared(eps)
+        self.real = _integral_or_fraction(real if type(real) is int else Fraction(real))
+        self.eps = _nonzero_or_shared(eps if type(eps) is int else Fraction(eps))
 
     def __add__(self, other: "DeltaRational") -> "DeltaRational":
         e, f = self.eps, other.eps
@@ -72,8 +79,9 @@ class DeltaRational:
         return _make(-self.real, e if e is _ZERO else -e)
 
     def scaled(self, k) -> "DeltaRational":
-        if type(k) is not Fraction:
-            k = Fraction(k)
+        """The value times the rational ``k`` (an int or a Fraction)."""
+        if type(k) is not int:
+            k = _integral_or_fraction(k if type(k) is Fraction else Fraction(k))
         e = self.eps
         return _make(self.real * k, e if e is _ZERO else _nonzero_or_shared(e * k))
 
@@ -112,7 +120,8 @@ class DeltaRational:
         return a > b
 
     def substitute(self, epsilon) -> Fraction:
-        """Concrete value once delta is fixed to a positive rational."""
+        """Concrete value, a Fraction, once delta is fixed to a positive
+        rational."""
         return self.real + self.eps * Fraction(epsilon)
 
     def __repr__(self):
@@ -124,15 +133,27 @@ class DeltaRational:
 _new_delta = object.__new__
 
 
-def _make(real: Fraction, eps: Fraction) -> DeltaRational:
-    """DeltaRational from two Fractions, without converting them."""
+def _make(real, eps) -> DeltaRational:
+    """DeltaRational from a real part in either form and a normal eps."""
     d = _new_delta(DeltaRational)
-    d.real = real
+    d.real = real if type(real) is int or real.denominator != 1 else real.numerator
     d.eps = eps
     return d
 
 
-def _nonzero_or_shared(eps: Fraction) -> Fraction:
+def _integral_or_fraction(q):
+    """``q`` (an int or a Fraction) in normal form."""
+    if type(q) is int or q.denominator != 1:
+        return q
+    return q.numerator
+
+
+def _nonzero_or_shared(eps):
+    """``eps`` in normal form, with a zero as ``_ZERO``."""
+    if type(eps) is not int:
+        if eps.denominator != 1:
+            return eps
+        eps = eps.numerator
     return eps if eps else _ZERO
 
 
@@ -167,7 +188,7 @@ def materialize_epsilon(valuation, literals) -> Fraction:
         if k > 0:
             if r >= 0:
                 raise ValueError(f"literal violated symbolically: {atom}")
-            limit = -r / k
+            limit = Fraction(-r) / k
             if strict:
                 limit = limit / 2
             bound = min(bound, limit)

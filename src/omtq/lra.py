@@ -26,6 +26,18 @@ on rows of unit coefficients it does integer additions alone.  Every
 choice the search makes reads the coefficients' signs or exact ratios,
 so it pivots as a tableau of ``Fraction`` entries would.
 
+Values are delta-rationals whose fields are ``int`` when integral (see
+``arith``), and ``LraSolver(n, scale)`` keeps every value times one
+positive ``int`` scale D: ``effective_bounds`` multiplies each bound by
+D, its delta part included.  Rows and slacks do not depend on D, and
+every update and comparison is linear in the values, so the assignment
+is exactly D times the one an unscaled solver reaches, through the same
+pivots.  A caller that picks D divides by it where values leave the
+solver: the result of ``minimize_var``, ``beta`` and the values of
+``effective_bounds``.  The search engines choose D so that the bounds
+of the input's atoms are integral, and on most inputs so is the whole
+assignment; ``LraSolver(n)`` has D = 1.
+
 ``check`` does not scan every row for a violated bound.  The solver
 keeps a set of candidate basic variables that may be out of bounds: a
 basic variable joins it when its value changes, when one of its bounds
@@ -77,7 +89,8 @@ class LraSolver:
     """Variables are dense integer ids: the problem variables ``0..n-1``,
     then the slacks."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, scale: int = 1):
+        self.scale = scale  # every value is kept times this positive int
         self.rows: dict[int, dict[int, int]] = {}
         self.den: dict[int, int] = {}  # basic variable -> row denominator
         self.beta: list[DeltaRational] = [DeltaRational(0)] * n
@@ -155,10 +168,10 @@ class LraSolver:
         if atom.rel == LE:
             if polarity:
                 return [(False, DeltaRational(c))]
-            return [(True, DeltaRational(c, Fraction(1)))]
+            return [(True, DeltaRational(c, 1))]
         if atom.rel == LT:
             if polarity:
-                return [(False, DeltaRational(c, Fraction(-1)))]
+                return [(False, DeltaRational(c, -1))]
             return [(True, DeltaRational(c))]
         if atom.rel == EQ:
             if polarity:
@@ -167,19 +180,18 @@ class LraSolver:
         raise ValueError(f"unknown relation {atom.rel!r}")
 
     def effective_bounds(self, atom: Atom, polarity: bool):
-        """List of (var, is_lower, value) bounds asserted by the literal.
+        """List of (var, is_lower, value) bounds asserted by the literal,
+        values times ``scale``, their delta parts included.
 
         Computed once per literal; callers must not mutate the list."""
         out = self.bounds_of.get((atom, polarity))
         if out is not None:
             return out
         vid, flipped = self.slack_for(atom.coeffs)
+        k = -self.scale if flipped else self.scale
         out = []
         for is_lower, val in self._atom_bounds(atom, polarity):
-            if flipped:
-                out.append((vid, not is_lower, val.scaled(Fraction(-1))))
-            else:
-                out.append((vid, is_lower, val))
+            out.append((vid, is_lower != flipped, val if k == 1 else val.scaled(k)))
         self.bounds_of[(atom, polarity)] = out
         return out
 

@@ -32,10 +32,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .arith import EQ, LE, LT, DeltaRational, materialize_epsilon
-from .formula import OmtProblem, normalize_atom
+from .formula import CnfFormula, OmtProblem, normalize_atom
 from .lra import Interrupted, LraSolver, conjunction_min, dedupe_lits, minimize_var
 from .sat import SatSolver, TheoryClient
 
@@ -94,6 +95,16 @@ class OmtOutcome:
 # shared plumbing
 
 
+def problem_scale(formula: CnfFormula, lb, ub) -> int:
+    """The scale of a problem's simplex values: the lcm of the
+    denominators of every atom constant and of the range bounds, so
+    that every bound of the input is integral once scaled."""
+    atoms = (formula.atom_of(v) for v in range(1, formula.num_solver_vars + 1))
+    dens = {atom.const.denominator for atom in atoms if atom is not None}
+    dens.update(q.denominator for q in (lb, ub) if q is not None)
+    return lcm(*dens)
+
+
 def _cost_atom(problem: OmtProblem, value: Fraction, rel: str):
     """(atom, polarity) of (cost rel value)."""
     return normalize_atom({problem.cost: Fraction(1)}, -Fraction(value), rel)
@@ -113,6 +124,11 @@ class TheoryBridge(TheoryClient):
     clauses and the units pinning the cost into [lb, ub[, the simplex
     solver with the deadline, the counters, the cost range and the best
     model found so far.
+
+    The simplex keeps its values times ``problem_scale``; they are
+    divided back (``_unscaled``) where they leave it: the minimum of the
+    cost, the model's valuation and the root bounds on the cost.  The
+    cost range, the cost atoms and the outcome are in problem units.
     """
 
     def __init__(self, problem: OmtProblem, config: OmtConfig):
@@ -124,7 +140,7 @@ class TheoryBridge(TheoryClient):
         self.sat.ensure_vars(formula.num_solver_vars)
         for cl in formula.clauses:
             self.sat.add_clause(cl)
-        self.lra = LraSolver(len(formula.rat_names))
+        self.lra = LraSolver(len(formula.rat_names), problem_scale(formula, problem.lb, problem.ub))
         self.ptr = 0
         self.marks: list[tuple] = []  # (trail_pos, lra_mark, atom, polarity)
         self.forced_lits: set[int] = set()
@@ -260,6 +276,7 @@ class TheoryBridge(TheoryClient):
         m = minimize_var(self.lra, self.problem.cost)
         if m is None:
             return None
+        m = self._unscaled(m)
         if self.best is None or m < self.best[0]:
             eps, model = self.snapshot_model()
             self.best = (m, model, eps)
@@ -276,7 +293,9 @@ class TheoryBridge(TheoryClient):
         self.stats.restarts = sat_stats.restarts
         self.stats.simplex_pivots = self.lra.pivot_count
         self.stats.loops = self.range.loops
-        out = OmtOutcome(status, lower_trace=self.range.trace, stats=self.stats)
+        # values may be ints inside; the outcome's are Fractions
+        trace = [Fraction(q) for q in self.range.trace]
+        out = OmtOutcome(status, lower_trace=trace, stats=self.stats)
         if status == UNBOUNDED:
             return out
         if self.best is None:
@@ -284,18 +303,24 @@ class TheoryBridge(TheoryClient):
                 out.status, out.value = UNSAT, self.problem.ub
             return out
         m, out.model, out.epsilon = self.best
-        out.value, out.attained = m.real, m.eps == 0
+        out.value, out.attained = Fraction(m.real), m.eps == 0
         return out
 
     def current_literals(self):
         return [(atom, pol) for (_, _, atom, pol) in self.marks]
 
+    def _unscaled(self, v: DeltaRational) -> DeltaRational:
+        """A simplex value in problem units."""
+        d = self.lra.scale
+        return v if d == 1 else v.scaled(Fraction(1, d))
+
     def snapshot_model(self):
         """(epsilon, concrete model) at the current simplex assignment."""
         names = self.formula.rat_names
-        valuation = {i: self.lra.beta[i] for i in range(len(names))}
+        beta = self.lra.beta
+        valuation = {i: self._unscaled(beta[i]) for i in range(len(names))}
         eps0 = materialize_epsilon(valuation, self.current_literals())
-        eps = eps0 / 2
+        eps = Fraction(eps0, 2)
         model = {name: valuation[i].substitute(eps) for i, name in enumerate(names)}
         return eps, model
 
@@ -313,11 +338,11 @@ def compute_pivot(l, u) -> Fraction:
 class CostRange:
     """The candidate range [l, u[ of the cost, shrunk by both engines.
 
-    The ends are delta-rational bounds on the cost, the form the simplex
-    keeps bounds in: ``lo`` is l or l+delta and ``hi`` is u-delta or u
-    (None while unknown), so the range is empty when ``hi < lo``.  A
-    model lowers ``hi``; a refuted pivot or a unit bound raises ``lo``,
-    and ``trace`` records each new value of l.  ``loops`` counts the
+    The ends are delta-rational bounds on the cost in problem units (the
+    simplex keeps its bounds scaled): ``lo`` is l or l+delta and ``hi``
+    is u-delta or u (None while unknown), so the range is empty when
+    ``hi < lo``.  A model lowers ``hi``; a refuted pivot or a unit bound
+    raises ``lo``, and ``trace`` records each new value of l.  ``loops`` counts the
     range-update iterations (offline: solver calls; inline: changes of
     the root bounds) against ``max_loops``.
     """
@@ -435,6 +460,7 @@ class InlineBridge(TheoryBridge):
             if not polarity and atom.rel == EQ:
                 continue
             for _, is_lower, val in self.lra.effective_bounds(atom, polarity):
+                val = self._unscaled(val)
                 if is_lower:
                     if best_lo is None or val > best_lo:
                         best_lo = val

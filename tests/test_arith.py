@@ -81,9 +81,17 @@ DELTA_INPUTS = [
 SCALARS = [1, -2, Fraction(3, 5), Fraction(-7, 2)]
 
 
+def _normal(q) -> bool:
+    """The DeltaRational field form: an int iff the value is integral,
+    else a Fraction with denominator > 1."""
+    if type(q) is int:
+        return True
+    return type(q) is Fraction and q.denominator > 1
+
+
 def _check_delta(d, real, eps):
     assert (d.real, d.eps) == (real, eps)
-    assert type(d.real) is Fraction and type(d.eps) is Fraction
+    assert _normal(d.real) and _normal(d.eps), (d.real, d.eps)
     assert hash(d) == hash((d.real, d.eps)) == hash((Fraction(real), Fraction(eps)))
 
 
@@ -129,6 +137,17 @@ def test_materialize_epsilon_strict_bound_halves_the_slack():
     eps = materialize_epsilon(val, [(strict, sp)])
     assert eps == Fraction(1, 4)
     assert val[0].substitute(eps) < Fraction(1, 2)
+
+
+def test_materialize_epsilon_is_exact_on_integral_fields():
+    # at x = 2*delta with int fields: eps0 is 1/2 for x <= 1 and 1/4 for
+    # x < 1, each a Fraction (1 / 2 on two ints would be a float)
+    val = {0: DeltaRational(0, 2)}
+    weak, wp = _atom({0: 1}, -1, LE)
+    strict, sp = _atom({0: 1}, -1, LT)
+    for literal, want in (((weak, wp), Fraction(1, 2)), ((strict, sp), Fraction(1, 4))):
+        eps = materialize_epsilon(val, [literal])
+        assert type(eps) is Fraction and eps == want
 
 
 def test_materialize_epsilon_receding_witness_is_unconstrained():

@@ -8,6 +8,7 @@ import pytest
 from helpers import boolean_structure_text, corpus_problem, model_satisfies, text_holds
 from omtq import OmtConfig, SearchStats, compute_pivot, crosscheck, lra, omt, solve
 from omtq.encodings import jobshop_problem, strip_packing_problem
+from omtq.formula import OmtProblem
 from omtq.omt import CostRange, smt_decide
 from omtq.oracle import oracle_solve
 from omtq.parser import parse_problem
@@ -510,6 +511,63 @@ def test_lower_trace_rises_to_the_reported_value():
             assert trace, cfg
             assert all(a < b for a, b in zip(trace, trace[1:])), (cfg, trace)
             assert trace[-1] <= out.value, (cfg, trace, out.value)
+
+
+# -- exact result values and the simplex's scale -----------------------------
+
+
+def test_result_values_are_fractions():
+    """Inside the simplex an integral value is an ``int``; every value of
+    an outcome is a ``Fraction`` (a Bool in the model a ``bool``), and an
+    ``int / int`` left on the way out would make a ``float``.  Corpus
+    seeds 348 and 390 reach epsilon limits with integral fields."""
+    problems = [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("*.smt2"))]
+    problems += [corpus_problem(seed) for seed in range(400)]
+    strict_models = 0
+    for i, problem in enumerate(problems):
+        rat_names = set(problem.formula.rat_names)
+        for cfg in ALL_CONFIGS:
+            out = solve(problem, cfg)
+            where = (i, cfg)
+            assert out.value is None or type(out.value) is Fraction, where
+            assert out.epsilon is None or type(out.epsilon) is Fraction, where
+            assert all(type(q) is Fraction for q in out.lower_trace), where
+            for name, val in (out.model or {}).items():
+                assert type(val) is (Fraction if name in rat_names else bool), (where, name)
+            strict_models += out.epsilon is not None and out.epsilon < Fraction(1, 2)
+    assert strict_models > 0  # some models are materialized at a strict bound
+
+
+def test_scaled_simplex_matches_unit_scale(monkeypatch):
+    """The simplex keeps its values times ``problem_scale``; with the
+    scale forced to 1 every outcome, model, epsilon, lower trace and
+    search counter is the same.  The inputs have fractional constants
+    or range bounds, or neither, and run under the four configurations
+    and inline without the pure-literal filter, where conflict
+    generalization runs."""
+    strips = [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("strip-*.smt2"))]
+    strips += [strip_packing_problem(n, 1, seed)[0] for n in (3, 4) for seed in (0, 1)]
+    problems = strips + [corpus_problem(seed) for seed in range(100)]
+    for problem in strips[3:5] + problems[-20:] + [parse_problem(EX1)]:
+        problems.append(OmtProblem(problem.formula, problem.cost, Fraction(-7, 3), Fraction(61, 4)))
+    configs = ALL_CONFIGS + [
+        OmtConfig(schema="inline", search=search, pure_literal=False)
+        for search in ("linear", "binary")
+    ]
+    problem_scale = omt.problem_scale
+    scales = []
+
+    def recorded_scale(formula, lb, ub):
+        scales.append(problem_scale(formula, lb, ub))
+        return scales[-1]
+
+    for i, problem in enumerate(problems):
+        for cfg in configs:
+            monkeypatch.setattr(omt, "problem_scale", recorded_scale)
+            scaled = solve(problem, cfg)
+            monkeypatch.setattr(omt, "problem_scale", lambda formula, lb, ub: 1)
+            assert scaled == solve(problem, cfg), (i, cfg)
+    assert {1, 12}.issubset(scales)  # integral inputs, and the strips' denominators 2, 3, 4
 
 
 # -- the reader's Boolean structure against the reference solver ------------
