@@ -342,16 +342,27 @@ class LraSolver:
 
     def _entering(self, row: dict[int, int], need_raise: bool) -> Optional[int]:
         """Bland's rule: the smallest nonbasic variable of the row that can
-        move the row's basic variable up (``need_raise``) or down, or None."""
-        for y in sorted(row):
-            a = row[y]
-            if need_raise:
-                ok = (a > 0 and self._below_upper(y)) or (a < 0 and self._above_lower(y))
+        move the row's basic variable up (``need_raise``) or down, or None.
+
+        One unsorted walk over the row keeps the smallest eligible
+        variable seen; a variable above it is skipped before its bounds
+        are read.  Rows hold no zero coefficients, so ``y`` must rise
+        exactly when the sign of its coefficient agrees with
+        ``need_raise``."""
+        lower, upper, beta = self.lower, self.upper, self.beta
+        best = None
+        for y, a in row.items():
+            if best is not None and y > best:
+                continue
+            if (a > 0) == need_raise:
+                up = upper[y]
+                if up is None or beta[y] < up[0]:
+                    best = y
             else:
-                ok = (a > 0 and self._above_lower(y)) or (a < 0 and self._below_upper(y))
-            if ok:
-                return y
-        return None
+                lo = lower[y]
+                if lo is None or beta[y] > lo[0]:
+                    best = y
+        return best
 
     def check(self):
         """Repair feasibility.  Returns ('sat', None) or ('unsat', clause).
@@ -375,14 +386,6 @@ class LraSolver:
                         reasons.append(self.lower[y][1])
                 return "unsat", dedupe_lits([-r for r in reasons])
             self._pivot_and_update(x, enter, target)
-
-    def _below_upper(self, y: int) -> bool:
-        up = self.upper[y]
-        return up is None or self.beta[y] < up[0]
-
-    def _above_lower(self, y: int) -> bool:
-        lo = self.lower[y]
-        return lo is None or self.beta[y] > lo[0]
 
     # -- bound-based entailment -------------------------------------------
 

@@ -286,7 +286,8 @@ class TheoryBridge(TheoryClient):
         """The engine's result with its final counters.  ``status`` is
         UNBOUNDED, INTERRUPTED (the best model so far is attached), or
         OPTIMUM for an exhausted range, which becomes UNSAT with the
-        input upper bound as its value when no model was found."""
+        input upper bound, as a ``Fraction``, as its value when no model
+        was found."""
         sat_stats = self.sat.stats
         self.stats.decisions = sat_stats.decisions
         self.stats.conflicts = sat_stats.conflicts
@@ -300,7 +301,8 @@ class TheoryBridge(TheoryClient):
             return out
         if self.best is None:
             if status == OPTIMUM:
-                out.status, out.value = UNSAT, self.problem.ub
+                ub = self.problem.ub
+                out.status, out.value = UNSAT, None if ub is None else Fraction(ub)
             return out
         m, out.model, out.epsilon = self.best
         out.value, out.attained = Fraction(m.real), m.eps == 0

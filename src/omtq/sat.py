@@ -13,11 +13,17 @@ on top:
 * a client object consulted at propagation fixpoints, on backjumps and
   at decision level zero, through which the theory solver and the
   optimization schemas plug in.
+
+The hot loops (propagation, watch selection in ``add_clause``, conflict
+analysis) make no method call per literal: they read ``assign`` directly,
+a literal ``l`` being true when ``assign[l] == 1`` for ``l > 0`` and
+``assign[-l] == -1`` otherwise.  ``value`` is the accessor for clients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Optional
 
 
@@ -86,6 +92,7 @@ def luby(i: int) -> int:
 
 
 RESTART_UNIT = 100
+UNASSIGNED_RANK = 1 << 30  # above every decision level, in add_clause
 VAR_DECAY = 0.95
 CLA_DECAY = 0.999
 
@@ -158,12 +165,6 @@ class SatSolver:
         self.watches.setdefault(c.lits[0], []).append(c)
         self.watches.setdefault(c.lits[1], []).append(c)
 
-    def _detach(self, c: Clause):
-        for l in c.lits[:2]:
-            w = self.watches.get(l)
-            if w and c in w:
-                w.remove(c)
-
     def add_clause(self, lits, learnt: bool = False) -> Optional[Clause]:
         """Add a clause; duplicates inside the clause are removed and
         tautologies dropped.  Callable at any decision level.  The clause
@@ -172,14 +173,9 @@ class SatSolver:
         highest-level literals, and a caller whose clause is already unit
         or false under the trail enqueues its literal or calls
         ``queue_unit_check``."""
-        seen = {}
-        out = []
-        for l in lits:
-            if -l in seen:
-                return None  # tautology
-            if l not in seen:
-                seen[l] = True
-                out.append(l)
+        out = list(dict.fromkeys(lits))
+        if not set(out).isdisjoint(map(neg, out)):
+            return None  # tautology
         c = Clause(out, learnt)
         if not learnt:
             self._count_occs(out)
@@ -190,12 +186,14 @@ class SatSolver:
             self._pending_units.append(c)
             return c
         # watch the two highest-level literals so no propagation is missed
-        # when the clause arrives already (partly) assigned
-        def rank(l):
-            return (1 << 30) if self.value(l) == 0 else self.level[abs(l)]
-        a = max(range(len(out)), key=lambda i: rank(out[i]))
+        # when the clause arrives already (partly) assigned; an unassigned
+        # literal ranks above every level, and ties go to the first
+        assign, level = self.assign, self.level
+        rank = [level[v] if assign[v] else UNASSIGNED_RANK for v in map(abs, out)]
+        a = rank.index(max(rank))
         out[0], out[a] = out[a], out[0]
-        s = max(range(1, len(out)), key=lambda i: rank(out[i]))
+        rank[0], rank[a] = rank[a], rank[0]
+        s = rank.index(max(rank[1:]), 1)
         out[1], out[s] = out[s], out[1]
         c.lits = out
         (self.learnts if learnt else self.clauses).append(c)
@@ -207,23 +205,24 @@ class SatSolver:
     def enqueue(self, lit: int, reason: Optional[Clause] = None):
         v = abs(lit)
         self.assign[v] = 1 if lit > 0 else -1
-        self.level[v] = self.decision_level
+        self.level[v] = len(self.trail_lim)
         self.reason_[v] = reason
         self.trail.append(lit)
         self.stats.propagations += 1
 
     def cancel_until(self, lvl: int):
-        if self.decision_level <= lvl:
+        trail, trail_lim = self.trail, self.trail_lim
+        if len(trail_lim) <= lvl:
             return
-        bound = self.trail_lim[lvl]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[i]
-            v = abs(lit)
-            self.phase[v] = lit > 0
-            self.assign[v] = 0
-            self.reason_[v] = None
-        del self.trail[bound:]
-        del self.trail_lim[lvl:]
+        bound = trail_lim[lvl]
+        assign, phase, reason = self.assign, self.phase, self.reason_
+        for lit in trail[bound:]:
+            v = lit if lit > 0 else -lit
+            phase[v] = lit > 0
+            assign[v] = 0
+            reason[v] = None
+        del trail[bound:]
+        del trail_lim[lvl:]
         self.qhead = bound
         if self.client is not None:
             self.client.on_backjump(self, bound)
@@ -238,65 +237,70 @@ class SatSolver:
         self._pending_units.append(c)
 
     def _bcp(self) -> Optional[Clause]:
-        if self.decision_level == 0 and self._pending_units:
+        assign, trail, watches = self.assign, self.trail, self.watches
+        if not self.trail_lim and self._pending_units:
             pending, self._pending_units = self._pending_units, []
             for c in pending:
                 unassigned = None
-                satisfied = False
                 nfree = 0
                 for l in c.lits:
-                    v = self.value(l)
-                    if v == 1:
-                        satisfied = True
+                    val = assign[l] if l > 0 else -assign[-l]
+                    if val == 1:
                         break
-                    if v == 0:
+                    if val == 0:
                         nfree += 1
                         unassigned = l
-                if satisfied or nfree > 1:
-                    continue
-                if nfree == 0:
-                    return c
-                self.enqueue(unassigned, c)
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = -p
-            ws = self.watches.get(falsified)
+                else:
+                    if nfree == 0:
+                        return c
+                    if nfree == 1:
+                        self.enqueue(unassigned, c)
+        qhead = self.qhead
+        confl = None
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            ws = watches.get(falsified)
             if not ws:
                 continue
-            keep = []
-            i = 0
-            confl = None
-            while i < len(ws):
+            # compact the watch list in place: ws[:j] are the clauses that
+            # stay, ws[i:] the ones not yet visited
+            n = len(ws)
+            i = j = 0
+            while i < n:
                 c = ws[i]
                 i += 1
                 lits = c.lits
-                if lits[0] == falsified:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self.value(first) == 1:
-                    keep.append(c)
+                if first == falsified:
+                    first = lits[0] = lits[1]
+                    lits[1] = falsified
+                val = assign[first] if first > 0 else -assign[-first]
+                if val == 1:
+                    ws[j] = c
+                    j += 1
                     continue
-                moved = False
-                for j in range(2, len(lits)):
-                    if self.value(lits[j]) != -1:
-                        lits[1], lits[j] = lits[j], lits[1]
-                        self.watches.setdefault(lits[1], []).append(c)
-                        moved = True
+                for k in range(2, len(lits)):
+                    l = lits[k]
+                    if (assign[l] if l > 0 else -assign[-l]) != -1:
+                        lits[k] = lits[1]
+                        lits[1] = l
+                        watches.setdefault(l, []).append(c)
                         break
-                if moved:
-                    continue
-                keep.append(c)
-                if self.value(first) == -1:
-                    keep.extend(ws[i:])
-                    confl = c
-                    break
-                self.enqueue(first, c)
-            self.watches[falsified] = keep
+                else:  # no other watch: the clause is unit or false
+                    ws[j] = c
+                    j += 1
+                    if val == -1:
+                        confl = c
+                        break
+                    self.enqueue(first, c)
             if confl is not None:
-                self.qhead = len(self.trail)
-                return confl
-        return None
+                ws[j:] = ws[i:]
+                qhead = len(trail)
+                break
+            del ws[j:]
+        self.qhead = qhead
+        return confl
 
     def propagate(self):
         """BCP plus theory fixpoint.  Returns None, a conflicting Clause,
@@ -353,9 +357,13 @@ class SatSolver:
     def bump_var(self, v: int):
         self.activity[v] += self.var_inc
         if self.activity[v] > 1e100:
-            for i in range(1, self.nvars + 1):
-                self.activity[i] *= 1e-100
-            self.var_inc *= 1e-100
+            self._rescale_activity()
+
+    def _rescale_activity(self):
+        activity = self.activity
+        for i in range(1, self.nvars + 1):
+            activity[i] *= 1e-100
+        self.var_inc *= 1e-100
 
     def bump_clause(self, c: Clause):
         c.activity += self.cla_inc
@@ -366,35 +374,41 @@ class SatSolver:
 
     def analyze(self, confl: Clause):
         """First-UIP learning.  Returns (learnt_lits, backjump_level)."""
+        level, trail, activity = self.level, self.trail, self.activity
+        lvl = len(self.trail_lim)
+        var_inc = self.var_inc
         learnt = [0]
         seen = [False] * (self.nvars + 1)
         counter = 0
-        p = None
-        index = len(self.trail)
+        p = 0
+        index = len(trail)
         c = confl
         while True:
             if c.learnt:
                 self.bump_clause(c)
             for q in c.lits:
-                v = abs(q)
-                if p is not None and q == p:
+                if q == p:
                     # the literal this reason clause implied; already resolved
                     continue
-                if self.level[v] == 0:
+                v = q if q > 0 else -q
+                qlvl = level[v]
+                if qlvl == 0 or seen[v]:
                     continue
-                if not seen[v]:
-                    seen[v] = True
-                    self.bump_var(v)
-                    if self.level[v] >= self.decision_level:
-                        counter += 1
-                    else:
-                        learnt.append(q)
+                seen[v] = True
+                activity[v] += var_inc
+                if activity[v] > 1e100:
+                    self._rescale_activity()
+                    var_inc = self.var_inc
+                if qlvl >= lvl:
+                    counter += 1
+                else:
+                    learnt.append(q)
             while True:
                 index -= 1
-                if seen[abs(self.trail[index])]:
+                p = trail[index]
+                v = p if p > 0 else -p
+                if seen[v]:
                     break
-            p = self.trail[index]
-            v = abs(p)
             counter -= 1
             if counter == 0:
                 break
@@ -402,12 +416,14 @@ class SatSolver:
             seen[v] = False
         learnt[0] = -p
         if len(learnt) == 1:
-            bt = 0
-        else:
-            # put the highest-level of the remaining literals second
-            m = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
-            learnt[1], learnt[m] = learnt[m], learnt[1]
-            bt = self.level[abs(learnt[1])]
+            return learnt, 0
+        # put the highest-level of the remaining literals second
+        m, bt = 1, level[abs(learnt[1])]
+        for i in range(2, len(learnt)):
+            qlvl = level[abs(learnt[i])]
+            if qlvl > bt:
+                m, bt = i, qlvl
+        learnt[1], learnt[m] = learnt[m], learnt[1]
         return learnt, bt
 
     def analyze_final(self, p: int) -> list[int]:
@@ -437,12 +453,17 @@ class SatSolver:
     # -- clause db ---------------------------------------------------------
 
     def reduce_db(self):
+        """Delete the less active half of the unlocked learnt clauses
+        longer than two literals, in one pass over the learnts and over
+        each affected watch list; the survivors keep their order."""
         locked = {id(self.reason_[abs(l)]) for l in self.trail if self.reason_[abs(l)] is not None}
         removable = [c for c in self.learnts if len(c.lits) > 2 and id(c) not in locked]
         removable.sort(key=lambda c: c.activity)
-        for c in removable[: len(removable) // 2]:
-            self._detach(c)
-            self.learnts.remove(c)
+        dead = set(removable[: len(removable) // 2])
+        self.learnts[:] = [c for c in self.learnts if c not in dead]
+        for l in {l for c in dead for l in c.lits[:2]}:
+            w = self.watches[l]
+            w[:] = [c for c in w if c not in dead]
 
     # -- search ------------------------------------------------------------
 
@@ -483,8 +504,7 @@ class SatSolver:
                 conflicts_since += 1
                 # make sure the conflict clause has a literal at the
                 # current level (theory lemmas may lag behind)
-                levels = [self.level[abs(l)] for l in confl.lits]
-                top = max(levels, default=0)
+                top = max(map(self.level.__getitem__, map(abs, confl.lits)), default=0)
                 if top < self.decision_level:
                     self.cancel_until(top)
                 if self.decision_level == 0:

@@ -41,6 +41,20 @@ def random_cnf(seed: int, max_vars: int = 16):
     return nvars, clauses
 
 
+def random_pb(seed: int, num_bools: int = 30, ratio: float = 3.5):
+    """Weighted random 3-CNF, the shape of the benchmark's ``pb`` pool:
+    (num_bools, clauses, weights) for ``encode_pb``."""
+    rng = SplitMix64(seed)
+    clauses = []
+    for _ in range(round(num_bools * ratio)):
+        chosen = set()
+        while len(chosen) < 3:
+            chosen.add(rng.randint(1, num_bools))
+        clauses.append([v if rng.randint(0, 1) else -v for v in sorted(chosen)])
+    weights = [rng.randint(1, 9) for _ in range(num_bools)]
+    return num_bools, clauses, weights
+
+
 def truth_table(nvars: int):
     """Bool matrix of shape (2**nvars, nvars): row r = assignment r."""
     rows = np.arange(1 << nvars, dtype=np.uint32)

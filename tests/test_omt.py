@@ -7,7 +7,7 @@ import pytest
 
 from helpers import boolean_structure_text, corpus_problem, model_satisfies, text_holds
 from omtq import OmtConfig, SearchStats, compute_pivot, crosscheck, lra, omt, solve
-from omtq.encodings import jobshop_problem, strip_packing_problem
+from omtq.encodings import encode_pb, jobshop_problem, strip_packing_problem
 from omtq.formula import OmtProblem
 from omtq.omt import CostRange, smt_decide
 from omtq.oracle import oracle_solve
@@ -525,17 +525,40 @@ def test_result_values_are_fractions():
     problems += [corpus_problem(seed) for seed in range(400)]
     strict_models = 0
     for i, problem in enumerate(problems):
-        rat_names = set(problem.formula.rat_names)
         for cfg in ALL_CONFIGS:
             out = solve(problem, cfg)
-            where = (i, cfg)
-            assert out.value is None or type(out.value) is Fraction, where
-            assert out.epsilon is None or type(out.epsilon) is Fraction, where
-            assert all(type(q) is Fraction for q in out.lower_trace), where
-            for name, val in (out.model or {}).items():
-                assert type(val) is (Fraction if name in rat_names else bool), (where, name)
+            _assert_fraction_values(problem, out, (i, cfg))
             strict_models += out.epsilon is not None and out.epsilon < Fraction(1, 2)
     assert strict_models > 0  # some models are materialized at a strict bound
+
+
+def _assert_fraction_values(problem, out, where):
+    rat_names = set(problem.formula.rat_names)
+    assert out.value is None or type(out.value) is Fraction, where
+    assert out.epsilon is None or type(out.epsilon) is Fraction, where
+    assert all(type(q) is Fraction for q in out.lower_trace), where
+    for name, val in (out.model or {}).items():
+        assert type(val) is (Fraction if name in rat_names else bool), (where, name)
+
+
+def test_int_range_bounds_give_fraction_values():
+    """A library caller may build the range from ``int`` bounds; the
+    outcome's values are ``Fraction`` all the same, the upper bound an
+    unsat outcome reports included."""
+    text = "(declare-fun cost () Real)(assert (>= cost 10))(minimize cost)"
+    base = parse_problem(text)
+    pb = ([[1, 2], [-1, 3], [2, 3]], [3, 4, 5])  # optimum 4: b2 alone
+    cases = [
+        (OmtProblem(base.formula, base.cost, 0, 5), "unsat", 5),
+        (OmtProblem(base.formula, base.cost, 0, 16), "optimum", 10),
+        (encode_pb(3, *pb, lb=0, ub=4), "unsat", 4),
+        (encode_pb(3, *pb, lb=1, ub=7), "optimum", 4),
+    ]
+    for i, (problem, status, value) in enumerate(cases):
+        for cfg in ALL_CONFIGS:
+            out = solve(problem, cfg)
+            assert (out.status, out.value) == (status, value), (i, cfg)
+            _assert_fraction_values(problem, out, (i, cfg))
 
 
 def test_scaled_simplex_matches_unit_scale(monkeypatch):

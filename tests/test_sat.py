@@ -1,9 +1,20 @@
 """Propositional core: propagation, learning, assumptions, cores."""
 
 import random
+from pathlib import Path
 
-from helpers import brute_sat, random_cnf
-from omtq.sat import SatSolver, luby
+from helpers import boolean_structure_text, brute_sat, corpus_problem, random_cnf, random_pb
+from omtq import OmtConfig, encode_pb, lra, omt, solve
+from omtq.parser import parse_problem
+from omtq.sat import Clause, SatSolver, luby
+
+FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "families"
+
+ALL_CONFIGS = [
+    OmtConfig(schema=schema, search=search)
+    for schema in ("offline", "inline")
+    for search in ("linear", "binary")
+]
 
 
 def _fresh(nvars, clauses):
@@ -122,3 +133,296 @@ def test_stats_move():
     s = _fresh(nvars, clauses)
     s.solve()
     assert s.stats.propagations > 0
+
+
+# -- the hot loops against a per-literal reference ---------------------------
+
+
+class ReferenceSatSolver(SatSolver):
+    """The core written one literal at a time: every read goes through
+    ``value``, the two watches of a new clause come from two ``max``
+    scans, ``analyze`` bumps through ``bump_var`` and ``reduce_db``
+    deletes one clause at a time.  ``SatSolver`` must search exactly
+    like it."""
+
+    def add_clause(self, lits, learnt=False):
+        seen = {}
+        out = []
+        for l in lits:
+            if -l in seen:
+                return None
+            if l not in seen:
+                seen[l] = True
+                out.append(l)
+        c = Clause(out, learnt)
+        if not learnt:
+            self._count_occs(out)
+        if not out:
+            self.unsat = True
+            return c
+        if len(out) == 1:
+            self._pending_units.append(c)
+            return c
+
+        def rank(l):
+            return (1 << 30) if self.value(l) == 0 else self.level[abs(l)]
+
+        a = max(range(len(out)), key=lambda i: rank(out[i]))
+        out[0], out[a] = out[a], out[0]
+        s = max(range(1, len(out)), key=lambda i: rank(out[i]))
+        out[1], out[s] = out[s], out[1]
+        c.lits = out
+        (self.learnts if learnt else self.clauses).append(c)
+        self._attach(c)
+        return c
+
+    def _bcp(self):
+        if self.decision_level == 0 and self._pending_units:
+            pending, self._pending_units = self._pending_units, []
+            for c in pending:
+                unassigned = None
+                satisfied = False
+                nfree = 0
+                for l in c.lits:
+                    v = self.value(l)
+                    if v == 1:
+                        satisfied = True
+                        break
+                    if v == 0:
+                        nfree += 1
+                        unassigned = l
+                if satisfied or nfree > 1:
+                    continue
+                if nfree == 0:
+                    return c
+                self.enqueue(unassigned, c)
+        while self.qhead < len(self.trail):
+            p = self.trail[self.qhead]
+            self.qhead += 1
+            falsified = -p
+            ws = self.watches.get(falsified)
+            if not ws:
+                continue
+            keep = []
+            i = 0
+            confl = None
+            while i < len(ws):
+                c = ws[i]
+                i += 1
+                lits = c.lits
+                if lits[0] == falsified:
+                    lits[0], lits[1] = lits[1], lits[0]
+                first = lits[0]
+                if self.value(first) == 1:
+                    keep.append(c)
+                    continue
+                moved = False
+                for j in range(2, len(lits)):
+                    if self.value(lits[j]) != -1:
+                        lits[1], lits[j] = lits[j], lits[1]
+                        self.watches.setdefault(lits[1], []).append(c)
+                        moved = True
+                        break
+                if moved:
+                    continue
+                keep.append(c)
+                if self.value(first) == -1:
+                    keep.extend(ws[i:])
+                    confl = c
+                    break
+                self.enqueue(first, c)
+            self.watches[falsified] = keep
+            if confl is not None:
+                self.qhead = len(self.trail)
+                return confl
+        return None
+
+    def analyze(self, confl):
+        learnt = [0]
+        seen = [False] * (self.nvars + 1)
+        counter = 0
+        p = None
+        index = len(self.trail)
+        c = confl
+        while True:
+            if c.learnt:
+                self.bump_clause(c)
+            for q in c.lits:
+                v = abs(q)
+                if p is not None and q == p:
+                    continue
+                if self.level[v] == 0:
+                    continue
+                if not seen[v]:
+                    seen[v] = True
+                    self.bump_var(v)
+                    if self.level[v] >= self.decision_level:
+                        counter += 1
+                    else:
+                        learnt.append(q)
+            while True:
+                index -= 1
+                if seen[abs(self.trail[index])]:
+                    break
+            p = self.trail[index]
+            v = abs(p)
+            counter -= 1
+            if counter == 0:
+                break
+            c = self.reason_[v]
+            seen[v] = False
+        learnt[0] = -p
+        if len(learnt) == 1:
+            bt = 0
+        else:
+            m = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
+            learnt[1], learnt[m] = learnt[m], learnt[1]
+            bt = self.level[abs(learnt[1])]
+        return learnt, bt
+
+    def reduce_db(self):
+        locked = {id(self.reason_[abs(l)]) for l in self.trail if self.reason_[abs(l)] is not None}
+        removable = [c for c in self.learnts if len(c.lits) > 2 and id(c) not in locked]
+        removable.sort(key=lambda c: c.activity)
+        for c in removable[: len(removable) // 2]:
+            for l in c.lits[:2]:
+                w = self.watches.get(l)
+                if w and c in w:
+                    w.remove(c)
+            self.learnts.remove(c)
+
+
+class ReferenceLraSolver(lra.LraSolver):
+    """Bland's entering variable by a sorted scan that stops at the
+    first variable able to move."""
+
+    def _entering(self, row, need_raise):
+        for y in sorted(row):
+            a = row[y]
+            up, lo, b = self.upper[y], self.lower[y], self.beta[y]
+            below_upper = up is None or b < up[0]
+            above_lower = lo is None or b > lo[0]
+            if need_raise:
+                ok = (a > 0 and below_upper) or (a < 0 and above_lower)
+            else:
+                ok = (a > 0 and above_lower) or (a < 0 and below_upper)
+            if ok:
+                return y
+        return None
+
+
+def _leveled_pair(rng, nvars, levels):
+    """The same trail in a ``SatSolver`` and a ``ReferenceSatSolver``:
+    one to three variables per level, about a third of them left free."""
+    pair = (SatSolver(), ReferenceSatSolver())
+    for s in pair:
+        s.ensure_vars(nvars)
+    order = rng.sample(range(1, nvars + 1), nvars)
+    for _ in range(levels):
+        for s in pair:
+            s.trail_lim.append(len(s.trail))
+        for _ in range(rng.randint(1, 3)):
+            if len(order) > nvars // 3:
+                v = order.pop()
+                lit = v if rng.random() < 0.5 else -v
+                for s in pair:
+                    s.enqueue(lit)
+    for s in pair:
+        assert s._bcp() is None  # no clauses yet: marks the trail propagated
+    return pair
+
+
+def test_add_clause_watches_the_two_highest_ranked_literals():
+    """On trails at levels 1 to 6, with several variables per level and
+    some left free, a new clause is watched on the same two literals as
+    the two-``max`` reference: an unassigned literal first, then the
+    highest level, ties to the earliest position."""
+    rng = random.Random(7)
+    ties = 0
+    for trial in range(3000):
+        nvars = rng.randint(4, 14)
+        s, ref = _leveled_pair(rng, nvars, rng.randint(1, 6))
+        width = rng.randint(2, min(nvars, 7))
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), width)]
+        got, want = s.add_clause(lits), ref.add_clause(lits)
+        assert got.lits == want.lits, trial
+        ranks = [s.level[abs(l)] if s.assign[abs(l)] else None for l in lits]
+        ties += len(set(ranks)) < len(ranks)
+    assert ties > 1000
+
+
+def test_add_clause_on_a_partial_trail_misses_no_propagation():
+    """A clause added on a partly assigned trail, after a backjump to any
+    level at which it is neither satisfied, unit nor false, is caught by
+    propagation: falsifying its free literals one decision at a time
+    implies the last one."""
+    rng = random.Random(11)
+    driven = 0
+    for trial in range(3000):
+        nvars = rng.randint(4, 12)
+        s, _ = _leveled_pair(rng, nvars, rng.randint(1, 6))
+        width = rng.randint(2, min(nvars, 6))
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), width)]
+        c = s.add_clause(lits)
+        s.cancel_until(rng.randint(0, s.decision_level))
+        values = [s.value(l) for l in c.lits]
+        if 1 in values or values.count(0) < 2:
+            continue  # satisfied, or unit or false: the caller's case
+        driven += 1
+        while True:
+            free = [l for l in c.lits if s.value(l) == 0]
+            s.trail_lim.append(len(s.trail))
+            s.enqueue(-free[0])
+            confl = s._bcp()
+            values = [s.value(l) for l in c.lits]
+            if len(free) == 2:
+                assert confl is None and values.count(1) == 1, trial
+                break
+            assert confl is None and values.count(0) == len(free) - 1, trial
+    assert driven > 1000
+
+
+def test_search_matches_the_per_literal_reference(monkeypatch):
+    """``SatSolver`` and ``LraSolver._entering`` against the per-literal
+    reference core and the sorted Bland scan, in lockstep through whole
+    optimization runs: equal search counters, SAT propagations and the
+    final learnt clauses, literal order included (it records every watch
+    choice and every clause deletion)."""
+    problems = [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("*.smt2"))]
+    problems += [encode_pb(*random_pb(seed)) for seed in range(4)]
+    problems += [corpus_problem(seed) for seed in range(30)]
+    problems += [parse_problem(boolean_structure_text(seed)) for seed in range(30)]
+    reductions = 0
+    for i, problem in enumerate(problems):
+        for cfg in ALL_CONFIGS:
+            runs = []
+            for sat_base, lra_base in (
+                (SatSolver, lra.LraSolver),
+                (ReferenceSatSolver, ReferenceLraSolver),
+            ):
+                solvers = []
+
+                class Recording(sat_base):
+                    reductions = 0
+
+                    def __init__(self):
+                        super().__init__()
+                        solvers.append(self)
+
+                    def reduce_db(self):
+                        self.reductions += 1
+                        super().reduce_db()
+
+                monkeypatch.setattr(omt, "SatSolver", Recording)
+                monkeypatch.setattr(omt, "LraSolver", lra_base)
+                monkeypatch.setattr(lra, "LraSolver", lra_base)
+                out = solve(problem, cfg)
+                runs.append((
+                    out.status,
+                    out.value,
+                    out.stats,
+                    [(s.stats, [c.lits for c in s.learnts]) for s in solvers],
+                ))
+                reductions += sum(s.reductions for s in solvers)
+            assert runs[0] == runs[1], (i, cfg)
+    assert reductions > 0  # learnt clauses were deleted
