@@ -10,6 +10,15 @@ onto models of the input.  The same walk keeps negated equalities away
 from the theory solver: an equality leaf met in a negative position
 continues as the conjunction of its two weak halves, whose negation is
 a disjunction of two strict inequalities.
+
+Inside the input stage, ``LinTerm`` and ``BAtom`` keep every
+coefficient and constant in the normal form of ``DeltaRational``'s
+fields: an ``int`` when integral, else a ``Fraction``.  Integral input,
+the common case, is then summed and scaled as machine-word ints.  The
+canonical ``Atom`` is the boundary: ``normalize_atom`` hands out its
+coefficients and constant as ``Fraction``, and ``OmtProblem``'s range
+is ``Fraction`` too, because the layers downstream divide them with
+``/``.
 """
 
 from __future__ import annotations
@@ -24,19 +33,33 @@ from .arith import EQ, LE, LT, DeltaRational
 # terms and atoms
 
 
+def _normal(q):
+    """``q`` as an ``int`` when integral, else as a ``Fraction``."""
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
 class LinTerm:
-    """Mutable builder for sum(coeff_i * var_i) + const over variable ids."""
+    """Mutable builder for sum(coeff_i * var_i) + const over variable ids.
+
+    Coefficients and the constant are kept normal (``_normal``): sums and
+    scalings of integral terms stay ints, and a ``Fraction`` appears only
+    where the value is not integral.
+    """
 
     __slots__ = ("coeffs", "const")
 
     def __init__(self, coeffs=None, const=0):
-        self.coeffs: dict[int, Fraction] = {}
+        self.coeffs: dict[int, Union[int, Fraction]] = {}
         if coeffs:
             for v, c in coeffs.items():
-                c = Fraction(c)
+                c = _normal(c)
                 if c:
                     self.coeffs[v] = c
-        self.const = Fraction(const)
+        self.const = _normal(const)
 
     def copy(self) -> "LinTerm":
         t = LinTerm()
@@ -45,7 +68,7 @@ class LinTerm:
         return t
 
     def add_var(self, var: int, coeff) -> "LinTerm":
-        c = self.coeffs.get(var, Fraction(0)) + Fraction(coeff)
+        c = _normal(self.coeffs.get(var, 0) + _normal(coeff))
         if c:
             self.coeffs[var] = c
         else:
@@ -55,17 +78,22 @@ class LinTerm:
     def add(self, other: "LinTerm") -> "LinTerm":
         for v, c in other.coeffs.items():
             self.add_var(v, c)
-        self.const += other.const
+        self.const = _normal(self.const + other.const)
         return self
 
     def scale(self, k) -> "LinTerm":
-        k = Fraction(k)
-        if k == 0:
-            self.coeffs = {}
-            self.const = Fraction(0)
+        k = _normal(k)
+        if k == 1:
             return self
-        self.coeffs = {v: c * k for v, c in self.coeffs.items()}
-        self.const *= k
+        if k == -1:
+            self.coeffs = {v: -c for v, c in self.coeffs.items()}
+            self.const = -self.const
+        elif k == 0:
+            self.coeffs = {}
+            self.const = 0
+        else:
+            self.coeffs = {v: _normal(c * k) for v, c in self.coeffs.items()}
+            self.const = _normal(self.const * k)
         return self
 
     def is_ground(self) -> bool:
@@ -128,10 +156,10 @@ def normalize_atom(coeffs: dict, const, op: str) -> tuple[Atom, bool]:
 
     ``op`` is one of <=, <, =, !=, >=, >; the raw constraint is
     (sum coeffs + const) op 0.  The term must mention at least one
-    variable (callers fold ground comparisons first).
+    variable (callers fold ground comparisons first).  Coefficients and
+    constant may come as ints or Fractions; the atom holds Fractions.
     """
-    term = {v: Fraction(c) for v, c in coeffs.items() if Fraction(c) != 0}
-    const = Fraction(const)
+    term = {v: c for v, c in coeffs.items() if c}
     if not term:
         raise ValueError("ground comparison reached normalize_atom")
 
@@ -148,18 +176,27 @@ def normalize_atom(coeffs: dict, const, op: str) -> tuple[Atom, bool]:
         op = EQ
         polarity = False
 
-    first = min(term)
-    lead = term[first]
-    if op == EQ:
-        scale = 1 / lead  # may be negative: equalities are symmetric
+    lead = term[min(term)]
+    if op != EQ and lead < 0:
+        lead = -lead  # an inequality keeps its direction; an equality may flip
+    if lead == 1:
+        pairs = tuple(sorted((v, _fraction(c)) for v, c in term.items()))
+        const = _fraction(const)
     else:
-        scale = 1 / abs(lead)
-    if scale != 1:
-        term = {v: c * scale for v, c in term.items()}
-        const = const * scale
-
-    pairs = tuple(sorted(term.items()))
+        pairs = tuple(sorted((v, _quotient(c, lead)) for v, c in term.items()))
+        const = _quotient(const, lead)
     return Atom(pairs, const, op), polarity
+
+
+def _fraction(q) -> Fraction:
+    return q if type(q) is Fraction else Fraction(q)
+
+
+def _quotient(a, b) -> Fraction:
+    """a / b as a Fraction, never a float."""
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b)
+    return _fraction(a) / _fraction(b)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +224,7 @@ class BAtom(BoolExpr):
 
     def __init__(self, coeffs, const, op):
         self.coeffs = dict(coeffs)
-        self.const = Fraction(const)
+        self.const = _normal(const)
         self.op = op
 
 
@@ -338,17 +375,16 @@ class CnfFormula:
 
 def _fold_ground(coeffs, const, op) -> Optional[bool]:
     """Truth value when the comparison has no variables, else None."""
-    if any(Fraction(c) != 0 for c in coeffs.values()):
+    if any(coeffs.values()):
         return None
-    c = Fraction(const)
     if op in (LE, ">="):
-        return c <= 0 if op == LE else -c <= 0
+        return const <= 0 if op == LE else -const <= 0
     if op in (LT, ">"):
-        return c < 0 if op == LT else -c < 0
+        return const < 0 if op == LT else -const < 0
     if op == EQ:
-        return c == 0
+        return const == 0
     if op == "!=":
-        return c != 0
+        return const != 0
     raise ValueError(f"bad op {op!r}")
 
 

@@ -8,11 +8,20 @@ comparisons =, <=, <, >=, > on linear terms built from +, -, * and
 constant division.  An n-ary (=> a1 ... an b) reads as
 (or (not a1) ... (not an) b).  Parentheses nest at most MAX_DEPTH
 deep.  Errors carry line:column positions.
+
+The reader splits the text in one regular-expression pass into tokens
+that cover every character: a comment, a newline, a run of other
+blanks, a parenthesis or an atom.  Line and column come from the token
+lengths, so no Python code runs per character.  A ``|quoted symbol|``
+or a ``"string"`` is one atom, whatever it holds (parentheses,
+semicolons, newlines), and keeps its delimiters in its text, so ``|x|``
+and ``x`` are different names.  Numerals and the constants ``true``
+and ``false`` cannot be declared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -54,12 +63,18 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass
 class SExpr:
-    items: Optional[list]  # None for atoms
-    text: Optional[str]
-    line: int
-    col: int
+    """A list node (``items`` set, ``text`` None) or an atom (``text``
+    set, ``items`` None), with the 1-based position of its first
+    character."""
+
+    __slots__ = ("items", "text", "line", "col")
+
+    def __init__(self, items: Optional[list], text: Optional[str], line: int, col: int):
+        self.items = items
+        self.text = text
+        self.line = line
+        self.col = col
 
     @property
     def is_atom(self) -> bool:
@@ -70,50 +85,51 @@ class SExpr:
             return self.items[0].text
         return None
 
+    def __repr__(self):
+        body = self.text if self.items is None else self.items
+        return f"SExpr({body!r} at {self.line}:{self.col})"
 
-def _tokens(text: str):
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield (ch, ch, line, col)
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            yield ("atom", text[i:j], line, col)
-            col += j - i
-            i = j
+
+# One token per alternative: a comment, a newline, a run of other
+# blanks, a parenthesis, a quoted symbol, a string literal or an atom.
+# findall silently skips what no alternative matches, so together they
+# must cover every character: an unterminated quote starts an atom.
+_TOKEN = re.compile(r';[^\n]*|\n|[ \t\r]+|[()]|\|[^|]*\||"(?:[^"]|"")*"|[^ \t\r\n();]+')
 
 
 def parse_sexprs(text: str) -> list[SExpr]:
-    stack: list[SExpr] = []
     top: list[SExpr] = []
-    for kind, tok, line, col in _tokens(text):
-        if kind == "(":
+    stack: list[SExpr] = []  # open lists, innermost last
+    items = top  # where the next node goes
+    line = col = 1
+    for tok in _TOKEN.findall(text):
+        c = tok[0]
+        if c == "(":
             if len(stack) == MAX_DEPTH:
                 raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", line, col)
-            stack.append(SExpr([], None, line, col))
-        elif kind == ")":
+            node = SExpr([], None, line, col)
+            items.append(node)
+            stack.append(node)
+            items = node.items
+            col += 1
+        elif c == ")":
             if not stack:
                 raise ParseError("unbalanced ')'", line, col)
-            node = stack.pop()
-            (stack[-1].items if stack else top).append(node)
-        else:
-            node = SExpr(None, tok, line, col)
-            (stack[-1].items if stack else top).append(node)
+            stack.pop()
+            items = stack[-1].items if stack else top
+            col += 1
+        elif c == "\n":
+            line += 1
+            col = 1
+        elif c == " " or c == "\t" or c == "\r":
+            col += len(tok)
+        elif c != ";":  # an atom; a comment ends at the newline token
+            items.append(SExpr(None, tok, line, col))
+            if (c == "|" or c == '"') and "\n" in tok:
+                line += tok.count("\n")
+                col = len(tok) - tok.rindex("\n")
+            else:
+                col += len(tok)
     if stack:
         raise ParseError("unclosed '('", stack[-1].line, stack[-1].col)
     return top
@@ -138,7 +154,10 @@ class _ProblemBuilder:
 
     def term(self, node: SExpr) -> LinTerm:
         if node.is_atom:
-            q = _try_rat(node.text)
+            text = node.text
+            if text.isdigit() and text.isascii():
+                return LinTerm(const=int(text))
+            q = _try_rat(text)
             if q is not None:
                 return LinTerm(const=q)
             rid = self.formula.rat_var(node.text)
@@ -172,7 +191,7 @@ class _ProblemBuilder:
             nonground = [p for p in parts if not p.is_ground()]
             if len(nonground) > 1:
                 raise ParseError("nonlinear product", node.line, node.col)
-            factor = Fraction(1)
+            factor = 1
             for p in parts:
                 if p.is_ground():
                     factor *= p.const
@@ -188,7 +207,8 @@ class _ProblemBuilder:
                 raise ParseError("division by a non-constant", args[1].line, args[1].col)
             if den.const == 0:
                 raise ParseError("division by zero", args[1].line, args[1].col)
-            return num.scale(Fraction(1) / den.const)
+            d = den.const
+            return num.scale(Fraction(1, d) if type(d) is int else 1 / d)
         raise ParseError(f"unknown arithmetic operator {head!r}", node.line, node.col)
 
     # -- sort dispatch for '='
@@ -262,6 +282,10 @@ class _ProblemBuilder:
             ):
                 raise ParseError("expected (declare-fun name () Sort)", node.line, node.col)
             name, params, sort = args[0].text, args[1].items, args[2].text
+            if name in ("true", "false"):
+                raise ParseError(f"cannot declare the constant {name!r}", args[0].line, args[0].col)
+            if _try_rat(name) is not None:
+                raise ParseError(f"cannot declare the numeral {name!r}", args[0].line, args[0].col)
             if params:
                 raise ParseError("only zero-arity declarations are supported", args[1].line, args[1].col)
             if self.formula.rat_var(name) is not None or self.formula.prop(name) is not None:
@@ -295,9 +319,9 @@ class _ProblemBuilder:
                 if not value.is_ground():
                     raise ParseError("range bound must be a constant", args[1].line, args[1].col)
                 if args[0].text == ":lb":
-                    self.lb = value.const
+                    self.lb = Fraction(value.const)
                 else:
-                    self.ub = value.const
+                    self.ub = Fraction(value.const)
             # other annotations are ignored
         elif head in ("check-sat", "exit", "set-logic", "set-option", "get-objectives", "get-model"):
             pass

@@ -8,14 +8,33 @@ longest-path reasoning over difference constraints (packing/scheduling).
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
+from unittest import mock
 
 import numpy as np
 
-from omtq import SplitMix64
-from omtq.arith import EQ
-from omtq.formula import CnfFormula, OmtProblem, normalize_atom
-from omtq.parser import parse_sexprs
+from omtq import SplitMix64, formula
+from omtq.arith import EQ, LE, LT, parse_rat
+from omtq.formula import (
+    ATOM,
+    Atom,
+    BAnd,
+    BAtom,
+    BConst,
+    BIff,
+    BNot,
+    BOr,
+    BProp,
+    BoolExpr,
+    CnfFormula,
+    OmtProblem,
+    cnfize,
+    conj,
+    normalize_atom,
+)
+from omtq.parser import BOOL_HEADS, COMPARISONS, MAX_DEPTH, ParseError, parse_sexprs
 
 # ---------------------------------------------------------------------------
 # random CNF + brute force (numpy)
@@ -451,3 +470,422 @@ def text_holds(text: str, model: dict) -> bool:
         if all(value(a, env) for a in asserts):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# reference input stage
+#
+# The reader, builder and canonicalization as they were when every
+# coefficient was a Fraction from the first token on and the reader
+# walked the text one character at a time.  The bodies are kept as they
+# were; only the names carry a Reference prefix.  ``reference_parse_problem``
+# runs them with omtq's CNF walk, whose only arithmetic is the two
+# functions it swaps in, so the whole input stage is the old one.
+
+
+@dataclass
+class ReferenceSExpr:
+    items: Optional[list]  # None for atoms
+    text: Optional[str]
+    line: int
+    col: int
+
+    @property
+    def is_atom(self) -> bool:
+        return self.items is None
+
+    def head(self) -> Optional[str]:
+        if self.items and self.items[0].is_atom:
+            return self.items[0].text
+        return None
+
+
+def _reference_tokens(text: str):
+    line, col, i, n = 1, 1, 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            yield (ch, ch, line, col)
+            col += 1
+            i += 1
+        else:
+            j = i
+            while j < n and text[j] not in " \t\r\n();":
+                j += 1
+            yield ("atom", text[i:j], line, col)
+            col += j - i
+            i = j
+
+
+def reference_parse_sexprs(text: str) -> list[ReferenceSExpr]:
+    stack: list[ReferenceSExpr] = []
+    top: list[ReferenceSExpr] = []
+    for kind, tok, line, col in _reference_tokens(text):
+        if kind == "(":
+            if len(stack) == MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", line, col)
+            stack.append(ReferenceSExpr([], None, line, col))
+        elif kind == ")":
+            if not stack:
+                raise ParseError("unbalanced ')'", line, col)
+            node = stack.pop()
+            (stack[-1].items if stack else top).append(node)
+        else:
+            node = ReferenceSExpr(None, tok, line, col)
+            (stack[-1].items if stack else top).append(node)
+    if stack:
+        raise ParseError("unclosed '('", stack[-1].line, stack[-1].col)
+    return top
+
+
+def _reference_try_rat(text: str) -> Optional[Fraction]:
+    try:
+        return parse_rat(text)
+    except ValueError:
+        return None
+
+
+class _ReferenceProblemBuilder:
+    def __init__(self):
+        self.formula = CnfFormula()
+        self.asserts: list[BoolExpr] = []
+        self.cost: Optional[int] = None
+        self.lb: Optional[Fraction] = None
+        self.ub: Optional[Fraction] = None
+
+    # -- terms
+
+    def term(self, node: ReferenceSExpr) -> ReferenceLinTerm:
+        if node.is_atom:
+            q = _reference_try_rat(node.text)
+            if q is not None:
+                return ReferenceLinTerm(const=q)
+            rid = self.formula.rat_var(node.text)
+            if rid is not None:
+                return ReferenceLinTerm({rid: 1})
+            if self.formula.prop(node.text) is not None:
+                raise ParseError(f"Bool variable {node.text!r} used in a term", node.line, node.col)
+            raise ParseError(f"unknown identifier {node.text!r}", node.line, node.col)
+        head = node.head()
+        args = node.items[1:]
+        if head == "+":
+            if not args:
+                raise ParseError("'+' needs arguments", node.line, node.col)
+            acc = ReferenceLinTerm()
+            for a in args:
+                acc.add(self.term(a))
+            return acc
+        if head == "-":
+            if not args:
+                raise ParseError("'-' needs arguments", node.line, node.col)
+            acc = self.term(args[0])
+            if len(args) == 1:
+                return acc.scale(-1)
+            for a in args[1:]:
+                acc.add(self.term(a).scale(-1))
+            return acc
+        if head == "*":
+            if len(args) < 2:
+                raise ParseError("'*' needs two arguments", node.line, node.col)
+            parts = [self.term(a) for a in args]
+            nonground = [p for p in parts if not p.is_ground()]
+            if len(nonground) > 1:
+                raise ParseError("nonlinear product", node.line, node.col)
+            factor = Fraction(1)
+            for p in parts:
+                if p.is_ground():
+                    factor *= p.const
+            if not nonground:
+                return ReferenceLinTerm(const=factor)
+            return nonground[0].scale(factor)
+        if head == "/":
+            if len(args) != 2:
+                raise ParseError("'/' needs two arguments", node.line, node.col)
+            num = self.term(args[0])
+            den = self.term(args[1])
+            if not den.is_ground():
+                raise ParseError("division by a non-constant", args[1].line, args[1].col)
+            if den.const == 0:
+                raise ParseError("division by zero", args[1].line, args[1].col)
+            return num.scale(Fraction(1) / den.const)
+        raise ParseError(f"unknown arithmetic operator {head!r}", node.line, node.col)
+
+    # -- sort dispatch for '='
+
+    def _looks_boolean(self, node: ReferenceSExpr) -> bool:
+        if node.is_atom:
+            if node.text in ("true", "false"):
+                return True
+            return self.formula.prop(node.text) is not None
+        return node.head() in BOOL_HEADS
+
+    # -- boolean expressions
+
+    def bool_expr(self, node: ReferenceSExpr) -> BoolExpr:
+        if node.is_atom:
+            if node.text == "true":
+                return BConst(True)
+            if node.text == "false":
+                return BConst(False)
+            pv = self.formula.prop(node.text)
+            if pv is not None:
+                return BProp(pv)
+            if self.formula.rat_var(node.text) is not None:
+                raise ParseError(
+                    f"Real variable {node.text!r} used as a Bool", node.line, node.col
+                )
+            raise ParseError(f"unknown identifier {node.text!r}", node.line, node.col)
+        head = node.head()
+        if head is None:
+            raise ParseError("expected an operator application", node.line, node.col)
+        args = node.items[1:]
+        if head == "and":
+            if not args:
+                raise ParseError("'and' needs arguments", node.line, node.col)
+            return BAnd([self.bool_expr(a) for a in args])
+        if head == "or":
+            if not args:
+                raise ParseError("'or' needs arguments", node.line, node.col)
+            return BOr([self.bool_expr(a) for a in args])
+        if head == "not":
+            if len(args) != 1:
+                raise ParseError("'not' needs one argument", node.line, node.col)
+            return BNot(self.bool_expr(args[0]))
+        if head == "=>":
+            if len(args) < 2:
+                raise ParseError("'=>' needs two arguments", node.line, node.col)
+            # right-associative, so (=> a1 a2 b) is a1 => (a2 => b)
+            return BOr([BNot(self.bool_expr(a)) for a in args[:-1]] + [self.bool_expr(args[-1])])
+        if head in COMPARISONS or head == "=":
+            if len(args) != 2:
+                raise ParseError(f"{head!r} compares exactly two operands", node.line, node.col)
+            if head == "=" and (self._looks_boolean(args[0]) or self._looks_boolean(args[1])):
+                return BIff(self.bool_expr(args[0]), self.bool_expr(args[1]))
+            diff = self.term(args[0]).add(self.term(args[1]).scale(-1))
+            return BAtom(diff.coeffs, diff.const, head)
+        raise ParseError(f"unknown operator {head!r}", node.line, node.col)
+
+    # -- commands
+
+    def command(self, node: ReferenceSExpr):
+        if node.is_atom:
+            raise ParseError(f"expected a command, got {node.text!r}", node.line, node.col)
+        head = node.head()
+        args = node.items[1:]
+        if head == "declare-fun":
+            if (
+                len(args) != 3
+                or not args[0].is_atom
+                or args[1].is_atom
+                or not args[2].is_atom
+            ):
+                raise ParseError("expected (declare-fun name () Sort)", node.line, node.col)
+            name, params, sort = args[0].text, args[1].items, args[2].text
+            if params:
+                raise ParseError("only zero-arity declarations are supported", args[1].line, args[1].col)
+            if self.formula.rat_var(name) is not None or self.formula.prop(name) is not None:
+                raise ParseError(f"redeclaration of {name!r}", args[0].line, args[0].col)
+            if sort == "Real":
+                self.formula.new_rat_var(name)
+            elif sort == "Bool":
+                self.formula.new_prop(name)
+            else:
+                raise ParseError(f"unsupported sort {sort!r}", args[2].line, args[2].col)
+        elif head == "assert":
+            if len(args) != 1:
+                raise ParseError("'assert' takes one expression", node.line, node.col)
+            self.asserts.append(self.bool_expr(args[0]))
+        elif head == "minimize":
+            if len(args) != 1 or not args[0].is_atom:
+                raise ParseError("'minimize' takes one declared Real variable", node.line, node.col)
+            if self.cost is not None:
+                raise ParseError("duplicate 'minimize'", node.line, node.col)
+            rid = self.formula.rat_var(args[0].text)
+            if rid is None:
+                raise ParseError(
+                    f"minimize target {args[0].text!r} is not a declared Real",
+                    args[0].line,
+                    args[0].col,
+                )
+            self.cost = rid
+        elif head == "set-info":
+            if len(args) >= 2 and args[0].is_atom and args[0].text in (":lb", ":ub"):
+                value = self.term(args[1])
+                if not value.is_ground():
+                    raise ParseError("range bound must be a constant", args[1].line, args[1].col)
+                if args[0].text == ":lb":
+                    self.lb = value.const
+                else:
+                    self.ub = value.const
+            # other annotations are ignored
+        elif head in ("check-sat", "exit", "set-logic", "set-option", "get-objectives", "get-model"):
+            pass
+        else:
+            raise ParseError(f"unknown command {head!r}", node.line, node.col)
+
+    def finish(self) -> OmtProblem:
+        if self.cost is None:
+            raise ParseError("input contains no 'minimize' command", 1, 1)
+        cnfize(conj(self.asserts), self.formula)
+        try:
+            return OmtProblem(self.formula, self.cost, self.lb, self.ub)
+        except ValueError as exc:
+            raise ParseError(str(exc), 1, 1) from exc
+
+
+class ReferenceLinTerm:
+    """Mutable builder for sum(coeff_i * var_i) + const over variable ids."""
+
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs=None, const=0):
+        self.coeffs: dict[int, Fraction] = {}
+        if coeffs:
+            for v, c in coeffs.items():
+                c = Fraction(c)
+                if c:
+                    self.coeffs[v] = c
+        self.const = Fraction(const)
+
+    def copy(self) -> "ReferenceLinTerm":
+        t = ReferenceLinTerm()
+        t.coeffs = dict(self.coeffs)
+        t.const = self.const
+        return t
+
+    def add_var(self, var: int, coeff) -> "ReferenceLinTerm":
+        c = self.coeffs.get(var, Fraction(0)) + Fraction(coeff)
+        if c:
+            self.coeffs[var] = c
+        else:
+            self.coeffs.pop(var, None)
+        return self
+
+    def add(self, other: "ReferenceLinTerm") -> "ReferenceLinTerm":
+        for v, c in other.coeffs.items():
+            self.add_var(v, c)
+        self.const += other.const
+        return self
+
+    def scale(self, k) -> "ReferenceLinTerm":
+        k = Fraction(k)
+        if k == 0:
+            self.coeffs = {}
+            self.const = Fraction(0)
+            return self
+        self.coeffs = {v: c * k for v, c in self.coeffs.items()}
+        self.const *= k
+        return self
+
+    def is_ground(self) -> bool:
+        return not self.coeffs
+
+
+def reference_normalize_atom(coeffs: dict, const, op: str) -> tuple[Atom, bool]:
+    """Canonicalize a raw comparison into (atom, polarity).
+
+    ``op`` is one of <=, <, =, !=, >=, >; the raw constraint is
+    (sum coeffs + const) op 0.  The term must mention at least one
+    variable (callers fold ground comparisons first).
+    """
+    term = {v: Fraction(c) for v, c in coeffs.items() if Fraction(c) != 0}
+    const = Fraction(const)
+    if not term:
+        raise ValueError("ground comparison reached reference_normalize_atom")
+
+    polarity = True
+    if op == ">=":
+        op = LE
+        term = {v: -c for v, c in term.items()}
+        const = -const
+    elif op == ">":
+        op = LT
+        term = {v: -c for v, c in term.items()}
+        const = -const
+    elif op == "!=":
+        op = EQ
+        polarity = False
+
+    first = min(term)
+    lead = term[first]
+    if op == EQ:
+        scale = 1 / lead  # may be negative: equalities are symmetric
+    else:
+        scale = 1 / abs(lead)
+    if scale != 1:
+        term = {v: c * scale for v, c in term.items()}
+        const = const * scale
+
+    pairs = tuple(sorted(term.items()))
+    return Atom(pairs, const, op), polarity
+
+
+def _reference_fold_ground(coeffs, const, op) -> Optional[bool]:
+    """Truth value when the comparison has no variables, else None."""
+    if any(Fraction(c) != 0 for c in coeffs.values()):
+        return None
+    c = Fraction(const)
+    if op in (LE, ">="):
+        return c <= 0 if op == LE else -c <= 0
+    if op in (LT, ">"):
+        return c < 0 if op == LT else -c < 0
+    if op == EQ:
+        return c == 0
+    if op == "!=":
+        return c != 0
+    raise ValueError(f"bad op {op!r}")
+
+
+def reference_parse_problem(text: str) -> OmtProblem:
+    with mock.patch.multiple(
+        formula,
+        normalize_atom=reference_normalize_atom,
+        _fold_ground=_reference_fold_ground,
+    ):
+        builder = _ReferenceProblemBuilder()
+        for node in reference_parse_sexprs(text):
+            builder.command(node)
+        return builder.finish()
+
+
+def _typed(value):
+    if isinstance(value, tuple):
+        return tuple(_typed(v) for v in value)
+    return (type(value).__name__, value)
+
+
+def typed_digest(problem: OmtProblem):
+    """Everything the input stage hands on, each number with its type:
+    clauses, kinds, every atom field, names, cost variable and range."""
+    f = problem.formula
+    payload = [
+        (_typed(p.coeffs), _typed(p.const), p.rel) if kind == ATOM else p
+        for kind, p in zip(f.kind, f.payload)
+    ]
+    return (
+        f.clauses,
+        f.kind,
+        payload,
+        f.rat_names,
+        problem.cost,
+        _typed(problem.lb),
+        _typed(problem.ub),
+    )
+
+
+def input_outcome(parse, text: str):
+    """("ok", typed digest) or ("ParseError", message) of ``parse``."""
+    try:
+        return "ok", typed_digest(parse(text))
+    except ParseError as exc:
+        return "ParseError", str(exc)

@@ -100,6 +100,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_declared_numeral_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.smt2"
+    bad.write_text("(declare-fun 3 () Real)(declare-fun c () Real)(assert (>= c 3))(minimize c)\n")
+    code = main(["solve", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "1:14: cannot declare the numeral '3'" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "absent.smt2")])
     assert code == 3

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import boolean_structure_text, random_pb
 from omtq.arith import EQ, LE, LT
 from omtq.formula import (
     Atom,
@@ -27,7 +28,8 @@ from omtq.formula import (
     disj,
     normalize_atom,
 )
-from omtq.encodings import jobshop_instance, strip_packing_instance
+from omtq.encodings import encode_pb, jobshop_instance, strip_packing_instance
+from omtq.omt import _cost_atom
 from omtq.parser import parse_problem
 
 FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "families"
@@ -299,3 +301,29 @@ def _pinned_cnf_digest():
 def test_cnf_is_pinned_on_benchmark_inputs():
     # recorded on the converter that split equalities in a separate pass
     assert _pinned_cnf_digest() == "b8ab297f98f1539f"
+
+
+def test_atoms_and_ranges_hold_fractions():
+    """The input stage computes in ints where it can, but what it hands on
+    is exactly Fraction: ``lra._expand`` computes ``a * c / d`` and
+    ``oracle.sift`` computes ``c / lead`` from atom coefficients and
+    constants, and on two ints ``/`` would make a float."""
+    parsed = [parse_problem(path.read_text()) for path in sorted(FAMILIES.glob("*.smt2"))]
+    parsed += [parse_problem(boolean_structure_text(seed)) for seed in range(200)]
+    encoded = [encode_pb(*random_pb(seed, num_bools=8)) for seed in range(5)]
+    atoms = []
+    for prob in parsed + encoded:
+        f = prob.formula
+        atoms += [f.atom_of(v) for v in range(1, f.num_solver_vars + 1) if f.atom_of(v)]
+        for value in (0, 3, -2, Fraction(7, 2), Fraction(4, 2)):
+            for rel in (LE, LT):
+                atoms.append(_cost_atom(prob, value, rel)[0])
+    assert len(atoms) > 1000
+    for atom in atoms:
+        assert type(atom.const) is Fraction, atom
+        assert all(type(c) is Fraction for _, c in atom.coeffs), atom
+    for prob in parsed:
+        assert type(prob.lb) in (Fraction, type(None))
+        assert type(prob.ub) in (Fraction, type(None))
+    assert any(prob.lb is not None for prob in parsed)
+    assert any(prob.ub is not None for prob in parsed)

@@ -1,11 +1,23 @@
 """Textual input format."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from omtq.arith import EQ
+from helpers import (
+    boolean_structure_text,
+    input_outcome,
+    reference_parse_problem,
+    reference_parse_sexprs,
+)
+from omtq import SplitMix64
+from omtq.arith import EQ, parse_rat
+from omtq.encodings import jobshop_instance, strip_packing_instance
 from omtq.parser import MAX_DEPTH, ParseError, parse_problem, parse_sexprs
+from test_formula import PINNED_TEXTS
+
+FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "families"
 
 EX1 = """
 (set-logic QF_LRA)
@@ -26,6 +38,17 @@ def test_sexpr_reader():
     assert nodes[0].head() == "a"
     assert nodes[0].items[1].items[1].text == "1"
     assert nodes[1].items == []
+
+
+def test_sexpr_nodes_carry_their_position():
+    (node,) = parse_sexprs("; c\n\t(a\r\n  (b  12) c)")
+    assert (node.line, node.col, node.is_atom, node.text) == (2, 2, False, None)
+    a, inner, c = node.items
+    assert (a.text, a.line, a.col, a.is_atom, a.items) == ("a", 2, 3, True, None)
+    assert (inner.head(), inner.line, inner.col) == ("b", 3, 3)
+    assert [(n.text, n.col) for n in inner.items] == [("b", 4), ("12", 7)]
+    assert (c.text, c.line, c.col) == ("c", 3, 11)
+    assert a.head() is None and parse_sexprs("(())")[0].head() is None
 
 
 def test_sexpr_reader_reports_imbalance():
@@ -243,3 +266,230 @@ def test_nesting_past_the_cap_is_a_parse_error():
         parse_problem(text)
     # reported at the first parenthesis past the cap
     assert (info.value.line, info.value.col) == (1, 32 + 7 * (MAX_DEPTH - 1))
+
+
+# -- quoted symbols and strings
+
+
+def test_quoted_symbols_and_strings_are_single_atoms():
+    (info,) = parse_sexprs('(set-info :source |a; b (c)|)')
+    assert [n.text for n in info.items] == ["set-info", ":source", "|a; b (c)|"]
+    (info,) = parse_sexprs('(set-info :status "sat ; x ""q"" )")')
+    assert info.items[2].text == '"sat ; x ""q"" )"'
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["(set-info :source |a; b|)\n", '(set-info :source "x ( y")\n'],
+)
+def test_header_with_quoted_delimiters_parses(header):
+    prob = parse_problem(header + EX1 + '(set-info :status "sat ; x")')
+    assert prob.cost_name == "cost"
+    assert len(prob.formula.clauses) == 2
+
+
+def test_positions_after_a_multi_line_quoted_token():
+    text = (
+        "(set-info :source |first line\n"
+        "  second ) line ;\n"
+        "last|) (declare-fun x () Real)\n"
+        "(assert (> y 0))(minimize x)"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert str(info.value) == "4:12: unknown identifier 'y'"
+    nodes = parse_sexprs(text)
+    assert (nodes[1].line, nodes[1].col) == (3, 8)
+
+
+def test_quoted_and_plain_symbols_are_different_names():
+    prob = parse_problem(
+        "(declare-fun |x| () Real)(declare-fun x () Real)(assert (>= |x| x))(minimize |x|)"
+    )
+    assert prob.formula.rat_names == ["|x|", "x"]
+    assert prob.cost_name == "|x|"
+
+
+def test_unterminated_quote_reads_as_an_atom():
+    nodes = parse_sexprs('(a |b c) "d')
+    assert [n.text for n in nodes[0].items] == ["a", "|b", "c"]
+    assert nodes[1].text == '"d'
+
+
+# -- reserved names
+
+
+@pytest.mark.parametrize("name", ["3", "007", "-1", "2.5", "1/2"])
+@pytest.mark.parametrize("sort", ["Real", "Bool"])
+def test_numerals_cannot_be_declared(name, sort):
+    with pytest.raises(ParseError) as info:
+        parse_problem(f"(declare-fun c () Real)\n  (declare-fun {name} () {sort})(minimize c)")
+    assert str(info.value) == f"2:16: cannot declare the numeral {name!r}"
+
+
+@pytest.mark.parametrize("name", ["true", "false"])
+def test_bool_constants_cannot_be_declared(name):
+    with pytest.raises(ParseError) as info:
+        parse_problem(f"(declare-fun {name} () Bool)(declare-fun c () Real)(minimize c)")
+    assert str(info.value) == f"1:14: cannot declare the constant {name!r}"
+
+
+def test_a_declared_numeral_cannot_shadow_the_constant():
+    with pytest.raises(ParseError, match="1:14: cannot declare the numeral '3'"):
+        parse_problem(
+            "(declare-fun 3 () Real)(declare-fun c () Real)"
+            "(assert (>= c 3))(assert (<= 3 0))(minimize c)"
+        )
+
+
+# -- lockstep with the reference input stage (tests/helpers.py)
+
+
+def _family_texts():
+    texts = [path.read_text() for path in sorted(FAMILIES.glob("*.smt2"))]
+    assert len(texts) == 6
+    return texts
+
+
+LOCKSTEP_INPUTS = {
+    "families": _family_texts,
+    "strip": lambda: [
+        strip_packing_instance(n, width, seed)[0]
+        for n in range(2, 7)
+        for width in (Fraction(1), Fraction(3, 2))
+        for seed in (1, 2)
+    ],
+    "jobshop": lambda: [
+        jobshop_instance(j, m, 1)[0] for j in range(2, 6) for m in range(2, 5)
+    ],
+    "pinned": lambda: PINNED_TEXTS,
+    "boolean": lambda: [boolean_structure_text(seed) for seed in range(200)],
+}
+
+
+@pytest.mark.parametrize("group", sorted(LOCKSTEP_INPUTS))
+def test_input_stage_matches_the_reference(group):
+    for text in LOCKSTEP_INPUTS[group]():
+        expected = input_outcome(reference_parse_problem, text)
+        assert expected[0] == "ok"
+        assert input_outcome(parse_problem, text) == expected
+
+
+# inputs the reader or builder rejects, or accepts only barely, each
+# compared with the reference by its outcome: the typed digest, or the
+# ParseError and its line:column message
+EDGE_INPUTS = [
+    "(assert (> x 0)",
+    "(assert x))",
+    ")",
+    "x",
+    "()",
+    "(frobnicate)",
+    "(declare-fun x () Real)\n  (assert (> y 0))\n(minimize x)",
+    "(declare-fun x () Real)\r\n\t(assert\t(>  (+ x 1)   z)) ; y\n(minimize x)",
+    "; header (\n\n   (declare-fun x () Real) ; (\n(assert (<= x (* x x)))(minimize x)",
+    "(declare-fun x () Real)(declare-fun x () Bool)(minimize x)",
+    "(declare-fun f (Real) Real)",
+    "(declare-fun n () Int)",
+    "(declare-fun x Real)",
+    "(declare-fun (x) () Real)",
+    "(declare-fun x () Real)(assert (> (+) 0))(minimize x)",
+    "(declare-fun x () Real)(assert (> (-) 0))(minimize x)",
+    "(declare-fun x () Real)(assert (> (* 2) 0))(minimize x)",
+    "(declare-fun x () Real)(assert (> (/ x) 0))(minimize x)",
+    "(declare-fun x () Real)(assert (> (/ 1 x) 1))(minimize x)",
+    "(declare-fun x () Real)(assert (> (/ x (- 2 2)) 1))(minimize x)",
+    "(declare-fun x () Real)(assert (> (max x 1) 1))(minimize x)",
+    "(declare-fun x () Real)(assert (> ((+ x) 1) 1))(minimize x)",
+    "(declare-fun p () Bool)(declare-fun x () Real)(assert (> p 0))(minimize x)",
+    "(declare-fun x () Real)(assert (or x))(minimize x)",
+    "(declare-fun x () Real)(assert ((and true)))(minimize x)",
+    "(assert (and))",
+    "(assert (or))",
+    "(assert (not true false))",
+    "(assert (=> true))",
+    "(declare-fun x () Real)(assert (<= x))(minimize x)",
+    "(assert (xor true false))",
+    "(assert true false)",
+    "(declare-fun x () Real)(minimize)",
+    "(minimize (+ x))",
+    "(declare-fun x () Real)(minimize y)",
+    "(declare-fun x () Real)(minimize x)(minimize x)",
+    "(declare-fun p () Bool)(minimize p)",
+    "(declare-fun x () Real)(declare-fun y () Real)(set-info :lb y)(minimize x)",
+    "(declare-fun x () Real)(set-info :lb 4)(set-info :ub (/ 8 2))(minimize x)",
+    "(declare-fun x () Real)(assert (> x 0))",
+    "(declare-fun x () Real)(assert (>= x 1.-5))(minimize x)",
+    "(declare-fun x () Real)(assert (>= x 1/0))(minimize x)",
+    "(declare-fun x () Real)(assert (>= x \u0663))(minimize x)",
+    "(declare-fun x () Real)(assert (>= x \u00b2))(minimize x)",
+    "(declare-fun p () Bool)(assert " + "(and p " * MAX_DEPTH + "p" + ")" * MAX_DEPTH + ")",
+    # accepted
+    "(declare-fun x () Real)(assert (>= x \x0b3))(minimize x)",
+    "(declare-fun x () Real)(set-info :lb 007)(set-info :ub 7/2)(assert (>= (* 0 x) (- 0)))"
+    "(minimize x)",
+    "(declare-fun x () Real)(set-info :lb (* 2 (/ 1 2)))(set-info :ub (/ 9 -3.0))(minimize x)",
+    "(declare-fun x () Real)(declare-fun y () Real)(set-info :lb (- 3))(set-info :ub 5)"
+    "(assert (= (* (/ 2 3) x) (- (* 3 y) (/ 1 3))))(assert (not (= (* -2 x) (* 0.5 y))))"
+    "(assert (< (+ (* 3 (/ x 3)) (- y y) 1.25) (* 4 (/ 3 4))))(minimize x)",
+    "(declare-fun x () Real)(declare-fun y () Real)(assert (> (- (* 2 x) (* 4 y)) 6))"
+    "(assert (<= (* -3 y) x))(assert (or (> 1 0) (< 0 1)))(minimize y)",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_INPUTS)
+def test_edge_inputs_match_the_reference(text):
+    assert input_outcome(parse_problem, text) == input_outcome(reference_parse_problem, text)
+
+
+def _mutant(seed: int, texts) -> str:
+    """One of ``texts`` with one to three single-character deletions,
+    insertions or replacements, never bringing in a quote."""
+    alphabet = "()()  \n\t;x01-/.+*<=>:"
+    rng = SplitMix64(seed)
+    text = texts[seed % len(texts)]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text) - 1)
+        ch = alphabet[rng.randint(0, len(alphabet) - 1)]
+        edit = rng.randint(0, 2)
+        text = text[:i] + ("" if edit == 0 else ch) + text[i + (edit != 1):]
+    return text
+
+
+def _is_numeral(text: str) -> bool:
+    try:
+        parse_rat(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _declares_reserved(text: str) -> bool:
+    """Does ``text`` declare a numeral or a Bool constant?  The reference
+    accepted such a declaration; it is now an error on purpose."""
+    try:
+        nodes = reference_parse_sexprs(text)
+    except ParseError:
+        return False
+    return any(
+        node.head() == "declare-fun"
+        and len(node.items) > 1
+        and node.items[1].is_atom
+        and (node.items[1].text in ("true", "false") or _is_numeral(node.items[1].text))
+        for node in nodes
+    )
+
+
+def test_mutated_families_match_the_reference():
+    texts = _family_texts()
+    kinds = {}
+    for seed in range(300):
+        text = _mutant(seed, texts)
+        if _declares_reserved(text):
+            continue
+        expected = input_outcome(reference_parse_problem, text)
+        assert input_outcome(parse_problem, text) == expected, f"mutant {seed}"
+        kinds[expected[0]] = kinds.get(expected[0], 0) + 1
+    # the mutants exercise both the accepted and the rejected paths
+    assert sum(kinds.values()) >= 280
+    assert kinds.get("ok", 0) >= 30 and kinds.get("ParseError", 0) >= 100, kinds
