@@ -210,8 +210,10 @@ _NUMERAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+|/[0-9]+)?")
 
 def parse_rat(text: str) -> Fraction:
     """Parse 'p', 'p/q' or a decimal 'p.d', with optional sign; nothing
-    else (no exponents, digit separators or bare '.5')."""
-    text = text.strip()
+    else (no exponents, digit separators or bare '.5').  Surrounding
+    SMT-LIB whitespace (space, tab, CR, LF) is ignored; other blank
+    characters, such as a vertical tab, are not whitespace there."""
+    text = text.strip(" \t\r\n")
     if _NUMERAL.fullmatch(text) is None:
         raise ValueError(f"not a rational: {text!r}")
     try:

@@ -9,7 +9,8 @@ Three encoders build optimization problems from structured input:
   at least one per disjunction, optionally mutually exclusive).
 * encode_pb: weighted Boolean objective.  Every weighted Boolean gets a
   rational contribution variable clamped to {0, w} by positive equality
-  atoms, and the cost equals their sum.
+  atoms and held in its range [0, w] by two unit bounds, and the cost
+  equals their sum.
 
 Two generator families emit instances in the textual input format (and
 round-trip them through the parser, so the returned problem always
@@ -123,6 +124,13 @@ def encode_pb(num_bools: int, clauses, weights, lb=Fraction(0), ub=None) -> OmtP
     the sum of weights of the Booleans set to true.  Equality atoms are
     introduced only positively, so the arithmetic core never faces a
     negated equality.
+
+    Each contribution ``w_i`` also gets the unit clauses ``w_i >= 0`` and
+    ``w_i <= weight_i``, right after its Boolean's two clamp clauses.
+    The clamps imply both, so the models and the optimum are the same;
+    with every ``w_i`` bounded from level 0 the cost row is bounded too,
+    and the simplex refutes a partial assignment as soon as the weights
+    already switched on reach the cost's upper bound.
     """
     weights = [Fraction(w) for w in weights]
     if len(weights) != num_bools:
@@ -148,6 +156,8 @@ def encode_pb(num_bools: int, clauses, weights, lb=Fraction(0), ub=None) -> OmtP
         lw = f.lit_for_atom(full, True)
         f.add_clause([-bools[i], lw])
         f.add_clause([bools[i], lz])
+        for op, rhs in ((">=", Fraction(0)), ("<=", -weights[i])):
+            f.add_clause([f.lit_for_atom(*normalize_atom({contrib[i]: Fraction(1)}, rhs, op))])
     total = {cost: Fraction(1)}
     for i, c in enumerate(contrib):
         total[c] = total.get(c, Fraction(0)) - Fraction(1)

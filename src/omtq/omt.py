@@ -149,13 +149,18 @@ class TheoryBridge(TheoryClient):
         # registered
         self.atoms_on: dict[int, list[int]] = {}
         self.registered = 0  # solver vars looked at for new atoms
+        # length of lra.undo at the last entailment ask, None when every
+        # bounded variable must be asked again
+        self.asked_at: Optional[int] = None
         self.lra.deadline = None if config.timeout is None else time.monotonic() + config.timeout
         if problem.lb is not None:
             self.sat.add_clause([-self.cost_lit(problem.lb, LT)])
         if problem.ub is not None:
             self.sat.add_clause([self.cost_lit(problem.ub, LT)])
         self.range = CostRange(config, problem.lb, problem.ub)
-        self.best: Optional[tuple] = None  # (DeltaRational, model, eps)
+        # (minimum, scaled problem-variable values, asserted literals) of
+        # the best model so far; ``outcome`` makes the concrete model
+        self.best: Optional[tuple] = None
 
     def cost_lit(self, value: Fraction, rel: str) -> int:
         """Solver literal for (cost rel value), registering the atom if new."""
@@ -199,6 +204,7 @@ class TheoryBridge(TheoryClient):
             self.lra.backtrack_to(target)
         if self.ptr > trail_len:
             self.ptr = trail_len
+        self.asked_at = None
 
     def after_bcp(self, solver, complete: bool):
         self.lra.check_deadline()
@@ -225,7 +231,16 @@ class TheoryBridge(TheoryClient):
         Only a bound on an atom's own variable can force it, so each
         newly registered atom is indexed by that variable, in ascending
         solver var order, and the atoms asked are the unassigned ones on
-        bounded variables, in ascending solver var order.
+        the variables to ask, in ascending solver var order.
+
+        The variables to ask are every bounded one on the first call and
+        after a backjump, and otherwise those whose bounds tightened
+        since the last ask (``lra.undo`` past ``asked_at``) plus the
+        variables of newly registered atoms.  This is exact: between two
+        asks without a backjump bounds only tighten and atoms only get
+        assigned, and every atom entailed at the last ask was propagated,
+        so an unassigned atom on an untouched variable was not entailed
+        then and is not now.
 
         Indexing an atom makes its slack, and the slacks are made in the
         order a scan asking every unassigned atom would make them, so
@@ -238,14 +253,22 @@ class TheoryBridge(TheoryClient):
         formula, lra = self.formula, self.lra
         n = formula.num_solver_vars
         atoms_on = self.atoms_on
+        fresh = []  # variables of the newly registered atoms
         for v in range(self.registered + 1, n + 1):
             atom = formula.atom_of(v)
             if atom is not None:
                 x = lra.effective_bounds(atom, True)[0][0]
                 atoms_on.setdefault(x, []).append(v)
+                fresh.append(x)
         self.registered = n
+        if self.asked_at is None:
+            to_ask = lra.bounded
+        else:
+            to_ask = {entry[0] for entry in lra.undo[self.asked_at:]}
+            to_ask.update(x for x in fresh if x in lra.bounded)
+        self.asked_at = len(lra.undo)
         assign = solver.assign
-        asked = [v for x in lra.bounded for v in atoms_on.get(x, ()) if assign[v] == 0]
+        asked = [v for x in to_ask for v in atoms_on.get(x, ()) if assign[v] == 0]
         asked.sort()
         out = []
         for v in asked:
@@ -271,15 +294,18 @@ class TheoryBridge(TheoryClient):
         """Minimize the cost over the current simplex state and keep the
         model if it is the best so far.  Returns (minimum, literal of the
         bound that excludes it and everything above), or None when the
-        cost is unbounded."""
+        cost is unbounded.
+
+        Only the simplex values and the asserted literals are kept;
+        ``outcome`` makes the concrete model of the last best one."""
         self.stats.minimize_calls += 1
         m = minimize_var(self.lra, self.problem.cost)
         if m is None:
             return None
         m = self._unscaled(m)
         if self.best is None or m < self.best[0]:
-            eps, model = self.snapshot_model()
-            self.best = (m, model, eps)
+            n = len(self.formula.rat_names)
+            self.best = (m, self.lra.beta[:n], self.current_literals())
         return m, self.cost_lit(m.real, LT if m.eps == 0 else LE)
 
     def outcome(self, status: str) -> OmtOutcome:
@@ -304,7 +330,8 @@ class TheoryBridge(TheoryClient):
                 ub = self.problem.ub
                 out.status, out.value = UNSAT, None if ub is None else Fraction(ub)
             return out
-        m, out.model, out.epsilon = self.best
+        m, beta, literals = self.best
+        out.epsilon, out.model = self.snapshot_model(beta, literals)
         out.value, out.attained = Fraction(m.real), m.eps == 0
         return out
 
@@ -316,12 +343,12 @@ class TheoryBridge(TheoryClient):
         d = self.lra.scale
         return v if d == 1 else v.scaled(Fraction(1, d))
 
-    def snapshot_model(self):
-        """(epsilon, concrete model) at the current simplex assignment."""
+    def snapshot_model(self, beta, literals):
+        """(epsilon, concrete model) of the problem variables' simplex
+        values ``beta`` under the asserted ``literals``."""
         names = self.formula.rat_names
-        beta = self.lra.beta
         valuation = {i: self._unscaled(beta[i]) for i in range(len(names))}
-        eps0 = materialize_epsilon(valuation, self.current_literals())
+        eps0 = materialize_epsilon(valuation, literals)
         eps = Fraction(eps0, 2)
         model = {name: valuation[i].substitute(eps) for i, name in enumerate(names)}
         return eps, model

@@ -45,6 +45,14 @@ def test_parse_rat_rejects_junk():
             rat(text)
 
 
+def test_parse_rat_strips_only_smtlib_whitespace():
+    assert parse_rat(" 3 ") == 3
+    assert parse_rat("\t\r\n-7/2\n") == Fraction(-7, 2)
+    for text in ("\x0b3", "\x0c7/2", "3\x0b", "\u00a05"):
+        with pytest.raises(ValueError):
+            parse_rat(text)
+
+
 def test_format_rat():
     assert format_rat(Fraction(3)) == "3"
     assert format_rat(Fraction(-7, 2)) == "-7/2"

@@ -194,6 +194,14 @@ def test_range_override_must_be_a_numeral(ex1, capsys, flag):
     assert "parse_rat" not in err
 
 
+def test_range_override_ignores_surrounding_blanks(ex1, capsys):
+    assert main(["solve", ex1, "--lb", " 3", "--ub", "16\t"]) == 0
+    assert "(objective 15 :attained true)" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main(["solve", ex1, "--lb", "\x0b3"])
+    assert info.value.code == 2
+
+
 def test_generate_strip_is_deterministic(capsys):
     assert main(["generate", "strip-packing", "-n", "3", "--seed", "7"]) == 0
     first = capsys.readouterr().out

@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from helpers import jobshop_oracle, strip_layout_ok, strip_oracle
+from helpers import cnf_rows, jobshop_oracle, random_pb, strip_layout_ok, strip_oracle, truth_table
 from omtq import OmtConfig, solve
+from omtq.formula import normalize_atom
 from omtq.encodings import (
     SplitMix64,
     approx_sqrt,
@@ -140,6 +142,57 @@ def test_pb_zero_weight_and_forced_true():
     prob = encode_pb(2, [[1], [2]], [0, 5])
     out = solve(prob, OmtConfig())
     assert out.value == 5
+
+
+def test_pb_bounds_every_contribution():
+    # one unit clause for each end of each contribution's range [0, weight]
+    f = encode_pb(2, [[1, 2]], [3, 0]).formula
+    units = {(f.atom_of(abs(c[0])), c[0] > 0) for c in f.clauses if len(c) == 1}
+    for name, weight in (("w1", 3), ("w2", 0)):
+        w = f.rat_names.index(name)
+        assert normalize_atom({w: 1}, 0, ">=") in units, name
+        assert normalize_atom({w: 1}, -weight, "<=") in units, name
+
+
+def _small_pb(seed: int):
+    """A ``random_pb`` draw with 8-12 Booleans, about a quarter of the
+    weights zeroed, and clause ratios up to 6, so that some draws are
+    unsat."""
+    rng = SplitMix64(1000 + seed)
+    n, clauses, weights = random_pb(seed, rng.randint(8, 12), (2.0, 3.5, 4.5, 6.0)[seed % 4])
+    return n, clauses, [0 if rng.randint(0, 3) == 0 else w for w in weights]
+
+
+def test_pb_optima_match_brute_force():
+    draws = {"unsat": 0, "zero weight": 0}
+    for seed in range(40):
+        n, clauses, weights = _small_pb(seed)
+        ok = cnf_rows(n, clauses)
+        table = truth_table(n).astype(bool)
+        costs = table @ np.array(weights)
+        draws["unsat"] += not ok.any()
+        draws["zero weight"] += 0 in weights
+        prob = encode_pb(n, clauses, weights)
+        for schema in ("offline", "inline"):
+            for search in ("linear", "binary"):
+                out = solve(prob, OmtConfig(schema=schema, search=search))
+                where = (seed, schema, search)
+                if not ok.any():
+                    assert (out.status, out.value) == ("unsat", sum(weights) + 1), where
+                    continue
+                assert (out.status, out.value, out.attained) == ("optimum", costs[ok].min(), True), where
+                # the witness decodes: each contribution is 0 or its weight,
+                # they sum to the cost, and some assignment that switches on
+                # exactly the weighted Booleans read off satisfies the clauses
+                w = [out.model[f"w{i + 1}"] for i in range(n)]
+                assert all(wi in (0, weights[i]) for i, wi in enumerate(w)), where
+                assert out.model["cost"] == sum(w) == out.value, where
+                fits = ok.copy()
+                for i, weight in enumerate(weights):
+                    if weight:
+                        fits &= table[:, i] == (w[i] == weight)
+                assert fits.any(), where
+    assert draws["unsat"] >= 3 and draws["zero weight"] >= 20, draws
 
 
 def test_pb_validation():

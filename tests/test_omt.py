@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import boolean_structure_text, corpus_problem, model_satisfies, text_holds
+from helpers import boolean_structure_text, corpus_problem, model_satisfies, random_pb, text_holds
 from omtq import OmtConfig, SearchStats, compute_pivot, crosscheck, lra, omt, solve
 from omtq.encodings import encode_pb, jobshop_problem, strip_packing_problem
 from omtq.formula import OmtProblem
@@ -377,7 +377,7 @@ def test_flag_combinations_match_the_oracle(monkeypatch):
     assert generalized
 
 
-# the exact search on two small benchmark instances: any change to the
+# the exact search on three small benchmark instances: any change to the
 # decisions, conflicts, theory checks, range updates or SAT propagations
 # shows up here, even when the answers stay right; propagations are the
 # first counter a reordering of theory propagations moves, and they live
@@ -393,6 +393,10 @@ PINNED_SEARCH = {
     ("jobshop", "offline", "binary"): ((49, 23, 0, 100, 4, 3, 7, 83), 437),
     ("jobshop", "inline", "linear"): ((37, 14, 0, 76, 5, 0, 5, 76), 413),
     ("jobshop", "inline", "binary"): ((45, 14, 0, 84, 5, 4, 5, 76), 421),
+    ("pb", "offline", "linear"): ((45, 29, 0, 73, 2, 0, 3, 26), 823),
+    ("pb", "offline", "binary"): ((49, 33, 0, 85, 2, 2, 4, 39), 922),
+    ("pb", "inline", "linear"): ((46, 28, 0, 73, 2, 0, 2, 19), 823),
+    ("pb", "inline", "binary"): ((50, 28, 0, 77, 2, 3, 2, 19), 828),
 }
 
 
@@ -408,6 +412,7 @@ def test_search_is_pinned_on_benchmark_instances(monkeypatch):
     problems = {
         "strip": (strip_packing_problem(4, 1, 2)[0], Fraction(109, 12)),
         "jobshop": (jobshop_problem(4, 3, 1)[0], Fraction(27)),
+        "pb": (encode_pb(*random_pb(2, 20)), Fraction(54)),
     }
     for (family, schema, search), (counters, propagations) in PINNED_SEARCH.items():
         problem, value = problems[family]
@@ -476,6 +481,7 @@ def test_indexed_entailment_matches_a_full_scan(monkeypatch):
     families = [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("*.smt2"))]
     problems = families + [corpus_problem(seed) for seed in range(40)]
     problems += [parse_problem(boolean_structure_text(seed)) for seed in range(40)]
+    problems += [encode_pb(*random_pb(seed, 20)) for seed in range(8)]
     cases = [(problem, cfg) for problem in problems for cfg in ALL_CONFIGS]
     cases += [
         (problem, OmtConfig(schema="inline", search=search, pure_literal=False))
@@ -500,6 +506,68 @@ def test_indexed_entailment_matches_a_full_scan(monkeypatch):
         for fixpoints, _ in runs["indexed"][2]:
             entailed += sum(map(len, fixpoints))
     assert entailed > 0  # the inputs reach theory propagations
+
+
+def test_entailment_asks_atoms_registered_since_the_last_ask():
+    """An atom registered between two asks, with no backjump or new bound
+    in between, is asked at the second: here a cost atom the root upper
+    bound entails."""
+    bridge = omt.TheoryBridge(parse_problem(ZENO), OmtConfig())
+    sat = bridge.sat
+    sat.client = bridge
+    assert sat.propagate() is None and sat.decision_level == 0
+    lit = bridge.cost_lit(Fraction(20), "<")
+    props = bridge._entailed_props(sat)
+    assert [p[0] for p in props] == [lit]
+    assert props == _FullScanEntailment._entailed_props(bridge, sat)
+
+
+class _EagerWitness:
+    """Reference: makes the concrete model of each improving model at
+    once, from the simplex state it was found in."""
+
+    def minimize(self):
+        best = self.best
+        found = super().minimize()
+        if self.best is not best:
+            self.eager = self.snapshot_model(self.lra.beta, self.current_literals())
+        return found
+
+    def outcome(self, status):
+        out = super().outcome(status)
+        if out.model is not None:
+            out.epsilon, out.model = self.eager
+        return out
+
+
+def test_lazy_witness_matches_an_eager_snapshot(monkeypatch):
+    """The model and epsilon made once at the end from the kept simplex
+    values equal the ones made when the best model was found, on
+    finished and on interrupted searches."""
+    families = [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("*.smt2"))]
+    problems = families + [corpus_problem(seed) for seed in range(100)]
+    problems += [encode_pb(*random_pb(seed, 16)) for seed in range(8)]
+    configs = [
+        OmtConfig(schema=cfg.schema, search=cfg.search, max_loops=max_loops)
+        for cfg in ALL_CONFIGS
+        for max_loops in (None, 1, 2)
+    ]
+    eager = (
+        type("EagerBridge", (_EagerWitness, omt.TheoryBridge), {}),
+        type("EagerInlineBridge", (_EagerWitness, omt.InlineBridge), {}),
+    )
+    lazy = (omt.TheoryBridge, omt.InlineBridge)
+    interrupted_models = 0
+    for i, problem in enumerate(problems):
+        for cfg in configs:
+            outs = []
+            for offline, inline in (lazy, eager):
+                monkeypatch.setattr(omt, "TheoryBridge", offline)
+                monkeypatch.setattr(omt, "InlineBridge", inline)
+                outs.append(solve(problem, cfg))
+            assert outs[0] == outs[1], (i, cfg)
+            interrupted_models += outs[0].status == "interrupted" and outs[0].model is not None
+    assert interrupted_models > 0
 
 
 def test_lower_trace_rises_to_the_reported_value():

@@ -424,8 +424,8 @@ EDGE_INPUTS = [
     "(declare-fun x () Real)(assert (>= x \u0663))(minimize x)",
     "(declare-fun x () Real)(assert (>= x \u00b2))(minimize x)",
     "(declare-fun p () Bool)(assert " + "(and p " * MAX_DEPTH + "p" + ")" * MAX_DEPTH + ")",
-    # accepted
     "(declare-fun x () Real)(assert (>= x \x0b3))(minimize x)",
+    # accepted
     "(declare-fun x () Real)(set-info :lb 007)(set-info :ub 7/2)(assert (>= (* 0 x) (- 0)))"
     "(minimize x)",
     "(declare-fun x () Real)(set-info :lb (* 2 (/ 1 2)))(set-info :ub (/ 9 -3.0))(minimize x)",
