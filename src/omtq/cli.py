@@ -7,9 +7,10 @@ with those cores goes unseen; independent certificates are ROADMAP item
 5), bench (run a batch of instances under all engine configurations and
 emit CSV).  Exit codes: 0 solved (optimum, unsat or unbounded),
 2 usage (including a ``--lb``/``--ub``/``--width`` that is not a
-numeral ``arith.parse_rat`` reads, a ``generate`` size that makes no
-instance and a ``solve --stats`` or ``-o`` file that cannot be
-written), 3 parse or
+numeral ``arith.parse_rat`` reads, a ``--timeout`` that is negative or
+not a number (``0`` stops at once, ``inf`` never), a ``generate`` size
+that makes no instance and a ``solve --stats`` or ``-o`` file that
+cannot be written), 3 parse or
 validation error, 4 interrupted (``crosscheck`` also exits 4, printing
 ``crosscheck: skipped (interrupted)``, when one of its decision queries
 runs out of pivot budget or of what the solve left of ``--timeout``),
@@ -214,7 +215,8 @@ def cmd_bench(args) -> int:
         if args.jobs <= 1:
             rows = [_bench_one(t) for t in tasks]
         else:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # a fork-started pool starts all its workers at the first submit
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
                 rows = list(pool.map(_bench_one, tasks))
         rows.sort(key=lambda r: (r["instance"], r["schema"], r["search"]))
         w = csv.DictWriter(out, fieldnames=BENCH_COLUMNS)
@@ -237,12 +239,26 @@ def _bound(text: str):
         ) from None
 
 
+def _timeout(text: str) -> float:
+    """A --timeout value in seconds: a float that is not negative and
+    not nan."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = float("nan")
+    if not seconds >= 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a timeout: give seconds, 0 or more, such as 30 or 0.5"
+        )
+    return seconds
+
+
 def _add_engine_options(p: argparse.ArgumentParser):
     p.add_argument("--schema", choices=["offline", "inline"], default="inline")
     p.add_argument("--search", choices=["linear", "binary"], default="binary")
     p.add_argument("--lb", type=_bound, default=None, help="override the lower range bound")
     p.add_argument("--ub", type=_bound, default=None, help="override the upper range bound")
-    p.add_argument("--timeout", type=float, default=None, help="seconds before giving up")
+    p.add_argument("--timeout", type=_timeout, default=None, help="seconds before giving up")
     p.add_argument("--no-pure-literal", action="store_true")
     p.add_argument("--no-early-pruning", action="store_true")
 
@@ -278,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bench", help="run instances under every engine configuration")
     pb.add_argument("files", nargs="+")
-    pb.add_argument("--timeout", type=float, default=None)
+    pb.add_argument("--timeout", type=_timeout, default=None)
     pb.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     pb.add_argument("-o", "--output", default=None)
     pb.set_defaults(func=cmd_bench)

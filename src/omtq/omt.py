@@ -36,7 +36,7 @@ from math import lcm
 from typing import Optional
 
 from .arith import EQ, LE, LT, DeltaRational, materialize_epsilon
-from .formula import CnfFormula, OmtProblem, normalize_atom
+from .formula import ATOM, CnfFormula, OmtProblem, normalize_atom
 from .lra import Interrupted, LraSolver, conjunction_min, dedupe_lits, minimize_var
 from .sat import SatSolver, TheoryClient
 
@@ -149,9 +149,11 @@ class TheoryBridge(TheoryClient):
         # registered
         self.atoms_on: dict[int, list[int]] = {}
         self.registered = 0  # solver vars looked at for new atoms
-        # length of lra.undo at the last entailment ask, None when every
-        # bounded variable must be asked again
-        self.asked_at: Optional[int] = None
+        # one (trail length after its propagations, len(lra.undo), number
+        # of solver vars) per entailment ask whose trail prefix survives,
+        # keys strictly ascending; empty when every bounded variable must
+        # be asked again
+        self.asks: list[tuple[int, int, int]] = []
         self.lra.deadline = None if config.timeout is None else time.monotonic() + config.timeout
         if problem.lb is not None:
             self.sat.add_clause([-self.cost_lit(problem.lb, LT)])
@@ -170,30 +172,35 @@ class TheoryBridge(TheoryClient):
 
     # -- trail -> simplex
 
-    def _should_skip(self, solver, lit: int, atom, polarity: bool) -> bool:
-        if not polarity and atom.rel == EQ:
-            return True  # disequalities are split before they reach the core
-        if not self.cfg.pure_literal or lit in self.forced_lits:
-            return False
-        v = abs(lit)
-        occ = solver.occ_pos[v] if polarity else solver.occ_neg[v]
-        return occ == 0
-
     def _assert_up_to(self, solver, upto: int):
-        while self.ptr < upto:
-            lit = solver.trail[self.ptr]
-            self.ptr += 1
-            v = abs(lit)
-            atom = self.formula.atom_of(v)
-            if atom is None:
+        """Assert the theory literals of ``trail[ptr:upto]``, each marked
+        with its trail position and ``len(lra.undo)`` before it.  Skipped:
+        negated equalities, which are split before they reach the core,
+        and with the pure-literal filter a polarity that occurs in no
+        input clause, unless it is in ``forced_lits``."""
+        trail, lra, marks = solver.trail, self.lra, self.marks
+        kind, payload = self.formula.kind, self.formula.payload
+        occ_pos, occ_neg = solver.occ_pos, solver.occ_neg
+        forced = self.forced_lits
+        pure = self.cfg.pure_literal
+        undo = lra.undo
+        for pos in range(self.ptr, upto):
+            lit = trail[pos]
+            v = lit if lit > 0 else -lit
+            if kind[v - 1] != ATOM:
                 continue
-            polarity = lit > 0
-            if self._should_skip(solver, lit, atom, polarity):
+            atom = payload[v - 1]
+            if lit < 0 and atom.rel == EQ:
                 continue
-            self.marks.append((self.ptr - 1, self.lra.mark(), atom, polarity))
-            confl = self.lra.assert_atom(atom, polarity, lit)
+            if pure and (occ_pos if lit > 0 else occ_neg)[v] == 0 and lit not in forced:
+                continue
+            marks.append((pos, len(undo), atom, lit > 0))
+            confl = lra.assert_atom(atom, lit > 0, lit)
             if confl is not None:
+                self.ptr = pos + 1
                 return confl
+        if self.ptr < upto:
+            self.ptr = upto
         return None
 
     def on_backjump(self, solver, trail_len: int):
@@ -204,7 +211,9 @@ class TheoryBridge(TheoryClient):
             self.lra.backtrack_to(target)
         if self.ptr > trail_len:
             self.ptr = trail_len
-        self.asked_at = None
+        asks = self.asks
+        while asks and asks[-1][0] > trail_len:
+            asks.pop()
 
     def after_bcp(self, solver, complete: bool):
         self.lra.check_deadline()
@@ -233,14 +242,18 @@ class TheoryBridge(TheoryClient):
         solver var order, and the atoms asked are the unassigned ones on
         the variables to ask, in ascending solver var order.
 
-        The variables to ask are every bounded one on the first call and
-        after a backjump, and otherwise those whose bounds tightened
-        since the last ask (``lra.undo`` past ``asked_at``) plus the
-        variables of newly registered atoms.  This is exact: between two
-        asks without a backjump bounds only tighten and atoms only get
-        assigned, and every atom entailed at the last ask was propagated,
-        so an unassigned atom on an untouched variable was not entailed
-        then and is not now.
+        Each ask leaves a checkpoint (key, ``len(lra.undo)``, number of
+        solver vars), its key the trail length once ``SatSolver.propagate``
+        has enqueued the literals returned; a later ask at the same key
+        replaces it, and a backjump below the key drops it.  With no
+        checkpoint left every bounded variable is asked.  Otherwise the
+        last one bounds the ask: the atoms on the variables whose bounds
+        tightened since (``lra.undo`` past its length) and the atoms
+        registered since.  This is exact: the checkpoint's trail prefix,
+        its own propagations included, has survived, so the bounds then
+        are a subset of the bounds now, an atom unassigned now was
+        unassigned then and not entailed, and on an untouched variable it
+        is not entailed now.
 
         Indexing an atom makes its slack, and the slacks are made in the
         order a scan asking every unassigned atom would make them, so
@@ -253,23 +266,27 @@ class TheoryBridge(TheoryClient):
         formula, lra = self.formula, self.lra
         n = formula.num_solver_vars
         atoms_on = self.atoms_on
-        fresh = []  # variables of the newly registered atoms
         for v in range(self.registered + 1, n + 1):
             atom = formula.atom_of(v)
             if atom is not None:
-                x = lra.effective_bounds(atom, True)[0][0]
-                atoms_on.setdefault(x, []).append(v)
-                fresh.append(x)
+                atoms_on.setdefault(lra.effective_bounds(atom, True)[0][0], []).append(v)
         self.registered = n
-        if self.asked_at is None:
-            to_ask = lra.bounded
+        assign, bounded, asks = solver.assign, lra.bounded, self.asks
+        if asks:
+            _, asked_at, known = asks[-1]
+            to_ask = {entry[0] for entry in lra.undo[asked_at:]}
+            asked = {v for x in to_ask for v in atoms_on.get(x, ()) if assign[v] == 0}
+            for v in range(known + 1, n + 1):
+                atom = formula.atom_of(v)
+                if (
+                    atom is not None
+                    and assign[v] == 0
+                    and lra.effective_bounds(atom, True)[0][0] in bounded
+                ):
+                    asked.add(v)
         else:
-            to_ask = {entry[0] for entry in lra.undo[self.asked_at:]}
-            to_ask.update(x for x in fresh if x in lra.bounded)
-        self.asked_at = len(lra.undo)
-        assign = solver.assign
-        asked = [v for x in to_ask for v in atoms_on.get(x, ()) if assign[v] == 0]
-        asked.sort()
+            asked = [v for x in bounded for v in atoms_on.get(x, ()) if assign[v] == 0]
+        asked = sorted(asked)
         out = []
         for v in asked:
             ent = lra.entailed(formula.atom_of(v))
@@ -278,6 +295,10 @@ class TheoryBridge(TheoryClient):
             value, reasons = ent
             lit = v if value else -v
             out.append((lit, [lit] + [-r for r in reasons]))
+        key = len(solver.trail) + len(out)
+        if asks and asks[-1][0] == key:
+            asks.pop()
+        asks.append((key, len(lra.undo), n))
         return out
 
     # -- hooks for the engines

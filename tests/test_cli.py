@@ -135,6 +135,20 @@ def test_timeout_reports_interrupted(ex1, capsys):
     assert out.splitlines()[0] == "interrupted"
 
 
+def test_infinite_timeout_never_stops(ex1, capsys):
+    assert main(["solve", ex1, "--timeout", "inf"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "optimum"
+
+
+@pytest.mark.parametrize("command", ["solve", "crosscheck", "bench"])
+@pytest.mark.parametrize("value", ["nan", "-1", "-inf", "soon"])
+def test_timeout_must_be_seconds_not_below_zero(ex1, capsys, command, value):
+    with pytest.raises(SystemExit) as info:
+        main([command, ex1, f"--timeout={value}"])
+    assert info.value.code == 2
+    assert "is not a timeout" in capsys.readouterr().err
+
+
 def test_crosscheck_pass(ex1, capsys):
     code = main(["crosscheck", ex1, "--schema", "offline", "--search", "linear"])
     out = capsys.readouterr().out
@@ -277,3 +291,30 @@ def test_bench_emits_one_row_per_configuration(ex1, tmp_path, capsys):
     assert all(r["status"] == "optimum" for r in rows)
     assert all(r["objective"] == "15" for r in rows)
     assert all(r["attained"] == "true" for r in rows)
+
+
+@pytest.mark.parametrize("jobs, workers", [("64", 4), ("4", 4), ("2", 2)])
+def test_bench_starts_no_more_workers_than_tasks(ex1, tmp_path, capsys, monkeypatch, jobs, workers):
+    sizes = []
+
+    class InProcessPool:
+        """Records ``max_workers`` and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    out_csv = tmp_path / "bench.csv"
+    assert main(["bench", ex1, "--jobs", jobs, "-o", str(out_csv)]) == 0
+    assert sizes == [workers]
+    with open(out_csv, newline="") as fh:
+        assert [r["objective"] for r in csv.DictReader(fh)] == ["15"] * 4

@@ -8,7 +8,7 @@ import pytest
 from helpers import boolean_structure_text, corpus_problem, model_satisfies, random_pb, text_holds
 from omtq import OmtConfig, SearchStats, compute_pivot, crosscheck, lra, omt, solve
 from omtq.encodings import encode_pb, jobshop_problem, strip_packing_problem
-from omtq.formula import OmtProblem
+from omtq.formula import OmtProblem, normalize_atom
 from omtq.omt import CostRange, smt_decide
 from omtq.oracle import oracle_solve
 from omtq.parser import parse_problem
@@ -520,6 +520,47 @@ def test_entailment_asks_atoms_registered_since_the_last_ask():
     props = bridge._entailed_props(sat)
     assert [p[0] for p in props] == [lit]
     assert props == _FullScanEntailment._entailed_props(bridge, sat)
+
+
+LADDER = """
+(declare-fun cost () Real)
+(declare-fun x () Real)
+(declare-fun p () Bool)
+(declare-fun q () Bool)
+(declare-fun r () Bool)
+(assert (>= cost x))
+(assert (<= x 10))
+(assert (or (<= x 1) p))
+(assert (or (<= x 3) q))
+(assert (or (<= x 5) r))
+(minimize cost)
+"""
+
+
+def test_entailment_after_a_backjump_resumes_from_the_surviving_ask(monkeypatch):
+    """An ask at level 0, a decision whose bound entails two atoms, and a
+    backjump to level 0: the level-0 ask survives the backjump, no bound
+    tightened since, so the next ask asks nothing and, like a full scan,
+    finds nothing."""
+    bridge = omt.TheoryBridge(parse_problem(LADDER), OmtConfig())
+    sat, formula = bridge.sat, bridge.formula
+    sat.client = bridge
+    assert sat.propagate() is None and sat.decision_level == 0
+    x = formula.rat_var("x")
+    ladder = [formula.lit_for_atom(*normalize_atom({x: 1}, -k, "<=")) for k in (1, 3, 5)]
+    assert all(sat.value(lit) == 0 for lit in ladder)
+    sat.trail_lim.append(len(sat.trail))
+    sat.enqueue(ladder[0])
+    assert sat.propagate() is None
+    assert sat.trail[sat.trail_lim[0]:] == ladder  # two theory propagations
+    sat.cancel_until(0)
+    asks = []
+    entailed = bridge.lra.entailed
+    monkeypatch.setattr(bridge.lra, "entailed", lambda atom: asks.append(atom) or entailed(atom))
+    props = bridge._entailed_props(sat)
+    assert asks == []
+    assert props == _FullScanEntailment._entailed_props(bridge, sat) == []
+    assert len(asks) == 3  # the full scan asks the ladder's three atoms
 
 
 class _EagerWitness:
