@@ -1,6 +1,6 @@
 """Exact optimization of a rational variable modulo linear arithmetic."""
 
-from .arith import DeltaRational, format_rat, parse_rat, rat
+from .arith import DeltaRational, format_rat, parse_rat
 from .encodings import (
     SplitMix64,
     encode_ldp,
@@ -58,7 +58,6 @@ __all__ = [
     "oracle_solve",
     "parse_problem",
     "parse_rat",
-    "rat",
     "smt_decide",
     "solve",
     "strip_packing_instance",

@@ -26,18 +26,6 @@ LT = "<"
 EQ = "="
 
 
-def rat(value, den=None) -> Fraction:
-    """Build a Fraction from ints, strings ('3', '-7/2', '3.5', read by
-    ``parse_rat``) or Fractions."""
-    if den is not None:
-        return Fraction(value, den)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return parse_rat(value)
-    return Fraction(value)
-
-
 _ZERO = 0
 
 
@@ -55,7 +43,7 @@ class DeltaRational:
     __slots__ = ("real", "eps")
 
     def __init__(self, real, eps=0):
-        self.real = _integral_or_fraction(real if type(real) is int else Fraction(real))
+        self.real = integral_or_fraction(real if type(real) is int else Fraction(real))
         self.eps = _nonzero_or_shared(eps if type(eps) is int else Fraction(eps))
 
     def __add__(self, other: "DeltaRational") -> "DeltaRational":
@@ -81,7 +69,7 @@ class DeltaRational:
     def scaled(self, k) -> "DeltaRational":
         """The value times the rational ``k`` (an int or a Fraction)."""
         if type(k) is not int:
-            k = _integral_or_fraction(k if type(k) is Fraction else Fraction(k))
+            k = integral_or_fraction(k if type(k) is Fraction else Fraction(k))
         e = self.eps
         return _make(self.real * k, e if e is _ZERO else _nonzero_or_shared(e * k))
 
@@ -141,7 +129,7 @@ def _make(real, eps) -> DeltaRational:
     return d
 
 
-def _integral_or_fraction(q):
+def integral_or_fraction(q):
     """``q`` (an int or a Fraction) in normal form."""
     if type(q) is int or q.denominator != 1:
         return q

@@ -67,7 +67,7 @@ class SplitMix64:
 # structured encoders
 
 
-def _atom(f: CnfFormula, ids: dict, coeffs: dict, op: str, rhs) -> BAtom:
+def _atom(ids: dict, coeffs: dict, op: str, rhs) -> BAtom:
     mapped = {ids[name]: Fraction(c) for name, c in coeffs.items()}
     return BAtom(mapped, -Fraction(rhs), op)
 
@@ -86,7 +86,7 @@ def encode_ldp(variables, cost: str, disjunctions, lb=None, ub=None) -> OmtProbl
     ids = _declare(f, variables)
     parts = []
     for clause in disjunctions:
-        parts.append(disj([_atom(f, ids, c, op, rhs) for (c, op, rhs) in clause]))
+        parts.append(disj([_atom(ids, c, op, rhs) for (c, op, rhs) in clause]))
     cnfize(conj(parts), f)
     return OmtProblem(f, ids[cost], lb, ub)
 
@@ -106,7 +106,7 @@ def encode_lgdp(variables, cost: str, disjunctions, lb=None, ub=None, exclusive:
         ys = [f.new_prop(f"y{k}_{j}") for j in range(len(alts))]
         parts.append(disj([BProp(y) for y in ys]))
         for y, constraints in zip(ys, alts):
-            body = conj([_atom(f, ids, c, op, rhs) for (c, op, rhs) in constraints])
+            body = conj([_atom(ids, c, op, rhs) for (c, op, rhs) in constraints])
             parts.append(BOr([BNot(BProp(y)), body]))
         if exclusive:
             for a in range(len(ys)):

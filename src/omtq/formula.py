@@ -27,27 +27,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .arith import EQ, LE, LT, DeltaRational
+from .arith import EQ, LE, LT, DeltaRational, integral_or_fraction
 
 # ---------------------------------------------------------------------------
 # terms and atoms
 
 
-def _normal(q):
-    """``q`` as an ``int`` when integral, else as a ``Fraction``."""
-    if type(q) is int:
-        return q
-    if type(q) is not Fraction:
-        q = Fraction(q)
-    return q.numerator if q.denominator == 1 else q
-
-
 class LinTerm:
     """Mutable builder for sum(coeff_i * var_i) + const over variable ids.
 
-    Coefficients and the constant are kept normal (``_normal``): sums and
-    scalings of integral terms stay ints, and a ``Fraction`` appears only
-    where the value is not integral.
+    Coefficients and the constant are kept normal
+    (``integral_or_fraction``): sums and scalings of integral terms stay
+    ints, and a ``Fraction`` appears only where the value is not
+    integral.
     """
 
     __slots__ = ("coeffs", "const")
@@ -56,19 +48,13 @@ class LinTerm:
         self.coeffs: dict[int, Union[int, Fraction]] = {}
         if coeffs:
             for v, c in coeffs.items():
-                c = _normal(c)
+                c = integral_or_fraction(c)
                 if c:
                     self.coeffs[v] = c
-        self.const = _normal(const)
-
-    def copy(self) -> "LinTerm":
-        t = LinTerm()
-        t.coeffs = dict(self.coeffs)
-        t.const = self.const
-        return t
+        self.const = integral_or_fraction(const)
 
     def add_var(self, var: int, coeff) -> "LinTerm":
-        c = _normal(self.coeffs.get(var, 0) + _normal(coeff))
+        c = integral_or_fraction(self.coeffs.get(var, 0) + integral_or_fraction(coeff))
         if c:
             self.coeffs[var] = c
         else:
@@ -78,11 +64,11 @@ class LinTerm:
     def add(self, other: "LinTerm") -> "LinTerm":
         for v, c in other.coeffs.items():
             self.add_var(v, c)
-        self.const = _normal(self.const + other.const)
+        self.const = integral_or_fraction(self.const + other.const)
         return self
 
     def scale(self, k) -> "LinTerm":
-        k = _normal(k)
+        k = integral_or_fraction(k)
         if k == 1:
             return self
         if k == -1:
@@ -92,8 +78,8 @@ class LinTerm:
             self.coeffs = {}
             self.const = 0
         else:
-            self.coeffs = {v: _normal(c * k) for v, c in self.coeffs.items()}
-            self.const = _normal(self.const * k)
+            self.coeffs = {v: integral_or_fraction(c * k) for v, c in self.coeffs.items()}
+            self.const = integral_or_fraction(self.const * k)
         return self
 
     def is_ground(self) -> bool:
@@ -224,7 +210,7 @@ class BAtom(BoolExpr):
 
     def __init__(self, coeffs, const, op):
         self.coeffs = dict(coeffs)
-        self.const = _normal(const)
+        self.const = integral_or_fraction(const)
         self.op = op
 
 

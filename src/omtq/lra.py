@@ -229,7 +229,7 @@ class LraSolver:
                     continue
                 up = self.upper[vid]
                 if up is not None and val > up[0]:
-                    return dedupe_lits([-reason, -up[1]])
+                    return list(dict.fromkeys([-reason, -up[1]]))
                 self.undo.append((vid, "lo", cur))
                 self.lower[vid] = (val, reason)
                 self.bounded.add(vid)
@@ -243,7 +243,7 @@ class LraSolver:
                     continue
                 lo = self.lower[vid]
                 if lo is not None and val < lo[0]:
-                    return dedupe_lits([-reason, -lo[1]])
+                    return list(dict.fromkeys([-reason, -lo[1]]))
                 self.undo.append((vid, "up", cur))
                 self.upper[vid] = (val, reason)
                 self.bounded.add(vid)
@@ -384,7 +384,7 @@ class LraSolver:
                         reasons.append(self.upper[y][1])
                     else:
                         reasons.append(self.lower[y][1])
-                return "unsat", dedupe_lits([-r for r in reasons])
+                return "unsat", list(dict.fromkeys(-r for r in reasons))
             self._pivot_and_update(x, enter, target)
 
     # -- bound-based entailment -------------------------------------------
@@ -410,7 +410,7 @@ class LraSolver:
                 forced_true.append(up[1])
         else:
             if forced_true:
-                return True, dedupe_lits(forced_true)
+                return True, list(dict.fromkeys(forced_true))
         for vid, is_lower, val in entries:
             if is_lower:
                 up = self.upper[vid]
@@ -541,13 +541,3 @@ def conjunction_min(literals, cost: int) -> tuple[str, Optional[DeltaRational]]:
     if value is None:
         return "unbounded", None
     return "min", value
-
-
-def dedupe_lits(lits) -> list[int]:
-    seen = set()
-    out = []
-    for l in lits:
-        if l not in seen:
-            seen.add(l)
-            out.append(l)
-    return out

@@ -17,7 +17,10 @@ steps, the loop count and budget, and the trace of lower ends.
   complete model triggers minimize / learn-a-tighter-bound / restart
   inside the run.  Theory conflicts that involve the pivot are
   generalized by maximizing the bound they refute, which turns one
-  conflict into a jump of the whole lower end of the range.
+  conflict into a jump of the whole lower end of the range.  This fires
+  only when the pivot atom reaches the simplex: the pivot occurs in no
+  input clause, so the default pure-literal filter never asserts it,
+  and only with ``pure_literal=False`` does a conflict involve it.
 
 Values are exact; strict minima are reported as unattained infima with
 a model materialized at a safely small epsilon.
@@ -37,7 +40,7 @@ from typing import Optional
 
 from .arith import EQ, LE, LT, DeltaRational, materialize_epsilon
 from .formula import ATOM, CnfFormula, OmtProblem, normalize_atom
-from .lra import Interrupted, LraSolver, conjunction_min, dedupe_lits, minimize_var
+from .lra import Interrupted, LraSolver, conjunction_min, minimize_var
 from .sat import SatSolver, TheoryClient
 
 OPTIMUM = "optimum"
@@ -228,10 +231,9 @@ class TheoryBridge(TheoryClient):
             return ("conflict", self.transform_conflict(solver, clause))
         if complete:
             return self.on_theory_sat(solver)
-        if self.cfg.early_pruning:
-            props = self._entailed_props(solver)
-            if props:
-                return ("propagate", props)
+        props = self._entailed_props(solver)
+        if props:
+            return ("propagate", props)
         return None
 
     def _entailed_props(self, solver):
@@ -559,17 +561,17 @@ class InlineBridge(TheoryBridge):
         if found is None:
             return ("halt", UNBOUNDED)
         m, ulit = found
-        directives = [([ulit], False)]
+        solver.add_lemma([ulit], learnt=False)
         if self.pivot_lit is not None and solver.value(self.pivot_lit) == 1:
             # the pivot unit is only a consequence when the fresh upper
             # bound sits below the pivot; the minimum can land on or
             # above it because pivot atoms are pure-literal invisible
             if m <= DeltaRational(self.pivot_val):
-                directives.append(([self.pivot_lit], True))
+                solver.add_lemma([self.pivot_lit])
         blocking = self._blocking_clause(ulit)
         if blocking is not None:
-            directives.append((blocking, True))
-        return ("learn", directives)
+            solver.add_lemma(blocking)
+        return ("restart",)
 
     def _blocking_clause(self, ulit: int):
         """Clause forbidding the current theory assignment together with
@@ -602,14 +604,11 @@ class InlineBridge(TheoryBridge):
         if status != "min":
             return clause
         if self.u_lit is not None and val > self.range.hi:
-            return dedupe_lits(eta_lits + [-self.u_lit])
+            return eta_lits + [-self.u_lit]
         if val.real > self.pivot_val:
             litr = self.cost_lit(val.real, LT)
-            c1 = self.sat.add_clause(dedupe_lits(eta_lits + [-litr]), learnt=True)
-            c2 = self.sat.add_clause([-p, litr], learnt=True)
-            for c in (c1, c2):
-                if c is not None and len(c.lits) > 1:
-                    self.sat.queue_unit_check(c)
+            solver.add_lemma(eta_lits + [-litr])
+            solver.add_lemma([-p, litr])
         return clause
 
 

@@ -14,6 +14,12 @@ on top:
   at decision level zero, through which the theory solver and the
   optimization schemas plug in.
 
+The core trusts its client and checks none of this: a literal the
+client propagates is unassigned, it propagates at most one literal per
+variable at a time, each reason clause leads with its literal, and no
+reason or conflict clause is a tautology (every literal of a conflict,
+and every one of a reason but the first, is false under the trail).
+
 The hot loops (propagation, watch selection in ``add_clause``, conflict
 analysis) make no method call per literal: they read ``assign`` directly,
 a literal ``l`` being true when ``assign[l] == 1`` for ``l > 0`` and
@@ -44,8 +50,11 @@ class TheoryClient:
 
     def after_bcp(self, solver, complete: bool):
         """Called at every propagation fixpoint.  May return None,
-        ('conflict', lits), ('propagate', [(lit, reason_lits), ...]),
-        ('learn', [(lits, learnt_flag), ...]) or ('halt', payload)."""
+        ('conflict', lits) with every literal false, ('propagate',
+        [(lit, [lit, *false_lits]), ...]) with at least one pair, each
+        literal unassigned and on a variable of its own, ('restart',)
+        once lemmas have been added with ``add_lemma``, or ('halt',
+        payload)."""
         return None
 
     def on_backjump(self, solver, trail_len: int):
@@ -172,7 +181,7 @@ class SatSolver:
         level-0 propagation pass, a longer one is watched on its two
         highest-level literals, and a caller whose clause is already unit
         or false under the trail enqueues its literal or calls
-        ``queue_unit_check``."""
+        ``add_lemma`` instead."""
         out = list(dict.fromkeys(lits))
         if not set(out).isdisjoint(map(neg, out)):
             return None  # tautology
@@ -231,10 +240,13 @@ class SatSolver:
 
     # -- propagation -------------------------------------------------------
 
-    def queue_unit_check(self, c: Clause):
-        """Ask the next level-0 propagation pass to examine this clause;
-        used for lemmas that arrive already unit under the root trail."""
-        self._pending_units.append(c)
+    def add_lemma(self, lits, learnt: bool = True):
+        """Add a clause that may be unit or false under the trail: the next
+        level-0 propagation pass examines it, as it does every
+        one-literal clause."""
+        c = self.add_clause(lits, learnt)
+        if c is not None and len(c.lits) > 1:
+            self._pending_units.append(c)
 
     def _bcp(self) -> Optional[Clause]:
         assign, trail, watches = self.assign, self.trail, self.watches
@@ -304,8 +316,9 @@ class SatSolver:
 
     def propagate(self):
         """BCP plus theory fixpoint.  Returns None, a conflicting Clause,
-        or the client's ('learn', ...) or ('halt', payload) directive,
-        verbatim."""
+        or the client's ('restart',) or ('halt', payload) directive,
+        verbatim.  Theory conflicts and reasons are kept as learnt
+        clauses."""
         while True:
             confl = self._bcp()
             if confl is not None:
@@ -318,46 +331,16 @@ class SatSolver:
                 return None
             tag = resp[0]
             if tag == "conflict":
-                return self._theory_clause(resp[1])
+                return self.add_clause(resp[1], learnt=True)
             if tag == "propagate":
-                progressed = False
                 for lit, reason_lits in resp[1]:
-                    if self.value(lit) == 1:
-                        continue
-                    rc = self._theory_clause(reason_lits, prop_lit=lit)
-                    if self.value(lit) == -1:
-                        return rc
-                    self.enqueue(lit, rc)
-                    progressed = True
-                if not progressed:
-                    return None
+                    self.enqueue(lit, self.add_clause(reason_lits, learnt=True))
                 continue
-            if tag in ("learn", "halt"):
+            if tag in ("restart", "halt"):
                 return resp
             raise ValueError(f"bad client response {tag!r}")
 
-    def _theory_clause(self, lits, prop_lit: Optional[int] = None) -> Clause:
-        """Record a theory lemma (a valid clause)."""
-        lits = list(lits)
-        if prop_lit is not None and lits and lits[0] != prop_lit:
-            lits.remove(prop_lit)
-            lits.insert(0, prop_lit)
-        if len(lits) >= 2:
-            c = self.add_clause(lits, learnt=True)
-            if c is None:  # tautological lemma: harmless, fabricate detached
-                c = Clause(lits, True)
-            return c
-        c = Clause(lits, True)
-        if len(lits) == 1:
-            self._pending_units.append(c)
-        return c
-
     # -- conflict analysis -------------------------------------------------
-
-    def bump_var(self, v: int):
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            self._rescale_activity()
 
     def _rescale_activity(self):
         activity = self.activity
@@ -474,6 +457,12 @@ class SatSolver:
                 best, best_act = v, self.activity[v]
         return best
 
+    def _decide(self, lit: int):
+        """Open a decision level with ``lit`` as its decision."""
+        self.trail_lim.append(len(self.trail))
+        self.stats.decisions += 1
+        self.enqueue(lit, None)
+
     def solve(self, assumptions=(), client: Optional[TheoryClient] = None) -> SolveResult:
         self.client = client
         assumptions = list(assumptions)
@@ -488,17 +477,11 @@ class SatSolver:
         while True:
             confl = self.propagate()
             if isinstance(confl, tuple):
-                tag = confl[0]
-                if tag == "halt":
+                if confl[0] == "halt":
                     return SolveResult("halted", halt=confl[1])
-                if tag == "learn":
-                    for lits, learnt_flag in confl[1]:
-                        c = self.add_clause(lits, learnt=learnt_flag)
-                        if c is not None and len(c.lits) > 1:
-                            self.queue_unit_check(c)
-                    self.cancel_until(0)
-                    self._lz_pending = True
-                    continue
+                self.cancel_until(0)  # ('restart',)
+                self._lz_pending = True
+                continue
             if confl is not None:
                 self.stats.conflicts += 1
                 conflicts_since += 1
@@ -561,23 +544,15 @@ class SatSolver:
                 if val == -1:
                     core = self.analyze_final(p)
                     return SolveResult("unsat", core=core)
-                self.trail_lim.append(len(self.trail))
-                self.stats.decisions += 1
-                self.enqueue(p, None)
+                self._decide(p)
                 continue
 
             lit = None
             if self.client is not None:
                 lit = self.client.suggest_decision(self)
-            if lit is not None:
-                self.trail_lim.append(len(self.trail))
-                self.stats.decisions += 1
-                self.enqueue(lit, None)
-                continue
+            if lit is None:
+                # the trail is not full, so some variable is unassigned
+                v = self._pick_branch_var()
+                lit = v if self.phase[v] else -v
+            self._decide(lit)
 
-            v = self._pick_branch_var()
-            if v == 0:
-                return SolveResult("sat", model=list(self.assign))
-            self.trail_lim.append(len(self.trail))
-            self.stats.decisions += 1
-            self.enqueue(v if self.phase[v] else -v, None)

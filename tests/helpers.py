@@ -10,12 +10,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 from unittest import mock
 
 import numpy as np
 
-from omtq import SplitMix64, formula
+from omtq import OmtConfig, SplitMix64, formula
 from omtq.arith import EQ, LE, LT, parse_rat
 from omtq.formula import (
     ATOM,
@@ -35,6 +36,36 @@ from omtq.formula import (
     normalize_atom,
 )
 from omtq.parser import BOOL_HEADS, COMPARISONS, MAX_DEPTH, ParseError, parse_sexprs
+
+FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "families"
+
+ALL_CONFIGS = [
+    OmtConfig(schema=schema, search=search)
+    for schema in ("offline", "inline")
+    for search in ("linear", "binary")
+]
+
+# the reference instance: optimum 15, attained
+EX1 = """
+(declare-fun cost () Real)
+(declare-fun a () Real)
+(set-info :lb 0)
+(set-info :ub 16)
+(assert (>= cost (+ a 15)))
+(assert (>= a 0))
+(minimize cost)
+"""
+
+# a vanishing range: the infimum 0 is not attained, as every model has a > 0
+ZENO = """
+(declare-fun cost () Real)
+(declare-fun a () Real)
+(set-info :lb 0)
+(set-info :ub 16)
+(assert (>= cost a))
+(assert (or (> a 0) (> a 1)))
+(minimize cost)
+"""
 
 # ---------------------------------------------------------------------------
 # random CNF + brute force (numpy)

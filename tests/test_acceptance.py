@@ -11,6 +11,9 @@ import time
 from fractions import Fraction
 
 from helpers import (
+    ALL_CONFIGS,
+    EX1,
+    ZENO,
     bounded_literals,
     brute_sat,
     corpus_problem,
@@ -31,32 +34,6 @@ from omtq.lra import LraSolver, conjunction_min
 from omtq.oracle import fm_minimize, oracle_solve
 from omtq.parser import parse_problem
 from omtq.sat import SatSolver
-
-ALL_CONFIGS = [
-    OmtConfig(schema=schema, search=search)
-    for schema in ("offline", "inline")
-    for search in ("linear", "binary")
-]
-
-EX1 = """
-(declare-fun cost () Real)
-(declare-fun a () Real)
-(set-info :lb 0)
-(set-info :ub 16)
-(assert (>= cost (+ a 15)))
-(assert (>= a 0))
-(minimize cost)
-"""
-
-ZENO = """
-(declare-fun cost () Real)
-(declare-fun a () Real)
-(set-info :lb 0)
-(set-info :ub 16)
-(assert (>= cost a))
-(assert (or (> a 0) (> a 1)))
-(minimize cost)
-"""
 
 # optimum outcomes cross-validated across criteria 1, 2, 5 and 6
 _XCHECK = {"passed": 0, "failures": []}

@@ -12,18 +12,8 @@ from omtq.arith import (
     format_rat,
     materialize_epsilon,
     parse_rat,
-    rat,
 )
 from omtq.formula import normalize_atom
-
-
-def test_rat_builders():
-    assert rat(3) == Fraction(3)
-    assert rat(3, 4) == Fraction(3, 4)
-    assert rat("-7/2") == Fraction(-7, 2)
-    assert rat("3.5") == Fraction(7, 2)
-    assert rat("-0.25") == Fraction(-1, 4)
-    assert rat(Fraction(5, 6)) == Fraction(5, 6)
 
 
 def test_parse_rat_accepts_the_printed_form():
@@ -41,8 +31,6 @@ def test_parse_rat_rejects_junk():
     for text in ("1.-5", "1.+5", "-1.-5", "-.5", "1.5_0"):
         with pytest.raises(ValueError):
             parse_rat(text)
-        with pytest.raises(ValueError):
-            rat(text)
 
 
 def test_parse_rat_strips_only_smtlib_whitespace():

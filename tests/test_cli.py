@@ -2,10 +2,12 @@
 
 import csv
 import dataclasses
+import hashlib
 import time
 
 import pytest
 
+from helpers import FAMILIES
 from omtq import cli, lra
 from omtq.cli import main
 from omtq.encodings import jobshop_instance
@@ -45,6 +47,24 @@ def test_solve_output_is_byte_identical_across_runs(ex1, capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+# sha256 of the stdout of every run below, in order; it changes only when
+# the search or the printed answer does
+FAMILIES_STDOUT_SHA256 = "66e5007aa7b49b3f8387093815e149ebedc1c33573d4284ed51fa48cec87bafc"
+
+
+def test_solve_output_on_the_families_is_pinned(capsys):
+    # the four configurations, and the two inline ones with the pivot atom
+    # let through to the simplex, where conflict generalization fires
+    runs = [(schema, search, []) for schema in ("offline", "inline") for search in ("linear", "binary")]
+    runs += [("inline", search, ["--no-pure-literal"]) for search in ("linear", "binary")]
+    digest = hashlib.sha256()
+    for path in sorted(FAMILIES.glob("*.smt2")):
+        for schema, search, flags in runs:
+            assert main(["solve", str(path), "--schema", schema, "--search", search, *flags]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == FAMILIES_STDOUT_SHA256
 
 
 def test_all_configurations_agree_from_the_cli(ex1, capsys):

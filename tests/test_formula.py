@@ -6,11 +6,10 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from helpers import boolean_structure_text, random_pb
+from helpers import FAMILIES, boolean_structure_text, random_pb
 from omtq.arith import EQ, LE, LT
 from omtq.formula import (
     Atom,
@@ -31,8 +30,6 @@ from omtq.formula import (
 from omtq.encodings import encode_pb, jobshop_instance, strip_packing_instance
 from omtq.omt import _cost_atom
 from omtq.parser import parse_problem
-
-FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "families"
 
 
 def test_linterm_builder():

@@ -4,19 +4,16 @@ import math
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from helpers import random_literals
+from helpers import FAMILIES, random_literals
 from omtq.arith import EQ, LE, LT, DeltaRational
 from omtq.formula import normalize_atom
 from omtq.lra import Interrupted, LraSolver, minimize_var
 from omtq.omt import InlineBridge, OmtConfig
 from omtq.oracle import fm_minimize
 from omtq.parser import parse_problem
-
-FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "families"
 
 
 def _lit(coeffs, const, op):

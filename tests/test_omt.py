@@ -1,45 +1,26 @@
 """End-to-end optimization engine: offline and inline search."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from helpers import boolean_structure_text, corpus_problem, model_satisfies, random_pb, text_holds
+from helpers import (
+    ALL_CONFIGS,
+    EX1,
+    FAMILIES,
+    ZENO,
+    boolean_structure_text,
+    corpus_problem,
+    model_satisfies,
+    random_pb,
+    text_holds,
+)
 from omtq import OmtConfig, SearchStats, compute_pivot, crosscheck, lra, omt, solve
 from omtq.encodings import encode_pb, jobshop_problem, strip_packing_problem
 from omtq.formula import OmtProblem, normalize_atom
 from omtq.omt import CostRange, smt_decide
 from omtq.oracle import oracle_solve
 from omtq.parser import parse_problem
-
-FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "families"
-
-ALL_CONFIGS = [
-    OmtConfig(schema=schema, search=search)
-    for schema in ("offline", "inline")
-    for search in ("linear", "binary")
-]
-
-EX1 = """
-(declare-fun cost () Real)
-(declare-fun a () Real)
-(set-info :lb 0)
-(set-info :ub 16)
-(assert (>= cost (+ a 15)))
-(assert (>= a 0))
-(minimize cost)
-"""
-
-ZENO = """
-(declare-fun cost () Real)
-(declare-fun a () Real)
-(set-info :lb 0)
-(set-info :ub 16)
-(assert (>= cost a))
-(assert (or (> a 0) (> a 1)))
-(minimize cost)
-"""
 
 
 def _solve_text(text, **kw):

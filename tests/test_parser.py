@@ -1,11 +1,11 @@
 """Textual input format."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from helpers import (
+    FAMILIES,
     boolean_structure_text,
     input_outcome,
     reference_parse_problem,
@@ -16,8 +16,6 @@ from omtq.arith import EQ, parse_rat
 from omtq.encodings import jobshop_instance, strip_packing_instance
 from omtq.parser import MAX_DEPTH, ParseError, parse_problem, parse_sexprs
 from test_formula import PINNED_TEXTS
-
-FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "families"
 
 EX1 = """
 (set-logic QF_LRA)

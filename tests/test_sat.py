@@ -1,20 +1,19 @@
 """Propositional core: propagation, learning, assumptions, cores."""
 
 import random
-from pathlib import Path
 
-from helpers import boolean_structure_text, brute_sat, corpus_problem, random_cnf, random_pb
-from omtq import OmtConfig, encode_pb, lra, omt, solve
+from helpers import (
+    ALL_CONFIGS,
+    FAMILIES,
+    boolean_structure_text,
+    brute_sat,
+    corpus_problem,
+    random_cnf,
+    random_pb,
+)
+from omtq import encode_pb, lra, omt, solve
 from omtq.parser import parse_problem
 from omtq.sat import Clause, SatSolver, luby
-
-FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "families"
-
-ALL_CONFIGS = [
-    OmtConfig(schema=schema, search=search)
-    for schema in ("offline", "inline")
-    for search in ("linear", "binary")
-]
 
 
 def _fresh(nvars, clauses):
@@ -141,7 +140,7 @@ def test_stats_move():
 class ReferenceSatSolver(SatSolver):
     """The core written one literal at a time: every read goes through
     ``value``, the two watches of a new clause come from two ``max``
-    scans, ``analyze`` bumps through ``bump_var`` and ``reduce_db``
+    scans, ``analyze`` bumps one variable at a time and ``reduce_db``
     deletes one clause at a time.  ``SatSolver`` must search exactly
     like it."""
 
@@ -255,7 +254,9 @@ class ReferenceSatSolver(SatSolver):
                     continue
                 if not seen[v]:
                     seen[v] = True
-                    self.bump_var(v)
+                    self.activity[v] += self.var_inc
+                    if self.activity[v] > 1e100:
+                        self._rescale_activity()
                     if self.level[v] >= self.decision_level:
                         counter += 1
                     else:
