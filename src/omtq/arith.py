@@ -43,8 +43,14 @@ class DeltaRational:
     __slots__ = ("real", "eps")
 
     def __init__(self, real, eps=0):
-        self.real = integral_or_fraction(real if type(real) is int else Fraction(real))
-        self.eps = _nonzero_or_shared(eps if type(eps) is int else Fraction(eps))
+        # an int or a Fraction is taken as it is: Fraction(q) on a Fraction
+        # would pay for the numbers.Rational check and a copy
+        if type(real) is not int:
+            real = integral_or_fraction(real if type(real) is Fraction else Fraction(real))
+        self.real = real
+        if type(eps) is not int and type(eps) is not Fraction:
+            eps = Fraction(eps)
+        self.eps = _nonzero_or_shared(eps)
 
     def __add__(self, other: "DeltaRational") -> "DeltaRational":
         e, f = self.eps, other.eps

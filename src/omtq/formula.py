@@ -380,6 +380,9 @@ class _Cnfizer:
         self.labels: dict[int, int] = {}  # id(node) -> label var
         self.defined: set[tuple[int, bool]] = set()
         self.halves: dict[int, BAnd] = {}  # id(equality leaf) -> its halves
+        # comparison leaf -> its literal (or folded constant), one map per
+        # sign; the parser hands a repeated inequality in as one leaf
+        self.leaf_lits: tuple[dict, dict] = ({}, {})
 
     def _split_negated(self, node: BoolExpr, sign: bool) -> tuple[BoolExpr, bool]:
         """An equality leaf t = 0 that occurs negatively (``=`` under sign
@@ -409,11 +412,17 @@ class _Cnfizer:
         if isinstance(part, BConst):
             return part.value == sign
         if isinstance(part, BAtom):
-            folded = _fold_ground(part.coeffs, part.const, part.op)
-            if folded is not None:
-                return folded == sign
-            atom, pol = normalize_atom(part.coeffs, part.const, part.op)
-            return self.f.lit_for_atom(atom, pol == sign)
+            lits = self.leaf_lits[sign]
+            lit = lits.get(part)
+            if lit is None:
+                folded = _fold_ground(part.coeffs, part.const, part.op)
+                if folded is not None:
+                    lit = folded == sign
+                else:
+                    atom, pol = normalize_atom(part.coeffs, part.const, part.op)
+                    lit = self.f.lit_for_atom(atom, pol == sign)
+                lits[part] = lit
+            return lit
         if isinstance(part, BProp):
             return part.var if sign else -part.var
         q = self.labels.get(id(part))

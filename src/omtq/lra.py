@@ -38,6 +38,14 @@ solver: the result of ``minimize_var``, ``beta`` and the values of
 of the input's atoms are integral, and on most inputs so is the whole
 assignment; ``LraSolver(n)`` has D = 1.
 
+Bounds and first rows come from the atoms' integers.  A bound is
+``-num * D / den`` for the atom's constant num/den, plus 0 or ±D
+deltas, made as an ``int`` whenever den divides D; only an atom
+registered after the scale was chosen, such as a cost bound, may need
+a ``Fraction``.  A slack whose variables are all nonbasic, as every
+slack made before the first pivot is, gets its row as the
+coefficients' numerators over the lcm of their denominators.
+
 ``check`` does not scan every row for a violated bound.  The solver
 keeps a set of candidate basic variables that may be out of bounds: a
 basic variable joins it when its value changes, when one of its bounds
@@ -73,7 +81,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .arith import DeltaRational
+from .arith import _ZERO, DeltaRational, _make
 from .formula import Atom, EQ, LE, LT
 
 MAX_PIVOTS = 1_000_000  # per check or minimize_var call
@@ -114,10 +122,23 @@ class LraSolver:
 
     def _expand(self, coeffs: tuple[tuple[int, Fraction], ...]) -> tuple[dict[int, int], int]:
         """Rewrite a combination of variables over the current nonbasics,
-        as a fraction-free row and its denominator."""
+        as a fraction-free row and its denominator.
+
+        ``coeffs`` is canonical: distinct variables, no zeros.  When none
+        of them is basic, as for every slack made before the first
+        pivot, the row is their numerators over the lcm of their
+        denominators; otherwise basic variables are substituted by
+        their rows in ``Fraction``s."""
+        rows = self.rows
+        for vid, _ in coeffs:
+            if vid in rows:
+                break
+        else:
+            den = lcm(*[a.denominator for _, a in coeffs])
+            return {vid: a.numerator * (den // a.denominator) for vid, a in coeffs}, den
         acc: dict[int, Fraction] = {}
         for vid, a in coeffs:
-            row = self.rows.get(vid)
+            row = rows.get(vid)
             if row is None:
                 acc[vid] = acc.get(vid, 0) + a
             else:
@@ -157,42 +178,47 @@ class LraSolver:
 
     # -- bound bookkeeping -------------------------------------------------
 
-    @staticmethod
-    def _atom_bounds(atom: Atom, polarity: bool):
-        """Bound entries (is_lower, value) implied by the literal, for the
-        atom's own orientation of the term.
-
-        The canonical atom is (h + const rel 0), so the homogeneous part
-        h is bounded by -const."""
-        c = -atom.const
-        if atom.rel == LE:
-            if polarity:
-                return [(False, DeltaRational(c))]
-            return [(True, DeltaRational(c, 1))]
-        if atom.rel == LT:
-            if polarity:
-                return [(False, DeltaRational(c, -1))]
-            return [(True, DeltaRational(c))]
-        if atom.rel == EQ:
-            if polarity:
-                return [(True, DeltaRational(c)), (False, DeltaRational(c))]
-            raise ValueError("negated equality reached the arithmetic core")
-        raise ValueError(f"unknown relation {atom.rel!r}")
-
     def effective_bounds(self, atom: Atom, polarity: bool):
         """List of (var, is_lower, value) bounds asserted by the literal,
         values times ``scale``, their delta parts included.
 
+        The canonical atom is (h + const rel 0), so the homogeneous part
+        h is bounded by -const: the value is ``-num * k / den`` for the
+        constant num/den and the signed scale k (negative when the slack
+        is h's negation), plus 0 or ±k deltas.
+
         Computed once per literal; callers must not mutate the list."""
-        out = self.bounds_of.get((atom, polarity))
+        key = (atom, polarity)
+        out = self.bounds_of.get(key)
         if out is not None:
             return out
         vid, flipped = self.slack_for(atom.coeffs)
         k = -self.scale if flipped else self.scale
-        out = []
-        for is_lower, val in self._atom_bounds(atom, polarity):
-            out.append((vid, is_lower != flipped, val if k == 1 else val.scaled(k)))
-        self.bounds_of[(atom, polarity)] = out
+        const = atom.const
+        den = const.denominator
+        if k % den:
+            real = Fraction(-const.numerator * k, den)
+        else:
+            real = -const.numerator * (k // den)
+        rel = atom.rel
+        if rel == LE:
+            if polarity:  # h <= c
+                out = [(vid, flipped, _make(real, _ZERO))]
+            else:  # h > c
+                out = [(vid, not flipped, _make(real, k))]
+        elif rel == LT:
+            if polarity:  # h < c
+                out = [(vid, flipped, _make(real, -k))]
+            else:  # h >= c
+                out = [(vid, not flipped, _make(real, _ZERO))]
+        elif rel == EQ:
+            if not polarity:
+                raise ValueError("negated equality reached the arithmetic core")
+            value = _make(real, _ZERO)
+            out = [(vid, not flipped, value), (vid, flipped, value)]
+        else:
+            raise ValueError(f"unknown relation {rel!r}")
+        self.bounds_of[key] = out
         return out
 
     def mark(self) -> int:

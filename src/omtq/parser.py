@@ -17,6 +17,19 @@ or a ``"string"`` is one atom, whatever it holds (parentheses,
 semicolons, newlines), and keeps its delimiters in its text, so ``|x|``
 and ``x`` are different names.  Numerals and the constants ``true``
 and ``false`` cannot be declared.
+
+The reader also gives each list node its character span in the text.
+The builder keys its one memo by that span's text: a ``<=``, ``<``,
+``>=`` or ``>`` application that repeats, character for character, an
+earlier one of the same input returns the leaf already built.  A
+repeat then costs a lookup instead of the term and the canonical atom,
+because the CNF walk gives each leaf its literal once per sign.  The
+memo only holds applications that were built without error, and what
+they mean cannot change later in the input, because a name cannot be
+declared twice.  ``=`` keeps one leaf per occurrence: the CNF walk
+gives each negated equality leaf its own label for its split halves,
+so sharing the leaf would change the clauses.  The memo lives and dies
+with one ``parse_problem`` call.
 """
 
 from __future__ import annotations
@@ -66,9 +79,11 @@ class ParseError(ValueError):
 class SExpr:
     """A list node (``items`` set, ``text`` None) or an atom (``text``
     set, ``items`` None), with the 1-based position of its first
-    character."""
+    character.  The reader also gives each list node its character span
+    in the input, ``start`` (its '(') up to ``end`` (just past its
+    ')')."""
 
-    __slots__ = ("items", "text", "line", "col")
+    __slots__ = ("items", "text", "line", "col", "start", "end")
 
     def __init__(self, items: Optional[list], text: Optional[str], line: int, col: int):
         self.items = items
@@ -97,17 +112,28 @@ class SExpr:
 _TOKEN = re.compile(r';[^\n]*|\n|[ \t\r]+|[()]|\|[^|]*\||"(?:[^"]|"")*"|[^ \t\r\n();]+')
 
 
+# the reader makes nodes without calling SExpr.__init__, which costs a
+# Python call per token
+_new_node = object.__new__
+
+
 def parse_sexprs(text: str) -> list[SExpr]:
     top: list[SExpr] = []
     stack: list[SExpr] = []  # open lists, innermost last
     items = top  # where the next node goes
     line = col = 1
+    base = 0  # offset of the current line's first character in text
     for tok in _TOKEN.findall(text):
         c = tok[0]
         if c == "(":
             if len(stack) == MAX_DEPTH:
                 raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", line, col)
-            node = SExpr([], None, line, col)
+            node = _new_node(SExpr)
+            node.items = []
+            node.text = None
+            node.line = line
+            node.col = col
+            node.start = base + col - 1
             items.append(node)
             stack.append(node)
             items = node.items
@@ -115,19 +141,27 @@ def parse_sexprs(text: str) -> list[SExpr]:
         elif c == ")":
             if not stack:
                 raise ParseError("unbalanced ')'", line, col)
-            stack.pop()
+            stack.pop().end = base + col
             items = stack[-1].items if stack else top
             col += 1
         elif c == "\n":
+            base += col
             line += 1
             col = 1
-        elif c == " " or c == "\t" or c == "\r":
-            col += len(tok)
-        elif c != ";":  # an atom; a comment ends at the newline token
-            items.append(SExpr(None, tok, line, col))
+        elif c == " " or c == "\t" or c == "\r" or c == ";":
+            col += len(tok)  # a comment ends at the newline token
+        else:  # an atom
+            node = _new_node(SExpr)
+            node.items = None
+            node.text = tok
+            node.line = line
+            node.col = col
+            items.append(node)
             if (c == "|" or c == '"') and "\n" in tok:
                 line += tok.count("\n")
-                col = len(tok) - tok.rindex("\n")
+                last = tok.rindex("\n")
+                base += col + last
+                col = len(tok) - last
             else:
                 col += len(tok)
     if stack:
@@ -143,7 +177,10 @@ def _try_rat(text: str) -> Optional[Fraction]:
 
 
 class _ProblemBuilder:
-    def __init__(self):
+    def __init__(self, text: str):
+        self.text = text
+        # source text of an inequality application -> its leaf
+        self.inequalities: dict[str, BAtom] = {}
         self.formula = CnfFormula()
         self.asserts: list[BoolExpr] = []
         self.cost: Optional[int] = None
@@ -257,14 +294,23 @@ class _ProblemBuilder:
                 raise ParseError("'=>' needs two arguments", node.line, node.col)
             # right-associative, so (=> a1 a2 b) is a1 => (a2 => b)
             return BOr([BNot(self.bool_expr(a)) for a in args[:-1]] + [self.bool_expr(args[-1])])
-        if head in COMPARISONS or head == "=":
-            if len(args) != 2:
-                raise ParseError(f"{head!r} compares exactly two operands", node.line, node.col)
-            if head == "=" and (self._looks_boolean(args[0]) or self._looks_boolean(args[1])):
+        if head in COMPARISONS:
+            key = self.text[node.start:node.end]
+            leaf = self.inequalities.get(key)
+            if leaf is None:
+                leaf = self.inequalities[key] = self._comparison(node, head, args)
+            return leaf
+        if head == "=":
+            if len(args) == 2 and (self._looks_boolean(args[0]) or self._looks_boolean(args[1])):
                 return BIff(self.bool_expr(args[0]), self.bool_expr(args[1]))
-            diff = self.term(args[0]).add(self.term(args[1]).scale(-1))
-            return BAtom(diff.coeffs, diff.const, head)
+            return self._comparison(node, head, args)
         raise ParseError(f"unknown operator {head!r}", node.line, node.col)
+
+    def _comparison(self, node: SExpr, head: str, args: list[SExpr]) -> BAtom:
+        if len(args) != 2:
+            raise ParseError(f"{head!r} compares exactly two operands", node.line, node.col)
+        diff = self.term(args[0]).add(self.term(args[1]).scale(-1))
+        return BAtom(diff.coeffs, diff.const, head)
 
     # -- commands
 
@@ -339,7 +385,7 @@ class _ProblemBuilder:
 
 
 def parse_problem(text: str) -> OmtProblem:
-    builder = _ProblemBuilder()
+    builder = _ProblemBuilder(text)
     for node in parse_sexprs(text):
         builder.command(node)
     return builder.finish()

@@ -472,6 +472,7 @@ class SatSolver:
             return SolveResult("unsat", core=[])
         restart_num = 0
         conflicts_since = 0
+        restart_at = luby(0) * RESTART_UNIT  # conflicts before the next restart
         use_restarts = not assumptions
 
         while True:
@@ -527,8 +528,9 @@ class SatSolver:
                         return SolveResult("unsat", core=self.analyze_final(p))
                 return SolveResult("sat", model=list(self.assign))
 
-            if use_restarts and conflicts_since >= luby(restart_num) * RESTART_UNIT:
+            if use_restarts and conflicts_since >= restart_at:
                 restart_num += 1
+                restart_at = luby(restart_num) * RESTART_UNIT
                 conflicts_since = 0
                 self.stats.restarts += 1
                 self.cancel_until(0)

@@ -14,6 +14,7 @@ from omtq.lra import Interrupted, LraSolver, minimize_var
 from omtq.omt import InlineBridge, OmtConfig
 from omtq.oracle import fm_minimize
 from omtq.parser import parse_problem
+from test_arith import _normal
 
 
 def _lit(coeffs, const, op):
@@ -110,6 +111,43 @@ def test_equality_pins_both_sides():
     assert sat
     assert lra.beta[0] == DeltaRational(5)
     assert lra.beta[1] == DeltaRational(2)
+
+
+# the bounds (is_lower, eps) on an atom's own term h that each literal
+# asserts, all at -const: the canonical atom is (h + const rel 0)
+_TERM_BOUNDS = {
+    (LE, True): [(False, 0)],
+    (LE, False): [(True, 1)],
+    (LT, True): [(False, -1)],
+    (LT, False): [(True, 0)],
+    (EQ, True): [(True, 0), (False, 0)],
+}
+
+
+@pytest.mark.parametrize("scale", [1, 12])
+def test_effective_bounds_are_the_scaled_delta_bounds(scale):
+    """Each literal bounds its slack by DeltaRational(-const, eps) times
+    the scale, negated and with the sides swapped when the slack is the
+    term's negation; every field is in normal form.  The constant 1/5
+    has a denominator that does not divide 12."""
+    for coeffs in ({0: 1}, {0: -1}, {0: 1, 1: -2}, {0: -1, 1: 2}):
+        for const in (0, 3, Fraction(-3, 4), Fraction(1, 5)):
+            for rel in (LE, LT, EQ):
+                atom, _ = _lit(coeffs, const, rel)
+                lra = LraSolver(2, scale)
+                vid, flipped = lra.slack_for(atom.coeffs)
+                k = -scale if flipped else scale
+                for pol in (True, False):
+                    if (rel, pol) == (EQ, False):
+                        with pytest.raises(ValueError):
+                            lra.effective_bounds(atom, pol)
+                        continue
+                    got = lra.effective_bounds(atom, pol)
+                    assert got == [
+                        (vid, is_lower != flipped, DeltaRational(-atom.const, eps).scaled(k))
+                        for is_lower, eps in _TERM_BOUNDS[rel, pol]
+                    ], (atom, pol)
+                    assert all(_normal(v.real) and _normal(v.eps) for _, _, v in got)
 
 
 def test_backtracking_restores_bounds():

@@ -300,6 +300,22 @@ def test_positions_after_a_multi_line_quoted_token():
     assert (nodes[1].line, nodes[1].col) == (3, 8)
 
 
+def test_list_nodes_carry_their_source_span():
+    text = '; c (\n\t(a\r\n  (b |x\ny| 12) "s\n" c) ; )\n()'
+    nodes = parse_sexprs(text)
+
+    def spans(node):
+        if node.is_atom:
+            return []
+        return [text[node.start:node.end]] + [s for item in node.items for s in spans(item)]
+
+    assert [s for node in nodes for s in spans(node)] == [
+        '(a\r\n  (b |x\ny| 12) "s\n" c)',
+        "(b |x\ny| 12)",
+        "()",
+    ]
+
+
 def test_quoted_and_plain_symbols_are_different_names():
     prob = parse_problem(
         "(declare-fun |x| () Real)(declare-fun x () Real)(assert (>= |x| x))(minimize |x|)"
@@ -432,6 +448,11 @@ EDGE_INPUTS = [
     "(assert (< (+ (* 3 (/ x 3)) (- y y) 1.25) (* 4 (/ 3 4))))(minimize x)",
     "(declare-fun x () Real)(declare-fun y () Real)(assert (> (- (* 2 x) (* 4 y)) 6))"
     "(assert (<= (* -3 y) x))(assert (or (> 1 0) (< 0 1)))(minimize y)",
+    # a negated equality repeated in two clauses, each occurrence with its
+    # own label, and an inequality repeated in both polarities
+    "(declare-fun x () Real)(declare-fun p () Bool)(assert (or (not (= x 1)) p))"
+    "(assert (or (not (= x 1)) (not p)))(assert (or (> x 0) p))(assert (or (not (> x 0)) (not p)))"
+    "(minimize x)",
 ]
 
 
