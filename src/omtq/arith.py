@@ -11,9 +11,12 @@ A delta-rational keeps each field in one normal form: an ``int`` when
 the value is integral, otherwise a ``Fraction`` with denominator > 1.
 ``int`` and ``Fraction`` mix exactly and their order and hashes agree,
 so the form changes no result, only the cost: on integral values the
-simplex adds machine-word ints instead of building Fractions.  Public
-results (values, models, epsilons) are ``Fraction`` again, and every
-division of a field is a ``Fraction`` division, never ``int / int``.
+simplex adds machine-word ints instead of building Fractions.  The
+canonical atoms' coefficients and constants share the form, from the
+reader to the simplex; the boundary is the search's outcome, whose
+values, models and epsilons are ``Fraction`` again.  Every division of
+a value in this form is a ``Fraction`` division (``quotient``), never
+``int / int``, which would make a float.
 """
 
 from __future__ import annotations
@@ -140,6 +143,15 @@ def integral_or_fraction(q):
     if type(q) is int or q.denominator != 1:
         return q
     return q.numerator
+
+
+def quotient(a, b):
+    """``a / b`` in normal form, for ints or Fractions and ``b != 0``;
+    two ints divide exactly instead of into a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return integral_or_fraction(a / b)
 
 
 def _nonzero_or_shared(eps):

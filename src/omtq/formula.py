@@ -11,14 +11,15 @@ from the theory solver: an equality leaf met in a negative position
 continues as the conjunction of its two weak halves, whose negation is
 a disjunction of two strict inequalities.
 
-Inside the input stage, ``LinTerm`` and ``BAtom`` keep every
+``LinTerm``, ``BAtom`` and the canonical ``Atom`` keep every
 coefficient and constant in the normal form of ``DeltaRational``'s
-fields: an ``int`` when integral, else a ``Fraction``.  Integral input,
-the common case, is then summed and scaled as machine-word ints.  The
-canonical ``Atom`` is the boundary: ``normalize_atom`` hands out its
-coefficients and constant as ``Fraction``, and ``OmtProblem``'s range
-is ``Fraction`` too, because the layers downstream divide them with
-``/``.
+fields: an ``int`` when integral, else a ``Fraction`` with denominator
+> 1.  Integral input, the common case, is then summed, scaled, hashed
+and turned into simplex rows and bounds as machine-word ints, and
+every layer that divides an atom field does so with
+``arith.quotient`` or another exact ``Fraction`` division.  The search's
+outcome is the boundary where values are ``Fraction`` again;
+``OmtProblem``'s range stays ``Fraction`` as the parser reads it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .arith import EQ, LE, LT, DeltaRational, integral_or_fraction
+from .arith import EQ, LE, LT, DeltaRational, integral_or_fraction, quotient
 
 # ---------------------------------------------------------------------------
 # terms and atoms
@@ -94,12 +95,13 @@ class Atom:
     additionally fix its sign to +1 so both orientations hash equally.
     """
 
-    coeffs: tuple  # ((var, Fraction), ...) sorted by var, no zeros
-    const: Fraction
+    # each number is an int when integral, else a Fraction (denominator > 1)
+    coeffs: tuple  # ((var, coeff), ...) sorted by var, no zeros
+    const: Union[int, Fraction]
     rel: str  # LE, LT or EQ
 
     # atoms key the theory solver's per-literal caches, so the hash of the
-    # Fraction coefficients is computed once instead of on every lookup
+    # coefficients is computed once instead of on every lookup
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.coeffs, self.const, self.rel)))
 
@@ -143,11 +145,14 @@ def normalize_atom(coeffs: dict, const, op: str) -> tuple[Atom, bool]:
     ``op`` is one of <=, <, =, !=, >=, >; the raw constraint is
     (sum coeffs + const) op 0.  The term must mention at least one
     variable (callers fold ground comparisons first).  Coefficients and
-    constant may come as ints or Fractions; the atom holds Fractions.
+    constant may come as ints, Fractions or other exact-convertible
+    numbers such as floats; the atom holds each in normal form, an
+    ``int`` when integral, else a ``Fraction``.
     """
-    term = {v: c for v, c in coeffs.items() if c}
+    term = {v: _normal(c) for v, c in coeffs.items() if c}
     if not term:
         raise ValueError("ground comparison reached normalize_atom")
+    const = _normal(const)
 
     polarity = True
     if op == ">=":
@@ -166,23 +171,18 @@ def normalize_atom(coeffs: dict, const, op: str) -> tuple[Atom, bool]:
     if op != EQ and lead < 0:
         lead = -lead  # an inequality keeps its direction; an equality may flip
     if lead == 1:
-        pairs = tuple(sorted((v, _fraction(c)) for v, c in term.items()))
-        const = _fraction(const)
+        pairs = tuple(sorted(term.items()))
     else:
-        pairs = tuple(sorted((v, _quotient(c, lead)) for v, c in term.items()))
-        const = _quotient(const, lead)
+        pairs = tuple(sorted((v, quotient(c, lead)) for v, c in term.items()))
+        const = quotient(const, lead)
     return Atom(pairs, const, op), polarity
 
 
-def _fraction(q) -> Fraction:
-    return q if type(q) is Fraction else Fraction(q)
-
-
-def _quotient(a, b) -> Fraction:
-    """a / b as a Fraction, never a float."""
-    if type(a) is int and type(b) is int:
-        return Fraction(a, b)
-    return _fraction(a) / _fraction(b)
+def _normal(q):
+    """``q`` in normal form; a number that is neither an int nor a
+    Fraction, such as a float, is first made its exact Fraction, so no
+    float reaches an atom."""
+    return integral_or_fraction(q if type(q) is int or type(q) is Fraction else Fraction(q))
 
 
 # ---------------------------------------------------------------------------

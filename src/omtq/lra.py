@@ -81,7 +81,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .arith import _ZERO, DeltaRational, _make
+from .arith import _ZERO, DeltaRational, _make, quotient
 from .formula import Atom, EQ, LE, LT
 
 MAX_PIVOTS = 1_000_000  # per check or minimize_var call
@@ -120,15 +120,17 @@ class LraSolver:
 
     # -- slacks -------------------------------------------------------------
 
-    def _expand(self, coeffs: tuple[tuple[int, Fraction], ...]) -> tuple[dict[int, int], int]:
+    def _expand(self, coeffs: tuple) -> tuple[dict[int, int], int]:
         """Rewrite a combination of variables over the current nonbasics,
         as a fraction-free row and its denominator.
 
-        ``coeffs`` is canonical: distinct variables, no zeros.  When none
-        of them is basic, as for every slack made before the first
-        pivot, the row is their numerators over the lcm of their
-        denominators; otherwise basic variables are substituted by
-        their rows in ``Fraction``s."""
+        ``coeffs`` is canonical: distinct variables, no zeros, each an
+        ``int`` or a non-integral ``Fraction``.  When none of them is
+        basic, as for every slack made before the first pivot, the row
+        is their numerators over the lcm of their denominators;
+        otherwise basic variables are substituted by their rows, each
+        entry divided by the row denominator with ``quotient``, which
+        never makes a float."""
         rows = self.rows
         for vid, _ in coeffs:
             if vid in rows:
@@ -136,7 +138,7 @@ class LraSolver:
         else:
             den = lcm(*[a.denominator for _, a in coeffs])
             return {vid: a.numerator * (den // a.denominator) for vid, a in coeffs}, den
-        acc: dict[int, Fraction] = {}
+        acc: dict = {}
         for vid, a in coeffs:
             row = rows.get(vid)
             if row is None:
@@ -144,7 +146,7 @@ class LraSolver:
             else:
                 d = self.den[vid]
                 for y, c in row.items():
-                    acc[y] = acc.get(y, 0) + a * c / d
+                    acc[y] = acc.get(y, 0) + quotient(a * c, d)
         acc = {y: a for y, a in acc.items() if a != 0}
         # the lcm of reduced denominators leaves no common factor
         den = lcm(*(a.denominator for a in acc.values()))
@@ -154,8 +156,10 @@ class LraSolver:
         """Variable representing the term, plus a flag telling whether the
         stored orientation is the negation of the requested one.
 
-        ``coeffs`` is an atom's canonical coefficient tuple: (var,
-        Fraction) pairs sorted by var, no zeros."""
+        ``coeffs`` is an atom's canonical coefficient tuple: (var, coeff)
+        pairs sorted by var, no zeros, each coefficient an ``int`` when
+        integral, so the sign test, the negation and the ``slack_of``
+        lookup run on ints for integral atoms."""
         flipped = coeffs[0][1] < 0
         if flipped:
             coeffs = tuple((v, -a) for v, a in coeffs)

@@ -38,8 +38,17 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .arith import EQ, LE, LT, DeltaRational, materialize_epsilon
-from .formula import ATOM, CnfFormula, OmtProblem, normalize_atom
+from .arith import (
+    _ZERO,
+    EQ,
+    LE,
+    LT,
+    DeltaRational,
+    _make,
+    materialize_epsilon,
+    quotient,
+)
+from .formula import ATOM, Atom, CnfFormula, OmtProblem, _normal
 from .lra import Interrupted, LraSolver, conjunction_min, minimize_var
 from .sat import SatSolver, TheoryClient
 
@@ -108,9 +117,10 @@ def problem_scale(formula: CnfFormula, lb, ub) -> int:
     return lcm(*dens)
 
 
-def _cost_atom(problem: OmtProblem, value: Fraction, rel: str):
-    """(atom, polarity) of (cost rel value)."""
-    return normalize_atom({problem.cost: Fraction(1)}, -Fraction(value), rel)
+def _cost_atom(problem: OmtProblem, value, rel: str):
+    """(atom, polarity) of (cost rel value), already canonical: the one
+    coefficient is 1 and the constant is -value in normal form."""
+    return Atom(((problem.cost, 1),), -_normal(value), rel), True
 
 
 class TheoryBridge(TheoryClient):
@@ -364,7 +374,10 @@ class TheoryBridge(TheoryClient):
     def _unscaled(self, v: DeltaRational) -> DeltaRational:
         """A simplex value in problem units."""
         d = self.lra.scale
-        return v if d == 1 else v.scaled(Fraction(1, d))
+        if d == 1:
+            return v
+        e = v.eps
+        return _make(quotient(v.real, d), e if e is _ZERO else quotient(e, d))
 
     def snapshot_model(self, beta, literals):
         """(epsilon, concrete model) of the problem variables' simplex

@@ -49,6 +49,14 @@ def _normalize_row(coeffs, const, rel):
     return coeffs, Fraction(const), rel
 
 
+def _div(a, b) -> Fraction:
+    """``a / b`` as a Fraction: atom fields may be ints, and ``/`` on two
+    ints makes a float."""
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b)
+    return a / b
+
+
 def _ground_ok(const, rel) -> bool:
     if rel == LE:
         return const <= 0
@@ -98,8 +106,8 @@ def fm_minimize(literals, objective: int, extra_rows: Iterable = ()) -> FmResult
                     return None
                 continue
             lead = abs(coeffs[min(coeffs)])
-            key = tuple(sorted((v, c / lead) for v, c in coeffs.items())) + (const / lead,)
-            scaled = ({v: c / lead for v, c in coeffs.items()}, const / lead, rel)
+            scaled = ({v: _div(c, lead) for v, c in coeffs.items()}, _div(const, lead), rel)
+            key = tuple(sorted(scaled[0].items())) + (scaled[1],)
             old = live.get(key)
             if old is None or (old[2] == LE and rel == LT):
                 live[key] = scaled
@@ -146,7 +154,7 @@ def fm_minimize(literals, objective: int, extra_rows: Iterable = ()) -> FmResult
     upper = None
     for coeffs, const, rel in rows:
         a = coeffs[objective]
-        bound = -const / a
+        bound = _div(-const, a)
         strict = rel == LT
         if a > 0:  # a*obj + const rel 0  ->  obj <= bound
             if upper is None or bound < upper[0] or (bound == upper[0] and strict and not upper[1]):

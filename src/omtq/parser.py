@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .arith import parse_rat
+from .arith import _NUMERAL, parse_rat
 from .formula import (
     BAnd,
     BAtom,
@@ -169,11 +169,17 @@ def parse_sexprs(text: str) -> list[SExpr]:
     return top
 
 
-def _try_rat(text: str) -> Optional[Fraction]:
+def _try_rat(node: SExpr) -> Optional[Fraction]:
+    """The value of a numeral atom, or None when the atom is no numeral;
+    a numeral with a zero denominator, such as ``1/0``, is a
+    ``ParseError`` at its token, as ``(/ 1 0)`` is."""
+    text = node.text
+    if _NUMERAL.fullmatch(text) is None:
+        return None
     try:
         return parse_rat(text)
     except ValueError:
-        return None
+        raise ParseError("division by zero", node.line, node.col) from None
 
 
 class _ProblemBuilder:
@@ -192,15 +198,16 @@ class _ProblemBuilder:
     def term(self, node: SExpr) -> LinTerm:
         if node.is_atom:
             text = node.text
-            if text.isdigit() and text.isascii():
-                return LinTerm(const=int(text))
-            q = _try_rat(text)
-            if q is not None:
-                return LinTerm(const=q)
-            rid = self.formula.rat_var(node.text)
+            # declare-fun refuses numerals, so a declared name is none
+            rid = self.formula.rat_var(text)
             if rid is not None:
                 return LinTerm({rid: 1})
-            if self.formula.prop(node.text) is not None:
+            if text.isdigit() and text.isascii():
+                return LinTerm(const=int(text))
+            q = _try_rat(node)
+            if q is not None:
+                return LinTerm(const=q)
+            if self.formula.prop(text) is not None:
                 raise ParseError(f"Bool variable {node.text!r} used in a term", node.line, node.col)
             raise ParseError(f"unknown identifier {node.text!r}", node.line, node.col)
         head = node.head()
@@ -330,7 +337,7 @@ class _ProblemBuilder:
             name, params, sort = args[0].text, args[1].items, args[2].text
             if name in ("true", "false"):
                 raise ParseError(f"cannot declare the constant {name!r}", args[0].line, args[0].col)
-            if _try_rat(name) is not None:
+            if _NUMERAL.fullmatch(name) is not None:
                 raise ParseError(f"cannot declare the numeral {name!r}", args[0].line, args[0].col)
             if params:
                 raise ParseError("only zero-arity declarations are supported", args[1].line, args[1].col)

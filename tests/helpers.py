@@ -17,7 +17,7 @@ from unittest import mock
 import numpy as np
 
 from omtq import OmtConfig, SplitMix64, formula
-from omtq.arith import EQ, LE, LT, parse_rat
+from omtq.arith import EQ, LE, LT, integral_or_fraction, parse_rat
 from omtq.formula import (
     ATOM,
     Atom,
@@ -877,10 +877,19 @@ def _reference_fold_ground(coeffs, const, op) -> Optional[bool]:
     raise ValueError(f"bad op {op!r}")
 
 
+def _reference_normal_atom(coeffs: dict, const, op: str) -> tuple[Atom, bool]:
+    """``reference_normalize_atom`` with the atom's numbers put in the
+    form the canonical atoms now hold: an int when integral, else a
+    Fraction."""
+    atom, polarity = reference_normalize_atom(coeffs, const, op)
+    pairs = tuple((v, integral_or_fraction(c)) for v, c in atom.coeffs)
+    return Atom(pairs, integral_or_fraction(atom.const), atom.rel), polarity
+
+
 def reference_parse_problem(text: str) -> OmtProblem:
     with mock.patch.multiple(
         formula,
-        normalize_atom=reference_normalize_atom,
+        normalize_atom=_reference_normal_atom,
         _fold_ground=_reference_fold_ground,
     ):
         builder = _ReferenceProblemBuilder()

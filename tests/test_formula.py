@@ -76,6 +76,15 @@ def test_normalize_atom_rejects_ground_input():
         normalize_atom({0: 0}, 1, "<=")
 
 
+def test_normalize_atom_takes_floats_exactly():
+    """A library caller's float coefficients and constant become exact
+    numbers in normal form, never floats in the atom."""
+    atom, pol = normalize_atom({0: 0.5, 1: 1.5}, -0.25, ">=")
+    assert (atom, pol) == normalize_atom({0: Fraction(1, 2), 1: Fraction(3, 2)}, Fraction(-1, 4), ">=")
+    assert atom.coeffs == ((0, -1), (1, -3)) and atom.const == Fraction(1, 2)
+    assert [type(q) for q in (atom.coeffs[0][1], atom.coeffs[1][1], atom.const)] == [int, int, Fraction]
+
+
 def test_atom_eval_concrete():
     atom, _ = normalize_atom({0: 1, 1: 1}, -4, LE)  # x + y <= 4
     assert atom.eval_concrete({0: 2, 1: 2})
@@ -300,11 +309,16 @@ def test_cnf_is_pinned_on_benchmark_inputs():
     assert _pinned_cnf_digest() == "b8ab297f98f1539f"
 
 
-def test_atoms_and_ranges_hold_fractions():
-    """The input stage computes in ints where it can, but what it hands on
-    is exactly Fraction: ``lra._expand`` computes ``a * c / d`` and
-    ``oracle.sift`` computes ``c / lead`` from atom coefficients and
-    constants, and on two ints ``/`` would make a float."""
+def _in_normal_form(q) -> bool:
+    """An int when integral, else a Fraction with denominator > 1."""
+    return type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
+def test_atoms_are_in_int_normal_form_and_ranges_hold_fractions():
+    """The canonical atoms keep every coefficient and the constant as an
+    ``int`` when integral, else as a ``Fraction`` (never a float, nor an
+    integral ``Fraction``), so the layers downstream hash and compare
+    machine ints on integral input; the parsed range stays ``Fraction``."""
     parsed = [parse_problem(path.read_text()) for path in sorted(FAMILIES.glob("*.smt2"))]
     parsed += [parse_problem(boolean_structure_text(seed)) for seed in range(200)]
     encoded = [encode_pb(*random_pb(seed, num_bools=8)) for seed in range(5)]
@@ -316,9 +330,12 @@ def test_atoms_and_ranges_hold_fractions():
             for rel in (LE, LT):
                 atoms.append(_cost_atom(prob, value, rel)[0])
     assert len(atoms) > 1000
+    kinds = set()
     for atom in atoms:
-        assert type(atom.const) is Fraction, atom
-        assert all(type(c) is Fraction for _, c in atom.coeffs), atom
+        for q in (atom.const, *(c for _, c in atom.coeffs)):
+            assert _in_normal_form(q), atom
+            kinds.add(type(q))
+    assert kinds == {int, Fraction}  # both forms occur
     for prob in parsed:
         assert type(prob.lb) in (Fraction, type(None))
         assert type(prob.ub) in (Fraction, type(None))

@@ -342,6 +342,7 @@ class _FractionTableauSolver(LraSolver):
     def _expand(self, coeffs):
         acc = {}
         for vid, a in coeffs:
+            a = Fraction(a)  # atoms hold ints where integral
             if vid in self.rows:
                 for y, b in self.rows[vid].items():
                     old = acc.get(y)

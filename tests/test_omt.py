@@ -16,8 +16,9 @@ from helpers import (
     text_holds,
 )
 from omtq import OmtConfig, SearchStats, compute_pivot, crosscheck, lra, omt, solve
+from omtq.arith import DeltaRational
 from omtq.encodings import encode_pb, jobshop_problem, strip_packing_problem
-from omtq.formula import OmtProblem, normalize_atom
+from omtq.formula import Atom, OmtProblem, normalize_atom
 from omtq.omt import CostRange, smt_decide
 from omtq.oracle import oracle_solve
 from omtq.parser import parse_problem
@@ -649,6 +650,60 @@ def test_int_range_bounds_give_fraction_values():
             out = solve(problem, cfg)
             assert (out.status, out.value) == (status, value), (i, cfg)
             _assert_fraction_values(problem, out, (i, cfg))
+
+
+def _floats(obj):
+    """The floats anywhere inside ``obj``: containers, atoms and
+    delta-rationals are walked, keys included."""
+    if type(obj) is float:
+        return [obj]
+    if isinstance(obj, DeltaRational):
+        return _floats(obj.real) + _floats(obj.eps)
+    if isinstance(obj, Atom):
+        return _floats(obj.coeffs) + _floats(obj.const)
+    if isinstance(obj, dict):
+        return _floats(list(obj.items()))
+    if isinstance(obj, (list, tuple)):
+        return [f for item in obj for f in _floats(item)]
+    return []
+
+
+def test_no_float_reaches_the_simplex_or_the_outcome(monkeypatch):
+    """Atom fields are ints where integral, and ``/`` on two ints would
+    make a float: after every solve no float is in any atom, in the
+    simplex's values, bounds, rows or denominators, or in the outcome.
+    Slacks made after a pivot, whose rows divide atom coefficients by
+    row denominators, are among those checked."""
+    solvers = []
+    substituted = []
+
+    class Recording(lra.LraSolver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            solvers.append(self)
+
+        def _expand(self, coeffs):
+            substituted.append(any(vid in self.rows for vid, _ in coeffs))
+            return super()._expand(coeffs)
+
+    monkeypatch.setattr(omt, "LraSolver", Recording)
+    monkeypatch.setattr(lra, "LraSolver", Recording)
+    problems = [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("*.smt2"))]
+    problems += [encode_pb(*random_pb(seed, num_bools=8)) for seed in range(5)]
+    problems += [corpus_problem(seed) for seed in range(100)]
+    for i, problem in enumerate(problems):
+        f = problem.formula
+        assert not _floats([f.atom_of(v) for v in range(1, f.num_solver_vars + 1)]), i
+        for cfg in ALL_CONFIGS:
+            del solvers[:]
+            out = solve(problem, cfg)
+            assert solvers, (i, cfg)
+            for s in solvers:
+                state = (s.beta, s.lower, s.upper, s.rows, s.den, s.slack_of, s.bounds_of)
+                assert not _floats(state), (i, cfg)
+            fields = (out.value, out.epsilon, out.lower_trace, out.model)
+            assert not _floats(fields), (i, cfg)
+    assert any(substituted)  # some slack rows were made over basic variables
 
 
 def test_scaled_simplex_matches_unit_scale(monkeypatch):

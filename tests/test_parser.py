@@ -12,7 +12,7 @@ from helpers import (
     reference_parse_sexprs,
 )
 from omtq import SplitMix64
-from omtq.arith import EQ, parse_rat
+from omtq.arith import _NUMERAL, EQ
 from omtq.encodings import jobshop_instance, strip_packing_instance
 from omtq.parser import MAX_DEPTH, ParseError, parse_problem, parse_sexprs
 from test_formula import PINNED_TEXTS
@@ -176,6 +176,18 @@ def test_nonlinear_rejected():
         )
 
 
+@pytest.mark.parametrize("literal", ["1/0", "-3/0", "+0/0", "007/000"])
+@pytest.mark.parametrize("where", ["(assert (<= x {}))", "(set-info :ub {})", "(assert (<= (* {} x) 1))"])
+def test_zero_denominator_numeral_is_a_division_by_zero(literal, where):
+    """A p/0 numeral is refused at its token, as ``(/ 1 0)`` is, not
+    reported as an unknown identifier."""
+    text = "(declare-fun x () Real)\n  " + where.format(literal) + "(minimize x)"
+    col = 3 + where.index("{}")  # 1-based, after the two-space indent
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert str(info.value) == f"2:{col}: division by zero"
+
+
 def test_declaration_errors():
     with pytest.raises(ParseError, match="redeclaration"):
         parse_problem(
@@ -333,7 +345,7 @@ def test_unterminated_quote_reads_as_an_atom():
 # -- reserved names
 
 
-@pytest.mark.parametrize("name", ["3", "007", "-1", "2.5", "1/2"])
+@pytest.mark.parametrize("name", ["3", "007", "-1", "2.5", "1/2", "1/0"])
 @pytest.mark.parametrize("sort", ["Real", "Bool"])
 def test_numerals_cannot_be_declared(name, sort):
     with pytest.raises(ParseError) as info:
@@ -456,9 +468,20 @@ EDGE_INPUTS = [
 ]
 
 
+# edge inputs whose outcome differs from the reference's on purpose: the
+# reference reads a p/0 numeral as an unknown identifier
+FIXED_SINCE_REFERENCE = {
+    "(declare-fun x () Real)(assert (>= x 1/0))(minimize x)": (
+        "ParseError",
+        "1:38: division by zero",
+    ),
+}
+
+
 @pytest.mark.parametrize("text", EDGE_INPUTS)
 def test_edge_inputs_match_the_reference(text):
-    assert input_outcome(parse_problem, text) == input_outcome(reference_parse_problem, text)
+    expected = FIXED_SINCE_REFERENCE.get(text) or input_outcome(reference_parse_problem, text)
+    assert input_outcome(parse_problem, text) == expected
 
 
 def _mutant(seed: int, texts) -> str:
@@ -476,11 +499,7 @@ def _mutant(seed: int, texts) -> str:
 
 
 def _is_numeral(text: str) -> bool:
-    try:
-        parse_rat(text)
-    except ValueError:
-        return False
-    return True
+    return _NUMERAL.fullmatch(text) is not None
 
 
 def _declares_reserved(text: str) -> bool:
