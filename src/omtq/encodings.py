@@ -10,7 +10,10 @@ Three encoders build optimization problems from structured input:
 * encode_pb: weighted Boolean objective.  Every weighted Boolean gets a
   rational contribution variable clamped to {0, w} by positive equality
   atoms and held in its range [0, w] by two unit bounds, and the cost
-  equals their sum.
+  equals their sum.  The four atoms of each contribution are built
+  directly as canonical atoms in normal form (int coefficients, an int
+  constant for an integral weight); only the cost equality goes through
+  ``normalize_atom``.
 
 Two generator families emit instances in the textual input format (and
 round-trip them through the parser, so the returned problem always
@@ -25,7 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from .arith import EQ, LE
 from .formula import (
+    Atom,
     BAtom,
     BNot,
     BOr,
@@ -131,6 +136,12 @@ def encode_pb(num_bools: int, clauses, weights, lb=Fraction(0), ub=None) -> OmtP
     with every ``w_i`` bounded from level 0 the cost row is bounded too,
     and the simplex refutes a partial assignment as soon as the weights
     already switched on reach the cost's upper bound.
+
+    Each contribution's four atoms are built in canonical normal form,
+    as ``normalize_atom`` would give them: ``w_i >= 0`` is
+    ``-w_i <= 0``, and ``-weight_i`` is an int when the weight is
+    integral.  The weights are ``Fraction``s only for validation and the
+    default ``ub``.
     """
     weights = [Fraction(w) for w in weights]
     if len(weights) != num_bools:
@@ -149,20 +160,20 @@ def encode_pb(num_bools: int, clauses, weights, lb=Fraction(0), ub=None) -> OmtP
             v = bools[abs(sl) - 1]
             lits.append(v if sl > 0 else -v)
         f.add_clause(lits)
-    for i in range(num_bools):
-        zero, _ = normalize_atom({contrib[i]: Fraction(1)}, Fraction(0), "=")
-        full, _ = normalize_atom({contrib[i]: Fraction(1)}, -weights[i], "=")
-        lz = f.lit_for_atom(zero, True)
-        lw = f.lit_for_atom(full, True)
-        f.add_clause([-bools[i], lw])
-        f.add_clause([bools[i], lz])
-        for op, rhs in ((">=", Fraction(0)), ("<=", -weights[i])):
-            f.add_clause([f.lit_for_atom(*normalize_atom({contrib[i]: Fraction(1)}, rhs, op))])
-    total = {cost: Fraction(1)}
-    for i, c in enumerate(contrib):
-        total[c] = total.get(c, Fraction(0)) - Fraction(1)
-    eq_cost, _ = normalize_atom(total, Fraction(0), "=")
-    f.add_clause([f.lit_for_atom(eq_cost, True)])
+    lit_for_atom, add_clause = f.lit_for_atom, f.add_clause
+    for b, w, weight in zip(bools, contrib, weights):
+        minus = -weight.numerator if weight.denominator == 1 else -weight
+        one = ((w, 1),)
+        lz = lit_for_atom(Atom(one, 0, EQ))
+        lw = lit_for_atom(Atom(one, minus, EQ))
+        add_clause([-b, lw])
+        add_clause([b, lz])
+        add_clause([lit_for_atom(Atom(((w, -1),), 0, LE))])
+        add_clause([lit_for_atom(Atom(one, minus, LE))])
+    total = {cost: 1}
+    total.update((w, -1) for w in contrib)
+    eq_cost, _ = normalize_atom(total, 0, "=")
+    add_clause([lit_for_atom(eq_cost)])
     if ub is None:
         ub = sum(weights, Fraction(0)) + 1
     return OmtProblem(f, cost, lb, ub)

@@ -48,7 +48,7 @@ from .arith import (
     materialize_epsilon,
     quotient,
 )
-from .formula import ATOM, Atom, CnfFormula, OmtProblem, _normal
+from .formula import ATOM, Atom, CnfFormula, OmtProblem, _normal, normalize_atom
 from .lra import Interrupted, LraSolver, conjunction_min, minimize_var
 from .sat import SatSolver, TheoryClient
 
@@ -654,13 +654,21 @@ def solve(problem: OmtProblem, config: Optional[OmtConfig] = None) -> OmtOutcome
 def smt_decide(problem: OmtProblem, extra_literals=(), config: Optional[OmtConfig] = None) -> str:
     """Plain satisfiability of the problem's formula, range units included,
     plus optional extra (atom, polarity) unit literals.  Returns 'sat' or
-    'unsat'."""
+    'unsat'.  The core never asserts a negated equality, so t != 0
+    enters as the clause t > 0 or t < 0, the negated weak halves that
+    ``cnfize`` splits one into."""
     bridge = TheoryBridge(problem, config if config is not None else OmtConfig())
-    sat = bridge.sat
+    formula, sat = bridge.formula, bridge.sat
     for atom, pol in extra_literals:
-        lit = bridge.formula.lit_for_atom(atom, pol)
-        sat.ensure_vars(bridge.formula.num_solver_vars)
-        sat.add_clause([lit])
+        if pol or atom.rel != EQ:
+            lits = [formula.lit_for_atom(atom, pol)]
+        else:
+            term = dict(atom.coeffs)
+            neg = {v: -c for v, c in term.items()}
+            halves = (normalize_atom(term, atom.const, LE), normalize_atom(neg, -atom.const, LE))
+            lits = [formula.lit_for_atom(half, not p) for half, p in halves]
+        sat.ensure_vars(formula.num_solver_vars)
+        sat.add_clause(lits)
     try:
         res = sat.solve((), bridge)
     except Interrupted:

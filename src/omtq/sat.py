@@ -24,6 +24,11 @@ The hot loops (propagation, watch selection in ``add_clause``, conflict
 analysis) make no method call per literal: they read ``assign`` directly,
 a literal ``l`` being true when ``assign[l] == 1`` for ``l > 0`` and
 ``assign[-l] == -1`` otherwise.  ``value`` is the accessor for clients.
+``add_clause`` is the one way a clause enters the core, input clauses
+included.  On an empty trail, as when a fresh core is loaded, every
+literal is unassigned and a clause is watched on its first two literals,
+as MiniSat does; otherwise a rank scan picks its two highest-level
+literals.
 """
 
 from __future__ import annotations
@@ -150,8 +155,18 @@ class SatSolver:
         return self.nvars
 
     def ensure_vars(self, n: int):
-        while self.nvars < n:
-            self.new_var()
+        """Grow to ``n`` variables, as that many ``new_var`` calls would."""
+        k = n - self.nvars
+        if k <= 0:
+            return
+        self.nvars = n
+        self.assign += [0] * k
+        self.level += [0] * k
+        self.reason_ += [None] * k
+        self.activity += [0.0] * k
+        self.phase += [False] * k
+        self.occ_pos += [0] * k
+        self.occ_neg += [0] * k
 
     def value(self, lit: int) -> int:
         v = self.assign[abs(lit)]
@@ -163,17 +178,6 @@ class SatSolver:
 
     # -- clauses -----------------------------------------------------------
 
-    def _count_occs(self, lits):
-        for l in lits:
-            if l > 0:
-                self.occ_pos[l] += 1
-            else:
-                self.occ_neg[-l] += 1
-
-    def _attach(self, c: Clause):
-        self.watches.setdefault(c.lits[0], []).append(c)
-        self.watches.setdefault(c.lits[1], []).append(c)
-
     def add_clause(self, lits, learnt: bool = False) -> Optional[Clause]:
         """Add a clause; duplicates inside the clause are removed and
         tautologies dropped.  Callable at any decision level.  The clause
@@ -181,32 +185,45 @@ class SatSolver:
         level-0 propagation pass, a longer one is watched on its two
         highest-level literals, and a caller whose clause is already unit
         or false under the trail enqueues its literal or calls
-        ``add_lemma`` instead."""
+        ``add_lemma`` instead.  On an empty trail every literal is
+        unassigned, so the watches are the first two literals; otherwise
+        a rank scan picks them."""
         out = list(dict.fromkeys(lits))
         if not set(out).isdisjoint(map(neg, out)):
             return None  # tautology
-        c = Clause(out, learnt)
+        c = Clause.__new__(Clause)
+        c.lits = out
+        c.learnt = learnt
+        c.activity = 0.0
         if not learnt:
-            self._count_occs(out)
+            occ_pos, occ_neg = self.occ_pos, self.occ_neg
+            for l in out:
+                if l > 0:
+                    occ_pos[l] += 1
+                else:
+                    occ_neg[-l] += 1
         if not out:
             self.unsat = True
             return c
         if len(out) == 1:
             self._pending_units.append(c)
             return c
-        # watch the two highest-level literals so no propagation is missed
-        # when the clause arrives already (partly) assigned; an unassigned
-        # literal ranks above every level, and ties go to the first
-        assign, level = self.assign, self.level
-        rank = [level[v] if assign[v] else UNASSIGNED_RANK for v in map(abs, out)]
-        a = rank.index(max(rank))
-        out[0], out[a] = out[a], out[0]
-        rank[0], rank[a] = rank[a], rank[0]
-        s = rank.index(max(rank[1:]), 1)
-        out[1], out[s] = out[s], out[1]
-        c.lits = out
+        if self.trail:
+            # watch the two highest-level literals so no propagation is
+            # missed when the clause arrives already (partly) assigned; an
+            # unassigned literal ranks above every level, and ties go to
+            # the first
+            assign, level = self.assign, self.level
+            rank = [level[v] if assign[v] else UNASSIGNED_RANK for v in map(abs, out)]
+            a = rank.index(max(rank))
+            out[0], out[a] = out[a], out[0]
+            rank[0], rank[a] = rank[a], rank[0]
+            s = rank.index(max(rank[1:]), 1)
+            out[1], out[s] = out[s], out[1]
         (self.learnts if learnt else self.clauses).append(c)
-        self._attach(c)
+        watches = self.watches
+        watches.setdefault(out[0], []).append(c)
+        watches.setdefault(out[1], []).append(c)
         return c
 
     # -- trail -------------------------------------------------------------

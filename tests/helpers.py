@@ -105,6 +105,61 @@ def random_pb(seed: int, num_bools: int = 30, ratio: float = 3.5):
     return num_bools, clauses, weights
 
 
+# ``encode_pb`` as it was when every atom went through ``normalize_atom``
+# from Fraction coefficients and constants, kept verbatim: the encoder
+# that builds its atoms in normal form must hand on the same problem
+def reference_encode_pb(num_bools: int, clauses, weights, lb=Fraction(0), ub=None) -> OmtProblem:
+    """Weighted Boolean minimization as clause-level structure.
+
+    ``clauses`` uses signed 1-based indices over the Boolean variables,
+    ``weights`` gives one nonnegative weight per variable; the cost is
+    the sum of weights of the Booleans set to true.  Equality atoms are
+    introduced only positively, so the arithmetic core never faces a
+    negated equality.
+
+    Each contribution ``w_i`` also gets the unit clauses ``w_i >= 0`` and
+    ``w_i <= weight_i``, right after its Boolean's two clamp clauses.
+    The clamps imply both, so the models and the optimum are the same;
+    with every ``w_i`` bounded from level 0 the cost row is bounded too,
+    and the simplex refutes a partial assignment as soon as the weights
+    already switched on reach the cost's upper bound.
+    """
+    weights = [Fraction(w) for w in weights]
+    if len(weights) != num_bools:
+        raise ValueError("one weight per Boolean variable required")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    f = CnfFormula()
+    cost = f.new_rat_var("cost")
+    contrib = [f.new_rat_var(f"w{i + 1}") for i in range(num_bools)]
+    bools = [f.new_prop(f"b{i + 1}") for i in range(num_bools)]
+    for cl in clauses:
+        lits = []
+        for sl in cl:
+            if not (1 <= abs(sl) <= num_bools):
+                raise ValueError(f"literal {sl} out of range")
+            v = bools[abs(sl) - 1]
+            lits.append(v if sl > 0 else -v)
+        f.add_clause(lits)
+    for i in range(num_bools):
+        zero, _ = normalize_atom({contrib[i]: Fraction(1)}, Fraction(0), "=")
+        full, _ = normalize_atom({contrib[i]: Fraction(1)}, -weights[i], "=")
+        lz = f.lit_for_atom(zero, True)
+        lw = f.lit_for_atom(full, True)
+        f.add_clause([-bools[i], lw])
+        f.add_clause([bools[i], lz])
+        for op, rhs in ((">=", Fraction(0)), ("<=", -weights[i])):
+            f.add_clause([f.lit_for_atom(*normalize_atom({contrib[i]: Fraction(1)}, rhs, op))])
+    total = {cost: Fraction(1)}
+    for i, c in enumerate(contrib):
+        total[c] = total.get(c, Fraction(0)) - Fraction(1)
+    eq_cost, _ = normalize_atom(total, Fraction(0), "=")
+    f.add_clause([f.lit_for_atom(eq_cost, True)])
+    if ub is None:
+        ub = sum(weights, Fraction(0)) + 1
+    return OmtProblem(f, cost, lb, ub)
+
+
 def truth_table(nvars: int):
     """Bool matrix of shape (2**nvars, nvars): row r = assignment r."""
     rows = np.arange(1 << nvars, dtype=np.uint32)

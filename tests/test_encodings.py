@@ -5,7 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import cnf_rows, jobshop_oracle, random_pb, strip_layout_ok, strip_oracle, truth_table
+from helpers import (
+    cnf_rows,
+    jobshop_oracle,
+    random_pb,
+    reference_encode_pb,
+    strip_layout_ok,
+    strip_oracle,
+    truth_table,
+    typed_digest,
+)
 from omtq import OmtConfig, solve
 from omtq.formula import normalize_atom
 from omtq.encodings import (
@@ -196,12 +205,27 @@ def test_pb_optima_match_brute_force():
 
 
 def test_pb_validation():
-    with pytest.raises(ValueError):
-        encode_pb(2, [], [1])
-    with pytest.raises(ValueError):
-        encode_pb(1, [], [-2])
-    with pytest.raises(ValueError):
-        encode_pb(1, [[2]], [1])
+    # the messages are the reference encoder's
+    for args in ((2, [], [1]), (1, [], [-2]), (1, [[2]], [1]), (2, [[1, 0]], [1, 1])):
+        messages = []
+        for encode in (encode_pb, reference_encode_pb):
+            with pytest.raises(ValueError) as exc:
+                encode(*args)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1], args
+
+
+def test_encode_pb_matches_the_reference():
+    """The atoms built in normal form give the same problem as the
+    reference, which sends each one through ``normalize_atom``: clauses,
+    kinds, every atom field with its type, names, cost and range."""
+    inputs = [(random_pb(seed), {}) for seed in range(20)]
+    clauses = [[1, -2], [2, 3], [-1, -3, 2]]
+    for weights in ([0, 3, 1], [Fraction(3, 2), 1, 2], ["5/2", 4, 1], [7.5, 2, 0], [0, 0, 0]):
+        inputs.append(((3, clauses, weights), {}))
+    inputs.append(((3, clauses, [1, "1/3", 2]), {"lb": 1, "ub": Fraction(7, 2)}))
+    for args, kwargs in inputs:
+        assert typed_digest(encode_pb(*args, **kwargs)) == typed_digest(reference_encode_pb(*args, **kwargs)), args
 
 
 # -- generators --------------------------------------------------------------

@@ -302,6 +302,18 @@ def test_decision_queries():
     assert smt_decide(problem, [(below, True)]) == "unsat"
 
 
+def test_decision_queries_take_a_negated_equality():
+    # x != 0 must reach the simplex: with x pinned to 0 it is unsat, with
+    # x in [0, 1] it is sat, and x = 0 is sat either way
+    from omtq.formula import normalize_atom
+
+    for hi, want in (("0", "unsat"), ("1", "sat")):
+        problem = parse_problem(f"(declare-fun x () Real)(assert (<= x {hi}))(assert (>= x 0))(minimize x)")
+        zero, _ = normalize_atom({problem.formula.rat_var("x"): 1}, 0, "=")
+        assert smt_decide(problem, [(zero, False)]) == want, hi
+        assert smt_decide(problem, [(zero, True)]) == "sat", hi
+
+
 # -- reproducibility ---------------------------------------------------------
 
 

@@ -140,9 +140,20 @@ def test_stats_move():
 class ReferenceSatSolver(SatSolver):
     """The core written one literal at a time: every read goes through
     ``value``, the two watches of a new clause come from two ``max``
-    scans, ``analyze`` bumps one variable at a time and ``reduce_db``
-    deletes one clause at a time.  ``SatSolver`` must search exactly
-    like it."""
+    scans on any trail, ``analyze`` bumps one variable at a time and
+    ``reduce_db`` deletes one clause at a time.  ``SatSolver`` must
+    search exactly like it."""
+
+    def _count_occs(self, lits):
+        for l in lits:
+            if l > 0:
+                self.occ_pos[l] += 1
+            else:
+                self.occ_neg[-l] += 1
+
+    def _attach(self, c: Clause):
+        self.watches.setdefault(c.lits[0], []).append(c)
+        self.watches.setdefault(c.lits[1], []).append(c)
 
     def add_clause(self, lits, learnt=False):
         seen = {}
@@ -350,6 +361,67 @@ def test_add_clause_watches_the_two_highest_ranked_literals():
         ranks = [s.level[abs(l)] if s.assign[abs(l)] else None for l in lits]
         ties += len(set(ranks)) < len(ranks)
     assert ties > 1000
+
+
+def _clause_db(s):
+    """Everything ``add_clause`` leaves behind, clause literal order
+    included."""
+    return (
+        [(c.lits, c.learnt) for c in s.clauses],
+        [(c.lits, c.learnt) for c in s.learnts],
+        [(c.lits, c.learnt) for c in s._pending_units],
+        [(l, [c.lits for c in ws]) for l, ws in s.watches.items()],
+        s.occ_pos,
+        s.occ_neg,
+        s.unsat,
+    )
+
+
+def test_add_clause_on_an_empty_trail_matches_the_reference():
+    """Loading clauses into a fresh core, where the watches are the first
+    two literals without a rank scan, leaves the same clauses, pending
+    units, watch lists, occurrence counts and unsat flag as the
+    reference; the clause sets mix empty, unit, short and long clauses
+    with repeated literals and tautologies, some of them learnt."""
+    rng = random.Random(19)
+    seen = {"empty": 0, "unit": 0, "long": 0, "repeat": 0, "tautology": 0, "learnt": 0}
+    for trial in range(600):
+        nvars = rng.randint(1, 12)
+        s, ref = SatSolver(), ReferenceSatSolver()
+        for solver in (s, ref):
+            solver.ensure_vars(nvars)
+        for _ in range(rng.randint(1, 30)):
+            r = rng.random()
+            width = 0 if r < 0.03 else 1 if r < 0.2 else rng.randint(2, 3) if r < 0.8 else rng.randint(4, 14)
+            lits = [rng.choice((1, -1)) * rng.randint(1, nvars) for _ in range(width)]
+            learnt = rng.random() < 0.1
+            kept = list(dict.fromkeys(lits))
+            tautology = any(-l in kept for l in kept)
+            seen["empty"] += width == 0
+            seen["unit"] += len(kept) == 1
+            seen["long"] += len(kept) > 3 and not tautology
+            seen["repeat"] += len(kept) < width
+            seen["tautology"] += tautology
+            seen["learnt"] += learnt
+            got, want = s.add_clause(lits, learnt), ref.add_clause(lits, learnt)
+            assert (got is None) == (want is None), trial
+        assert not s.trail
+        assert _clause_db(s) == _clause_db(ref), trial
+    assert min(seen.values()) > 200, seen
+
+
+def test_ensure_vars_matches_new_var():
+    arrays = ("assign", "level", "reason_", "activity", "phase", "occ_pos", "occ_neg")
+    for steps in ([0], [1], [5], [3, 3], [2, 7], [6, 4, 9]):
+        bulk, single = SatSolver(), SatSolver()
+        for n in steps:
+            bulk.ensure_vars(n)
+            while single.nvars < n:
+                single.new_var()
+        assert bulk.nvars == single.nvars == max(steps)
+        for name in arrays:
+            got, want = getattr(bulk, name), getattr(single, name)
+            assert got == want and [type(x) for x in got] == [type(x) for x in want], (steps, name)
 
 
 def test_add_clause_on_a_partial_trail_misses_no_propagation():
