@@ -1,17 +1,20 @@
 """Exact rational and delta-rational arithmetic.
 
 Rationals are plain ``fractions.Fraction`` values; everything downstream
-assumes exact arithmetic, never floats.  Delta-rationals are pairs
-(real, eps) denoting real + eps * delta for a positive infinitesimal
-delta, which is how strict inequalities are represented inside the
-simplex core: (t < c) becomes an upper bound (c, -1) and (t > c) a lower
-bound (c, +1).
+assumes exact arithmetic, never floats.  Delta-rationals denote
+real + eps * delta for a positive infinitesimal delta, which is how
+strict inequalities are represented inside the simplex core: (t < c)
+becomes an upper bound c - delta and (t > c) a lower bound c + delta.
 
-A delta-rational keeps each field in one normal form: an ``int`` when
-the value is integral, otherwise a ``Fraction`` with denominator > 1.
-``int`` and ``Fraction`` mix exactly and their order and hashes agree,
-so the form changes no result, only the cost: on integral values the
-simplex adds machine-word ints instead of building Fractions.  The
+A number is kept in one normal form: an ``int`` when the value is
+integral, otherwise a ``Fraction`` with denominator > 1.  ``int`` and
+``Fraction`` mix exactly and their order and hashes agree, so the form
+changes no result, only the cost: on integral values the simplex adds
+machine-word ints instead of building Fractions.  A simplex value whose
+delta part is zero is such a plain number; only a value with a nonzero
+delta part is a ``DeltaRational``, so ``DeltaRational(1) == 1``.  The
+operators of a ``DeltaRational`` take a plain number on either side,
+and ``real_part``/``eps_part`` read both parts of any value.  The
 canonical atoms' coefficients and constants share the form, from the
 reader to the simplex; the boundary is the search's outcome, whose
 values, models and epsilons are ``Fraction`` again.  Every division of
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import TypeAlias
 
 LE = "<="
 LT = "<"
@@ -33,109 +37,139 @@ _ZERO = 0
 
 
 class DeltaRational:
-    """real + eps * delta, ordered lexicographically on (real, eps).
+    """real + eps * delta with eps != 0, ordered lexicographically on
+    (real, eps).
 
-    Each field is an ``int`` when its value is integral, else a
-    ``Fraction`` with denominator > 1; a zero eps is the int ``_ZERO``.
-    The simplex hot loop builds and compares these by the million, so
-    results are made by ``_make``, which normalizes the real part only,
-    operations skip eps arithmetic when an operand's eps is ``_ZERO``,
-    and comparisons look at ``eps`` only when the reals tie.
+    ``DeltaRational(real, eps)`` returns the value in normal form: the
+    plain number ``real`` when eps is zero.  Each field of an instance
+    is an ``int`` when its value is integral, else a ``Fraction`` with
+    denominator > 1.  The simplex hot loop builds and compares values by
+    the million, so results are made by ``_make``, which normalizes the
+    real part only, and each operator tests ``type(other) is
+    DeltaRational`` inline: a plain number on the other side has eps 0,
+    and a ``DeltaRational`` never equals one.
     """
 
     __slots__ = ("real", "eps")
 
-    def __init__(self, real, eps=0):
+    def __new__(cls, real, eps=0):
         # an int or a Fraction is taken as it is: Fraction(q) on a Fraction
         # would pay for the numbers.Rational check and a copy
-        if type(real) is not int:
-            real = integral_or_fraction(real if type(real) is Fraction else Fraction(real))
-        self.real = real
+        if type(real) is not int and type(real) is not Fraction:
+            real = Fraction(real)
         if type(eps) is not int and type(eps) is not Fraction:
             eps = Fraction(eps)
-        self.eps = _nonzero_or_shared(eps)
+        return _make(real, _nonzero_or_shared(eps))
 
-    def __add__(self, other: "DeltaRational") -> "DeltaRational":
-        e, f = self.eps, other.eps
-        if f is _ZERO:
-            return _make(self.real + other.real, e)
-        if e is _ZERO:
-            return _make(self.real + other.real, f)
-        return _make(self.real + other.real, _nonzero_or_shared(e + f))
+    def __add__(self, other) -> Value:
+        if type(other) is DeltaRational:
+            return _make(self.real + other.real, _nonzero_or_shared(self.eps + other.eps))
+        return _make(self.real + other, self.eps)
 
-    def __sub__(self, other: "DeltaRational") -> "DeltaRational":
-        e, f = self.eps, other.eps
-        if f is _ZERO:
-            return _make(self.real - other.real, e)
-        if e is _ZERO:
-            return _make(self.real - other.real, -f)
-        return _make(self.real - other.real, _nonzero_or_shared(e - f))
+    __radd__ = __add__
 
-    def __neg__(self) -> "DeltaRational":
-        e = self.eps
-        return _make(-self.real, e if e is _ZERO else -e)
+    def __sub__(self, other) -> Value:
+        if type(other) is DeltaRational:
+            return _make(self.real - other.real, _nonzero_or_shared(self.eps - other.eps))
+        return _make(self.real - other, self.eps)
 
-    def scaled(self, k) -> "DeltaRational":
-        """The value times the rational ``k`` (an int or a Fraction)."""
-        if type(k) is not int:
-            k = integral_or_fraction(k if type(k) is Fraction else Fraction(k))
-        e = self.eps
-        return _make(self.real * k, e if e is _ZERO else _nonzero_or_shared(e * k))
+    def __rsub__(self, other) -> Value:
+        return _make(other - self.real, -self.eps)
+
+    def __neg__(self) -> DeltaRational:
+        return _make(-self.real, -self.eps)
+
+    def __mul__(self, k) -> Value:
+        """The value times the plain number ``k``."""
+        return _make(self.real * k, _nonzero_or_shared(self.eps * k))
+
+    __rmul__ = __mul__
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DeltaRational)
-            and self.real == other.real
-            and self.eps == other.eps
-        )
+        return type(other) is DeltaRational and self.real == other.real and self.eps == other.eps
 
     def __hash__(self):
         return hash((self.real, self.eps))
 
     def __lt__(self, other):
-        a, b = self.real, other.real
-        if a == b:
-            return self.eps < other.eps
-        return a < b
+        a = self.real
+        if type(other) is DeltaRational:
+            b = other.real
+            if a == b:
+                return self.eps < other.eps
+            return a < b
+        if a == other:
+            return self.eps < 0
+        return a < other
 
     def __le__(self, other):
-        a, b = self.real, other.real
-        if a == b:
-            return self.eps <= other.eps
-        return a < b
+        a = self.real
+        if type(other) is DeltaRational:
+            b = other.real
+            if a == b:
+                return self.eps <= other.eps
+            return a < b
+        if a == other:
+            return self.eps < 0
+        return a < other
 
     def __gt__(self, other):
-        a, b = self.real, other.real
-        if a == b:
-            return self.eps > other.eps
-        return a > b
+        a = self.real
+        if type(other) is DeltaRational:
+            b = other.real
+            if a == b:
+                return self.eps > other.eps
+            return a > b
+        if a == other:
+            return self.eps > 0
+        return a > other
 
     def __ge__(self, other):
-        a, b = self.real, other.real
-        if a == b:
-            return self.eps >= other.eps
-        return a > b
+        a = self.real
+        if type(other) is DeltaRational:
+            b = other.real
+            if a == b:
+                return self.eps >= other.eps
+            return a > b
+        if a == other:
+            return self.eps > 0
+        return a > other
 
-    def substitute(self, epsilon) -> Fraction:
-        """Concrete value, a Fraction, once delta is fixed to a positive
-        rational."""
-        return self.real + self.eps * Fraction(epsilon)
+    def __reduce__(self):
+        return DeltaRational, (self.real, self.eps)
 
     def __repr__(self):
-        if self.eps == 0:
-            return f"{self.real}"
         return f"({self.real} + {self.eps}d)"
 
+
+# a simplex value, for annotations only: a string, since a typing.Union
+# would keep each imported copy of this module's class in typing's cache
+Value: TypeAlias = "int | Fraction | DeltaRational"
 
 _new_delta = object.__new__
 
 
-def _make(real, eps) -> DeltaRational:
-    """DeltaRational from a real part in either form and a normal eps."""
+def _make(real, eps) -> Value:
+    """The value real + eps * delta in normal form, from a real part in
+    either form and an eps in normal form (a zero as ``_ZERO``)."""
+    if type(real) is not int and real.denominator == 1:
+        real = real.numerator
+    if eps is _ZERO:
+        return real
     d = _new_delta(DeltaRational)
-    d.real = real if type(real) is int or real.denominator != 1 else real.numerator
+    d.real = real
     d.eps = eps
     return d
+
+
+def real_part(v: Value):
+    """The real part of a value, a plain number."""
+    return v.real if type(v) is DeltaRational else v
+
+
+def eps_part(v: Value):
+    """The coefficient of delta in a value; 0 for a plain number."""
+    return v.eps if type(v) is DeltaRational else _ZERO
 
 
 def integral_or_fraction(q):
@@ -167,7 +201,7 @@ def materialize_epsilon(valuation, literals) -> Fraction:
     """Largest eps0 in (0, 1] such that substituting any eps in (0, eps0]
     for delta keeps every literal satisfied.
 
-    ``valuation`` maps variables to DeltaRational, ``literals`` is an
+    ``valuation`` maps variables to values, ``literals`` is an
     iterable of (atom, polarity) pairs where atoms expose delta_value()
     and rel.  Raises ValueError if some literal is already violated
     symbolically; strict constraints contribute half their critical
@@ -178,13 +212,13 @@ def materialize_epsilon(valuation, literals) -> Fraction:
         val = atom.delta_value(valuation)
         if polarity:
             rel = atom.rel
-            r, k = val.real, val.eps
+            r, k = real_part(val), eps_part(val)
         else:
             if atom.rel == EQ:
                 raise ValueError("negated equality cannot be materialized")
             # not (t <= 0) is (-t < 0); not (t < 0) is (-t <= 0)
             rel = LT if atom.rel == LE else LE
-            r, k = -val.real, -val.eps
+            r, k = -real_part(val), -eps_part(val)
         if rel == EQ:
             if r != 0 or k != 0:
                 raise ValueError(f"equality violated symbolically: {atom}")

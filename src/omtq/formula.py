@@ -12,10 +12,10 @@ continues as the conjunction of its two weak halves, whose negation is
 a disjunction of two strict inequalities.
 
 ``LinTerm``, ``BAtom`` and the canonical ``Atom`` keep every
-coefficient and constant in the normal form of ``DeltaRational``'s
-fields: an ``int`` when integral, else a ``Fraction`` with denominator
-> 1.  Integral input, the common case, is then summed, scaled, hashed
-and turned into simplex rows and bounds as machine-word ints, and
+coefficient and constant in ``arith``'s normal form: an ``int`` when
+integral, else a ``Fraction`` with denominator > 1.  Integral input,
+the common case, is then summed, scaled, hashed and turned into
+simplex rows and bounds as machine-word ints, and
 every layer that divides an atom field does so with
 ``arith.quotient`` or another exact ``Fraction`` division.  The search's
 outcome is the boundary where values are ``Fraction`` again;
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .arith import EQ, LE, LT, DeltaRational, integral_or_fraction, quotient
+from .arith import EQ, LE, LT, integral_or_fraction, quotient
 
 # ---------------------------------------------------------------------------
 # terms and atoms
@@ -119,10 +119,13 @@ class Atom:
             return self.coeffs[0]
         return None
 
-    def delta_value(self, valuation) -> DeltaRational:
-        acc = DeltaRational(self.const)
+    def delta_value(self, valuation):
+        """The term plus the constant under a map var -> simplex value
+        (see ``arith``); the result mixes the parts of the values, so
+        read it with ``real_part``/``eps_part``."""
+        acc = self.const
         for v, c in self.coeffs:
-            acc = acc + valuation[v].scaled(c)
+            acc = acc + valuation[v] * c
         return acc
 
     def eval_concrete(self, valuation) -> bool:
@@ -520,7 +523,10 @@ class OmtProblem:
 
     The range convention is [lb, ub[: the lower bound is admissible, the
     upper is not.  Bounds are enforced as unit constraints by the search
-    engines, not stored inside the clause set.
+    engines, not stored inside the clause set.  A bound that is neither
+    an ``int`` nor a ``Fraction``, such as a float, is kept as its exact
+    ``Fraction``, as ``normalize_atom`` takes coefficients; one with no
+    such value, an infinity or a nan, raises ValueError.
     """
 
     formula: CnfFormula
@@ -531,6 +537,13 @@ class OmtProblem:
     def __post_init__(self):
         if not (0 <= self.cost < len(self.formula.rat_names)):
             raise ValueError("cost variable not in the problem's variable table")
+        for name in ("lb", "ub"):
+            q = getattr(self, name)
+            if q is not None and type(q) is not int and type(q) is not Fraction:
+                try:
+                    setattr(self, name, Fraction(q))
+                except OverflowError:  # an infinity; a nan raises ValueError
+                    raise ValueError(f"range bound {name} is not finite") from None
         if self.lb is not None and self.ub is not None and not (self.lb < self.ub):
             raise ValueError("empty cost range: require lb < ub")
         for cl in self.formula.clauses:

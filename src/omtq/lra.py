@@ -26,10 +26,17 @@ on rows of unit coefficients it does integer additions alone.  Every
 choice the search makes reads the coefficients' signs or exact ratios,
 so it pivots as a tableau of ``Fraction`` entries would.
 
-Values are delta-rationals whose fields are ``int`` when integral (see
-``arith``), and ``LraSolver(n, scale)`` keeps every value times one
-positive ``int`` scale D: ``effective_bounds`` multiplies each bound by
-D, its delta part included.  Rows and slacks do not depend on D, and
+Values are in ``arith``'s form: a plain number, an ``int`` when
+integral, else a ``Fraction``, unless a strict bound puts a nonzero
+delta part in, which only a ``DeltaRational`` carries.  So on most
+updates the simplex adds ints, and every update leaves its result in
+normal form.  A pivot that repairs a bound walks the rows once: each
+other row that holds the entering variable has its basic variable's
+value moved and is rewritten in the same pass.
+
+``LraSolver(n, scale)`` keeps every value times one positive ``int``
+scale D: ``effective_bounds`` multiplies each bound by D, its delta
+part included.  Rows and slacks do not depend on D, and
 every update and comparison is linear in the values, so the assignment
 is exactly D times the one an unscaled solver reaches, through the same
 pivots.  A caller that picks D divides by it where values leave the
@@ -81,7 +88,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .arith import _ZERO, DeltaRational, _make, quotient
+from .arith import _ZERO, Value, _make, quotient
 from .formula import Atom, EQ, LE, LT
 
 MAX_PIVOTS = 1_000_000  # per check or minimize_var call
@@ -101,9 +108,9 @@ class LraSolver:
         self.scale = scale  # every value is kept times this positive int
         self.rows: dict[int, dict[int, int]] = {}
         self.den: dict[int, int] = {}  # basic variable -> row denominator
-        self.beta: list[DeltaRational] = [DeltaRational(0)] * n
-        self.lower: list[Optional[tuple[DeltaRational, int]]] = [None] * n
-        self.upper: list[Optional[tuple[DeltaRational, int]]] = [None] * n
+        self.beta: list[Value] = [0] * n
+        self.lower: list[Optional[tuple[Value, int]]] = [None] * n
+        self.upper: list[Optional[tuple[Value, int]]] = [None] * n
         self.slack_of: dict[tuple, int] = {}
         # (atom, polarity) -> effective_bounds entries; safe to keep for the
         # solver's lifetime because pivots never renumber variables and an
@@ -171,10 +178,11 @@ class LraSolver:
             self.lower.append(None)
             self.upper.append(None)
             row, den = self._expand(coeffs)
-            val = DeltaRational(0)
+            beta = self.beta
+            val = 0
             for y, a in row.items():
-                val = val + self.beta[y].scaled(a)
-            self.beta.append(_times(val, 1, den))
+                val = val + beta[y] * a
+            beta.append(_times(val, 1, den))
             self.rows[vid] = row
             self.den[vid] = den
             self.slack_of[coeffs] = vid
@@ -239,7 +247,7 @@ class LraSolver:
             if old is None and lower[vid] is None and upper[vid] is None:
                 self.bounded.discard(vid)
 
-    def _update_nonbasic(self, x: int, v: DeltaRational):
+    def _update_nonbasic(self, x: int, v: Value):
         beta, den = self.beta, self.den
         delta = v - beta[x]
         for b, row in self.rows.items():
@@ -290,14 +298,17 @@ class LraSolver:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise Interrupted("deadline passed")
 
-    def _pivot(self, leave: int, enter: int):
-        """Swap a basic and a nonbasic variable."""
+    def _pivot(self, leave: int, enter: int, theta: Optional[Value] = None):
+        """Swap a basic and a nonbasic variable.  With ``theta``, the
+        entering variable has just moved by it: the same walk over the
+        rows moves the value of each other basic variable that holds it,
+        before rewriting that row."""
         if self.call_pivots >= MAX_PIVOTS:
             raise Interrupted(f"more than {MAX_PIVOTS} pivots in one call")
         self.check_deadline()
         self.call_pivots += 1
         self.pivot_count += 1
-        den = self.den
+        den, beta, candidates = self.den, self.beta, self.candidates
         row = self.rows.pop(leave)
         a = row.pop(enter)
         # a * enter = den[leave] * leave - (the rest of the row); the new
@@ -313,18 +324,34 @@ class LraSolver:
             d = -a
         self.rows[enter] = new_row
         den[enter] = d
-        self.candidates.discard(leave)
-        self.candidates.add(enter)
+        candidates.discard(leave)
+        candidates.add(enter)
         for b, r in self.rows.items():
             if b == enter:
                 continue
             cy = r.pop(enter, None)
             if cy:
+                db = den[b]
+                if theta is not None:
+                    # b moves by theta * cy / db
+                    if db != 1:
+                        val = beta[b] + theta * Fraction(cy, db)
+                    elif cy == 1:
+                        val = beta[b] + theta
+                    elif cy == -1:
+                        val = beta[b] - theta
+                    else:
+                        val = beta[b] + theta * cy
+                    if type(val) is Fraction and val.denominator == 1:
+                        val = val.numerator
+                    beta[b] = val
+                    candidates.add(b)
                 # den[b] * b = cy * enter + rest; multiply through by d
                 if d != 1:
                     for z in r:
                         r[z] *= d
-                    den[b] *= d
+                    db *= d
+                    den[b] = db
                 for z, coeff in new_row.items():
                     old = r.get(z)
                     if old is None:
@@ -335,7 +362,6 @@ class LraSolver:
                             r[z] = nv
                         else:
                             del r[z]
-                db = den[b]
                 if db != 1:
                     g = gcd(db, *r.values())
                     if g != 1:
@@ -343,19 +369,12 @@ class LraSolver:
                         for z in r:
                             r[z] //= g
 
-    def _pivot_and_update(self, leave: int, enter: int, v: DeltaRational):
-        beta, den = self.beta, self.den
-        theta = _times(v - beta[leave], den[leave], self.rows[leave][enter])
+    def _pivot_and_update(self, leave: int, enter: int, v: Value):
+        beta = self.beta
+        theta = _times(v - beta[leave], self.den[leave], self.rows[leave][enter])
         beta[leave] = v
-        beta[enter] = beta[enter] + theta
-        for b, row in self.rows.items():
-            if b == leave:
-                continue
-            ab = row.get(enter)
-            if ab:
-                beta[b] = _plus_times(beta[b], theta, ab, den[b])
-                self.candidates.add(b)
-        self._pivot(leave, enter)
+        beta[enter] = _plus_times(beta[enter], theta, 1, 1)
+        self._pivot(leave, enter, theta)
 
     def _violated(self):
         """(x, need_raise, bound) for the smallest basic variable x outside
@@ -453,35 +472,43 @@ class LraSolver:
         return None
 
 
-def _times(v: DeltaRational, num: int, den: int) -> DeltaRational:
-    """``v * num / den`` for nonzero ints; no multiplication for a unit
-    ratio."""
+def _times(v: Value, num: int, den: int) -> Value:
+    """``v * num / den`` in normal form for nonzero ints; no
+    multiplication for a unit ratio."""
     if den < 0:
         num, den = -num, -den
     if den == 1:
         if num == 1:
-            return v
-        if num == -1:
-            return -v
-        return v.scaled(num)
-    return v.scaled(Fraction(num, den))
+            w = v
+        elif num == -1:
+            w = -v
+        else:
+            w = v * num
+    else:
+        w = v * Fraction(num, den)
+    return w.numerator if type(w) is Fraction and w.denominator == 1 else w
 
 
-def _plus_times(u: DeltaRational, v: DeltaRational, num: int, den: int) -> DeltaRational:
-    """``u + v * num / den`` for nonzero ints and ``den > 0``; a unit
-    ratio costs one addition or subtraction."""
+def _plus_times(u: Value, v: Value, num: int, den: int) -> Value:
+    """``u + v * num / den`` in normal form for nonzero ints and
+    ``den > 0``; a unit ratio costs one addition or subtraction."""
     if den == 1:
         if num == 1:
-            return u + v
-        if num == -1:
-            return u - v
-        return u + v.scaled(num)
-    return u + v.scaled(Fraction(num, den))
+            w = u + v
+        elif num == -1:
+            w = u - v
+        else:
+            w = u + v * num
+    else:
+        w = u + v * Fraction(num, den)
+    return w.numerator if type(w) is Fraction and w.denominator == 1 else w
 
 
-def minimize_var(lra: LraSolver, cid: int) -> Optional[DeltaRational]:
+def minimize_var(lra: LraSolver, cid: int) -> Optional[Value]:
     """Drive variable ``cid`` to its minimum over the asserted bounds and
-    return that minimum, or None when ``cid`` is unbounded below.
+    return that minimum, or None when ``cid`` is unbounded below.  The
+    minimum is a plain number, or a ``DeltaRational`` when it is not
+    attained.
 
     Bounded-variable simplex descent with Bland's rule (smallest entering
     index, smallest leaving index among tied ratios).  The solver must be
@@ -556,10 +583,11 @@ def minimize_var(lra: LraSolver, cid: int) -> Optional[DeltaRational]:
                 return lra.beta[cid]
 
 
-def conjunction_min(literals, cost: int) -> tuple[str, Optional[DeltaRational]]:
+def conjunction_min(literals, cost: int) -> tuple[str, Optional[Value]]:
     """Minimum of variable ``cost`` under a conjunction of atom literals,
     computed on a fresh solver.  Returns ('unsat', None), ('unbounded',
-    None) or ('min', value)."""
+    None) or ('min', value), the value a plain number, or a
+    ``DeltaRational`` when the minimum is not attained."""
     n = 1 + max([cost] + [atom.coeffs[-1][0] for atom, _ in literals])
     lra = LraSolver(n)
     for i, (atom, polarity) in enumerate(literals):

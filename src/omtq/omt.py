@@ -44,9 +44,12 @@ from .arith import (
     LE,
     LT,
     DeltaRational,
+    Value,
     _make,
+    eps_part,
     materialize_epsilon,
     quotient,
+    real_part,
 )
 from .formula import ATOM, Atom, CnfFormula, OmtProblem, _normal, normalize_atom
 from .lra import Interrupted, LraSolver, conjunction_min, minimize_var
@@ -339,7 +342,7 @@ class TheoryBridge(TheoryClient):
         if self.best is None or m < self.best[0]:
             n = len(self.formula.rat_names)
             self.best = (m, self.lra.beta[:n], self.current_literals())
-        return m, self.cost_lit(m.real, LT if m.eps == 0 else LE)
+        return m, self.cost_lit(real_part(m), LT if eps_part(m) == 0 else LE)
 
     def outcome(self, status: str) -> OmtOutcome:
         """The engine's result with its final counters.  ``status`` is
@@ -365,19 +368,19 @@ class TheoryBridge(TheoryClient):
             return out
         m, beta, literals = self.best
         out.epsilon, out.model = self.snapshot_model(beta, literals)
-        out.value, out.attained = Fraction(m.real), m.eps == 0
+        out.value, out.attained = Fraction(real_part(m)), eps_part(m) == 0
         return out
 
     def current_literals(self):
         return [(atom, pol) for (_, _, atom, pol) in self.marks]
 
-    def _unscaled(self, v: DeltaRational) -> DeltaRational:
+    def _unscaled(self, v: Value) -> Value:
         """A simplex value in problem units."""
         d = self.lra.scale
         if d == 1:
             return v
-        e = v.eps
-        return _make(quotient(v.real, d), e if e is _ZERO else quotient(e, d))
+        e = eps_part(v)
+        return _make(quotient(real_part(v), d), e if e is _ZERO else quotient(e, d))
 
     def snapshot_model(self, beta, literals):
         """(epsilon, concrete model) of the problem variables' simplex
@@ -386,7 +389,11 @@ class TheoryBridge(TheoryClient):
         valuation = {i: self._unscaled(beta[i]) for i in range(len(names))}
         eps0 = materialize_epsilon(valuation, literals)
         eps = Fraction(eps0, 2)
-        model = {name: valuation[i].substitute(eps) for i, name in enumerate(names)}
+        # eps is a Fraction, so each value substituted is one
+        model = {
+            name: real_part(valuation[i]) + eps_part(valuation[i]) * eps
+            for i, name in enumerate(names)
+        }
         return eps, model
 
 
@@ -432,17 +439,18 @@ class CostRange:
             raise Interrupted(f"more than {self.max_loops} range updates")
         self.loops += 1
 
-    def raise_lo(self, lo: DeltaRational):
+    def raise_lo(self, lo: Value):
         self.lo = lo
-        if not self.trace or self.trace[-1] != lo.real:
-            self.trace.append(lo.real)
+        real = real_part(lo)
+        if not self.trace or self.trace[-1] != real:
+            self.trace.append(real)
 
     def pivot(self) -> Optional[Fraction]:
         """The midpoint to probe next, or None for a linear step.  Binary
         steps alternate with linear ones unless ``always_binary``."""
         if not self.binary or self.lo is None or self.hi is None:
             return None
-        l, u = self.lo.real, self.hi.real
+        l, u = real_part(self.lo), real_part(self.hi)
         if not self.always_binary:
             if l == u:
                 # degenerate range: only an attainment probe is left, and a
@@ -479,7 +487,8 @@ def _offline_search(bridge: TheoryBridge) -> OmtOutcome:
             if found is None:
                 return bridge.outcome(UNBOUNDED)
             m, ulit = found
-            rng.hi = DeltaRational(m.real, 0 if m.eps else -1)  # the bound ulit asserts
+            # the bound ulit asserts
+            rng.hi = DeltaRational(real_part(m), 0 if eps_part(m) else -1)
             sat.add_clause([ulit])
         elif plit is not None and plit in res.core:
             rng.raise_lo(DeltaRational(pivot))
@@ -503,23 +512,30 @@ class InlineBridge(TheoryBridge):
         self.suggest: Optional[int] = None
         self.pivot_lit: Optional[int] = None
         self.pivot_val: Optional[Fraction] = None
+        # the running result of _scan_root_bounds and the length of the
+        # level-0 trail it has read
+        lo = None if problem.lb is None else DeltaRational(problem.lb)
+        self.root_bounds: tuple = (lo, None, None)
+        self.root_scanned = 0
 
     # -- range maintenance at level 0
 
     def _scan_root_bounds(self, solver):
         """(lo, hi, literal asserting hi) from the input lower bound and
-        the unit-implied bounds on the cost variable."""
-        best_lo: Optional[DeltaRational] = None
-        best_up: tuple = (None, None)  # (DeltaRational, lit)
-        if self.problem.lb is not None:
-            best_lo = DeltaRational(self.problem.lb)
-        for lit in solver.trail:
-            v = abs(lit)
-            atom = self.formula.atom_of(v)
+        the unit-implied bounds on the cost variable; of equal upper
+        bounds, the one earliest on the trail.
+
+        The level-0 trail only grows between visits, so each call reads
+        only the literals added since the last one, from its result."""
+        best_lo, best_up, best_lit = self.root_bounds
+        trail, atom_of, cost = solver.trail, self.formula.atom_of, self.problem.cost
+        for pos in range(self.root_scanned, len(trail)):
+            lit = trail[pos]
+            atom = atom_of(abs(lit))
             if atom is None:
                 continue
             sv = atom.single_var()
-            if sv is None or sv[0] != self.problem.cost:
+            if sv is None or sv[0] != cost:
                 continue
             polarity = lit > 0
             if not polarity and atom.rel == EQ:
@@ -529,9 +545,11 @@ class InlineBridge(TheoryBridge):
                 if is_lower:
                     if best_lo is None or val > best_lo:
                         best_lo = val
-                elif best_up[0] is None or val < best_up[0]:
-                    best_up = (val, lit)
-        return best_lo, *best_up
+                elif best_up is None or val < best_up:
+                    best_up, best_lit = val, lit
+        self.root_scanned = len(trail)
+        self.root_bounds = (best_lo, best_up, best_lit)
+        return self.root_bounds
 
     def on_level_zero(self, solver):
         self.lra.check_deadline()
@@ -579,7 +597,7 @@ class InlineBridge(TheoryBridge):
             # the pivot unit is only a consequence when the fresh upper
             # bound sits below the pivot; the minimum can land on or
             # above it because pivot atoms are pure-literal invisible
-            if m <= DeltaRational(self.pivot_val):
+            if m <= self.pivot_val:
                 solver.add_lemma([self.pivot_lit])
         blocking = self._blocking_clause(ulit)
         if blocking is not None:
@@ -618,8 +636,8 @@ class InlineBridge(TheoryBridge):
             return clause
         if self.u_lit is not None and val > self.range.hi:
             return eta_lits + [-self.u_lit]
-        if val.real > self.pivot_val:
-            litr = self.cost_lit(val.real, LT)
+        if real_part(val) > self.pivot_val:
+            litr = self.cost_lit(real_part(val), LT)
             solver.add_lemma(eta_lits + [-litr])
             solver.add_lemma([-p, litr])
         return clause

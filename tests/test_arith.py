@@ -9,9 +9,11 @@ from omtq.arith import (
     LE,
     LT,
     DeltaRational,
+    eps_part,
     format_rat,
     materialize_epsilon,
     parse_rat,
+    real_part,
 )
 from omtq.formula import normalize_atom
 
@@ -63,8 +65,16 @@ def test_delta_arithmetic():
     assert a + b == DeltaRational(4, -1)
     assert a - b == DeltaRational(2, 3)
     assert -a == DeltaRational(-3, -1)
-    assert a.scaled(Fraction(1, 2)) == DeltaRational(Fraction(3, 2), Fraction(1, 2))
-    assert a.substitute(Fraction(1, 8)) == Fraction(25, 8)
+    assert a * Fraction(1, 2) == DeltaRational(Fraction(3, 2), Fraction(1, 2))
+    assert _substitute(a, Fraction(1, 8)) == Fraction(25, 8)
+    assert DeltaRational(1) == 1 and type(DeltaRational(1)) is int
+    assert DeltaRational(Fraction(6, 3), Fraction(0)) == 2
+    assert type(DeltaRational(Fraction(6, 3), Fraction(0))) is int
+
+
+def _substitute(v, epsilon) -> Fraction:
+    """The concrete value of ``v`` with delta fixed to ``epsilon``."""
+    return real_part(v) + eps_part(v) * Fraction(epsilon)
 
 
 # int and Fraction values, each with a zero and a non-zero eps; the
@@ -74,34 +84,56 @@ DELTA_INPUTS = [
     for real in (0, 2, Fraction(2), Fraction(-3, 4))
     for eps in (0, Fraction(0), 1, Fraction(-1, 3))
 ]
-SCALARS = [1, -2, Fraction(3, 5), Fraction(-7, 2)]
+SCALARS = [0, 1, -2, Fraction(3, 5), Fraction(-7, 2), Fraction(4, 2)]
 
 
 def _normal(q) -> bool:
-    """The DeltaRational field form: an int iff the value is integral,
-    else a Fraction with denominator > 1."""
+    """The number form: an int iff the value is integral, else a
+    Fraction with denominator > 1."""
     if type(q) is int:
         return True
     return type(q) is Fraction and q.denominator > 1
 
 
-def _check_delta(d, real, eps):
-    assert (d.real, d.eps) == (real, eps)
-    assert _normal(d.real) and _normal(d.eps), (d.real, d.eps)
-    assert hash(d) == hash((d.real, d.eps)) == hash((Fraction(real), Fraction(eps)))
+def _normal_value(v) -> bool:
+    """The value form: a plain number in normal form, or a DeltaRational
+    with a nonzero eps whose fields are in normal form."""
+    if type(v) is DeltaRational:
+        return _normal(v.real) and _normal(v.eps) and v.eps != 0
+    return _normal(v)
+
+
+def _check_value(v, real, eps, operands):
+    """``v`` is real + eps * delta; in normal form when a DeltaRational
+    operator made it, a plain number exactly when eps is 0."""
+    assert (real_part(v), eps_part(v)) == (real, eps)
+    if not any(type(x) is DeltaRational for x in operands):
+        return  # int and Fraction arithmetic is Python's own
+    assert _normal_value(v), v
+    assert (type(v) is DeltaRational) == (eps != 0), v
+    if eps == 0:
+        assert hash(v) == hash(Fraction(real))
+    else:
+        assert hash(v) == hash((v.real, v.eps)) == hash((Fraction(real), Fraction(eps)))
 
 
 def test_delta_rational_matches_pair_arithmetic():
+    """Every operator on values against (real, eps) pairs, with an int, a
+    Fraction or a DeltaRational on either side; results are in normal
+    form, a plain number exactly when eps is 0.  A Fraction on the left
+    of a DeltaRational takes Fraction's reflected-operation path."""
     for r1, e1 in DELTA_INPUTS:
         a = DeltaRational(r1, e1)
-        _check_delta(a, r1, e1)
-        _check_delta(-a, -r1, -e1)
+        assert _normal_value(a) and (type(a) is DeltaRational) == (e1 != 0), a
+        _check_value(a, r1, e1, [a])
+        _check_value(-a, -r1, -e1, [a])
         for k in SCALARS:
-            _check_delta(a.scaled(k), r1 * k, e1 * k)
+            _check_value(a * k, r1 * k, e1 * k, [a])
+            _check_value(k * a, r1 * k, e1 * k, [a])
         for r2, e2 in DELTA_INPUTS:
             b = DeltaRational(r2, e2)
-            _check_delta(a + b, r1 + r2, e1 + e2)
-            _check_delta(a - b, r1 - r2, e1 - e2)
+            _check_value(a + b, r1 + r2, e1 + e2, [a, b])
+            _check_value(a - b, r1 - r2, e1 - e2, [a, b])
             pa, pb = (r1, e1), (r2, e2)
             assert (a < b) == (pa < pb)
             assert (a <= b) == (pa <= pb)
@@ -132,7 +164,7 @@ def test_materialize_epsilon_strict_bound_halves_the_slack():
     assert materialize_epsilon(val, [(weak, wp)]) == Fraction(1, 2)
     eps = materialize_epsilon(val, [(strict, sp)])
     assert eps == Fraction(1, 4)
-    assert val[0].substitute(eps) < Fraction(1, 2)
+    assert _substitute(val[0], eps) < Fraction(1, 2)
 
 
 def test_materialize_epsilon_is_exact_on_integral_fields():
@@ -159,7 +191,7 @@ def test_materialize_epsilon_scales_with_slack():
     val = {0: DeltaRational(0, 1)}
     eps = materialize_epsilon(val, [(atom, pol)])
     assert 0 < eps < Fraction(1, 8)
-    assert val[0].substitute(eps) < Fraction(1, 8)
+    assert _substitute(val[0], eps) < Fraction(1, 8)
 
 
 def test_materialize_epsilon_negated_literal():
@@ -168,7 +200,7 @@ def test_materialize_epsilon_negated_literal():
     val = {0: DeltaRational(2, 1)}
     eps = materialize_epsilon(val, [(atom, not pol)])
     assert eps > 0
-    assert val[0].substitute(eps) > 2
+    assert _substitute(val[0], eps) > 2
 
 
 def test_materialize_epsilon_equality_must_hold_symbolically():

@@ -8,13 +8,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import FAMILIES, random_literals
-from omtq.arith import EQ, LE, LT, DeltaRational
+from omtq.arith import EQ, LE, LT, DeltaRational, eps_part, real_part
 from omtq.formula import normalize_atom
 from omtq.lra import Interrupted, LraSolver, minimize_var
 from omtq.omt import InlineBridge, OmtConfig
 from omtq.oracle import fm_minimize
 from omtq.parser import parse_problem
-from test_arith import _normal
+from test_arith import _normal_value
 
 
 def _lit(coeffs, const, op):
@@ -144,10 +144,10 @@ def test_effective_bounds_are_the_scaled_delta_bounds(scale):
                         continue
                     got = lra.effective_bounds(atom, pol)
                     assert got == [
-                        (vid, is_lower != flipped, DeltaRational(-atom.const, eps).scaled(k))
+                        (vid, is_lower != flipped, DeltaRational(-atom.const, eps) * k)
                         for is_lower, eps in _TERM_BOUNDS[rel, pol]
                     ], (atom, pol)
-                    assert all(_normal(v.real) and _normal(v.eps) for _, _, v in got)
+                    assert all(_normal_value(v) for _, _, v in got)
 
 
 def test_backtracking_restores_bounds():
@@ -284,13 +284,18 @@ def _assert_tableau_holds(lra, where):
         assert type(d) is int and d > 0, where
         assert all(type(a) is int for a in row.values()), where
         assert math.gcd(d, *row.values()) == 1, where
-        real = sum((Fraction(a, d) * lra.beta[y].real for y, a in row.items()), Fraction(0))
-        eps = sum((Fraction(a, d) * lra.beta[y].eps for y, a in row.items()), Fraction(0))
-        assert lra.beta[b] == DeltaRational(real, eps), where
+        beta = lra.beta
+        real = sum((Fraction(a, d) * real_part(beta[y]) for y, a in row.items()), Fraction(0))
+        eps = sum((Fraction(a, d) * eps_part(beta[y]) for y, a in row.items()), Fraction(0))
+        assert beta[b] == DeltaRational(real, eps), where
     for v, val in enumerate(lra.beta):
         lo, up = lra.lower[v], lra.upper[v]
         assert lo is None or lo[0] <= val, where
         assert up is None or val <= up[0], where
+        # a value is a plain number unless its delta part is nonzero
+        assert _normal_value(val), (where, v)
+        assert lo is None or _normal_value(lo[0]), (where, v)
+        assert up is None or _normal_value(up[0]), (where, v)
 
 
 def _same_state(lra, ref):
@@ -358,7 +363,7 @@ class _FractionTableauSolver(LraSolver):
         for b, row in self.rows.items():
             a = row.get(x)
             if a:
-                beta[b] = beta[b] + delta.scaled(a)
+                beta[b] = beta[b] + delta * a
                 self.candidates.add(b)
         beta[x] = v
 
@@ -395,7 +400,7 @@ class _FractionTableauSolver(LraSolver):
         beta = self.beta
         a = self.rows[leave][enter]
         d = v - beta[leave]
-        theta = DeltaRational(d.real / a, d.eps / a)
+        theta = DeltaRational(real_part(d) / a, eps_part(d) / a)
         beta[leave] = v
         beta[enter] = beta[enter] + theta
         for b, row in self.rows.items():
@@ -403,7 +408,7 @@ class _FractionTableauSolver(LraSolver):
                 continue
             ab = row.get(enter)
             if ab:
-                beta[b] = beta[b] + theta.scaled(ab)
+                beta[b] = beta[b] + theta * ab
                 self.candidates.add(b)
         self._pivot(leave, enter)
 

@@ -16,7 +16,7 @@ from helpers import (
     text_holds,
 )
 from omtq import OmtConfig, SearchStats, compute_pivot, crosscheck, lra, omt, solve
-from omtq.arith import DeltaRational
+from omtq.arith import EQ, DeltaRational
 from omtq.encodings import encode_pb, jobshop_problem, strip_packing_problem
 from omtq.formula import Atom, OmtProblem, normalize_atom
 from omtq.omt import CostRange, smt_decide
@@ -502,6 +502,65 @@ def test_indexed_entailment_matches_a_full_scan(monkeypatch):
     assert entailed > 0  # the inputs reach theory propagations
 
 
+def _full_root_scan(bridge, solver):
+    """Reference for ``InlineBridge._scan_root_bounds``: the whole
+    level-0 trail, walked from the start at every visit."""
+    problem = bridge.problem
+    best_lo = None if problem.lb is None else DeltaRational(problem.lb)
+    best_up = best_lit = None
+    for lit in solver.trail:
+        atom = bridge.formula.atom_of(abs(lit))
+        if atom is None:
+            continue
+        sv = atom.single_var()
+        if sv is None or sv[0] != problem.cost or (lit < 0 and atom.rel == EQ):
+            continue
+        for _, is_lower, val in bridge.lra.effective_bounds(atom, lit > 0):
+            val = bridge._unscaled(val)
+            if is_lower:
+                if best_lo is None or val > best_lo:
+                    best_lo = val
+            elif best_up is None or val < best_up:
+                best_up, best_lit = val, lit
+    return best_lo, best_up, best_lit
+
+
+def test_root_bound_scan_resumes_like_a_full_rescan(monkeypatch):
+    """The inline engine reads the level-0 trail from where its last
+    visit stopped; at every visit its (lo, hi, literal) equals a full
+    rescan's, and the trail it has read is still the trail's prefix."""
+    visits = []
+
+    class Lockstep(omt.InlineBridge):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.scanned_trail = []
+
+        def _scan_root_bounds(self, solver):
+            assert solver.decision_level == 0
+            read = list(solver.trail[: self.root_scanned])
+            assert read == self.scanned_trail
+            got = super()._scan_root_bounds(solver)
+            assert got == _full_root_scan(self, solver), self.problem
+            visits.append(len(read) > 0 and len(solver.trail) > len(read))
+            self.scanned_trail = list(solver.trail)
+            return got
+
+    monkeypatch.setattr(omt, "InlineBridge", Lockstep)
+    problems = [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("*.smt2"))]
+    problems += [encode_pb(*random_pb(seed, 12)) for seed in range(8)]
+    problems += [corpus_problem(seed) for seed in range(60)]
+    # two root units bound the cost above by 8: the first one asserts hi
+    tie = "(declare-fun cost () Real)(declare-fun x () Real)"
+    tie += "(assert (<= cost 8))(assert (= cost 8))(assert (>= cost x))"
+    tie += "(assert (or (<= x 1) (>= x 3)))(minimize cost)"
+    problems.append(parse_problem(tie))
+    for problem in problems:
+        for search in ("linear", "binary"):
+            solve(problem, OmtConfig(schema="inline", search=search))
+    assert any(visits)  # some visits resume from a grown trail
+
+
 def test_entailment_asks_atoms_registered_since_the_last_ask():
     """An atom registered between two asks, with no backjump or new bound
     in between, is asked at the second: here a cost atom the root upper
@@ -662,6 +721,34 @@ def test_int_range_bounds_give_fraction_values():
             out = solve(problem, cfg)
             assert (out.status, out.value) == (status, value), (i, cfg)
             _assert_fraction_values(problem, out, (i, cfg))
+
+
+def test_float_range_bounds_match_int_and_fraction_bounds():
+    """A float range bound is taken as its exact Fraction, as
+    ``normalize_atom`` takes a float coefficient: under the four
+    configurations, float, ``int`` and ``Fraction`` bounds of the same
+    values give equal outcomes, with ``Fraction`` values."""
+    text = "(declare-fun cost () Real)(assert (> cost 10))(minimize cost)"
+    base = parse_problem(text)
+    pb = ([[1, 2], [-1, 3], [2, 3]], [3, 4, 5])  # optimum 4: b2 alone
+    bounds = [
+        ((0.5, 16.0), (Fraction(1, 2), 16), (Fraction(1, 2), Fraction(16))),
+        ((3.0, 5.0), (3, 5), (Fraction(3), Fraction(5))),
+        ((2.25, None), (Fraction(9, 4), None), (Fraction(9, 4), None)),
+    ]
+    for i, spellings in enumerate(bounds):
+        problems = [OmtProblem(base.formula, base.cost, lb, ub) for lb, ub in spellings]
+        problems += [encode_pb(3, *pb, lb=lb, ub=ub) for lb, ub in spellings]
+        assert type(problems[0].lb) is Fraction and problems[0].lb == spellings[2][0]
+        for cfg in ALL_CONFIGS:
+            for group in (problems[:3], problems[3:]):
+                outs = [solve(problem, cfg) for problem in group]
+                assert outs[0] == outs[1] == outs[2], (i, cfg)
+                _assert_fraction_values(group[0], outs[0], (i, cfg))
+    assert solve(OmtProblem(base.formula, base.cost, 0.5, 3)).status == "unsat"
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            OmtProblem(base.formula, base.cost, 0, bad)
 
 
 def _floats(obj):
