@@ -26,7 +26,6 @@ generator so instances are reproducible across platforms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .arith import EQ, LE
 from .formula import (
@@ -190,12 +189,6 @@ def smt_rat(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"(/ {q.numerator} {q.denominator})"
-
-
-def approx_sqrt(n: int) -> Fraction:
-    """Rational approximation of sqrt(n), exact for perfect squares."""
-    scale = 10 ** 4
-    return Fraction(isqrt(n * scale * scale), scale)
 
 
 # ---------------------------------------------------------------------------

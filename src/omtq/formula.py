@@ -128,15 +128,6 @@ class Atom:
             acc = acc + valuation[v] * c
         return acc
 
-    def eval_concrete(self, valuation) -> bool:
-        """Truth under a map var -> Fraction."""
-        total = self.const + sum((Fraction(valuation[v]) * c for v, c in self.coeffs), Fraction(0))
-        if self.rel == LE:
-            return total <= 0
-        if self.rel == LT:
-            return total < 0
-        return total == 0
-
     def __repr__(self):
         parts = " + ".join(f"{c}*x{v}" for v, c in self.coeffs)
         return f"({parts} + {self.const} {self.rel} 0)"
@@ -554,7 +545,3 @@ class OmtProblem:
                             "negated equality literal in clause set; "
                             "split it into strict inequalities first"
                         )
-
-    @property
-    def cost_name(self) -> str:
-        return self.formula.rat_names[self.cost]

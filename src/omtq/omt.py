@@ -674,10 +674,14 @@ def smt_decide(problem: OmtProblem, extra_literals=(), config: Optional[OmtConfi
     plus optional extra (atom, polarity) unit literals.  Returns 'sat' or
     'unsat'.  The core never asserts a negated equality, so t != 0
     enters as the clause t > 0 or t < 0, the negated weak halves that
-    ``cnfize`` splits one into."""
+    ``cnfize`` splits one into.  An extra literal on a variable id the
+    problem does not declare raises ValueError."""
     bridge = TheoryBridge(problem, config if config is not None else OmtConfig())
     formula, sat = bridge.formula, bridge.sat
     for atom, pol in extra_literals:
+        for v, _ in atom.coeffs:
+            if not 0 <= v < len(formula.rat_names):
+                raise ValueError(f"extra literal on undeclared variable id {v}")
         if pol or atom.rel != EQ:
             lits = [formula.lit_for_atom(atom, pol)]
         else:

@@ -12,7 +12,10 @@ on top:
   added is ever retracted),
 * a client object consulted at propagation fixpoints, on backjumps and
   at decision level zero, through which the theory solver and the
-  optimization schemas plug in.
+  optimization schemas plug in.  A solver always holds a client: the
+  shared no-op ``TheoryClient`` until ``solve`` is given one, and again
+  once that call returns or raises, so no engine stays reachable from
+  its solver after its search.
 
 The core trusts its client and checks none of this: a literal the
 client propagates is unassigned, it propagates at most one literal per
@@ -39,19 +42,18 @@ from typing import Optional
 
 
 class Clause:
-    __slots__ = ("lits", "learnt", "activity")
+    """Built only by ``SatSolver.add_clause``."""
 
-    def __init__(self, lits, learnt=False):
-        self.lits = list(lits)
-        self.learnt = learnt
-        self.activity = 0.0
+    __slots__ = ("lits", "learnt", "activity")
 
     def __repr__(self):
         return f"Clause({self.lits}{' L' if self.learnt else ''})"
 
 
 class TheoryClient:
-    """No-op client; the optimization engines subclass this."""
+    """No-op client; the optimization engines subclass this.  A solver
+    holds the shared ``NO_CLIENT`` whenever no ``solve`` call has given
+    it another."""
 
     def after_bcp(self, solver, complete: bool):
         """Called at every propagation fixpoint.  May return None,
@@ -74,6 +76,9 @@ class TheoryClient:
         """An unassigned literal to decide next, or None; the solver
         always takes a returned literal."""
         return None
+
+
+NO_CLIENT = TheoryClient()
 
 
 @dataclass
@@ -138,24 +143,14 @@ class SatSolver:
         self.max_learnts = 300.0
 
         self.stats = SatStats()
-        self.client: Optional[TheoryClient] = None
+        self.client: TheoryClient = NO_CLIENT
         self._lz_pending = True
 
     # -- variables ---------------------------------------------------------
 
-    def new_var(self) -> int:
-        self.nvars += 1
-        self.assign.append(0)
-        self.level.append(0)
-        self.reason_.append(None)
-        self.activity.append(0.0)
-        self.phase.append(False)
-        self.occ_pos.append(0)
-        self.occ_neg.append(0)
-        return self.nvars
-
     def ensure_vars(self, n: int):
-        """Grow to ``n`` variables, as that many ``new_var`` calls would."""
+        """Grow to ``n`` variables, numbered from 1; each starts
+        unassigned, at activity 0 and with negative saved phase."""
         k = n - self.nvars
         if k <= 0:
             return
@@ -250,8 +245,7 @@ class SatSolver:
         del trail[bound:]
         del trail_lim[lvl:]
         self.qhead = bound
-        if self.client is not None:
-            self.client.on_backjump(self, bound)
+        self.client.on_backjump(self, bound)
         if lvl == 0:
             self._lz_pending = True
 
@@ -340,8 +334,6 @@ class SatSolver:
             confl = self._bcp()
             if confl is not None:
                 return confl
-            if self.client is None:
-                return None
             complete = len(self.trail) == self.nvars
             resp = self.client.after_bcp(self, complete)
             if resp is None:
@@ -480,9 +472,16 @@ class SatSolver:
         self.stats.decisions += 1
         self.enqueue(lit, None)
 
-    def solve(self, assumptions=(), client: Optional[TheoryClient] = None) -> SolveResult:
+    def solve(self, assumptions=(), client: TheoryClient = NO_CLIENT) -> SolveResult:
+        """Search under ``assumptions``, consulting ``client``; the solver
+        drops the client when the call returns or raises."""
         self.client = client
-        assumptions = list(assumptions)
+        try:
+            return self._search(list(assumptions))
+        finally:
+            self.client = NO_CLIENT
+
+    def _search(self, assumptions: list) -> SolveResult:
         self.cancel_until(0)
         self._lz_pending = True
         if self.unsat:
@@ -529,7 +528,7 @@ class SatSolver:
                     self.max_learnts *= 1.05
                 continue
 
-            if self._lz_pending and self.decision_level == 0 and self.client is not None:
+            if self._lz_pending and self.decision_level == 0:
                 self._lz_pending = False
                 resp = self.client.on_level_zero(self)
                 if resp is not None and resp[0] == "halt":
@@ -566,9 +565,7 @@ class SatSolver:
                 self._decide(p)
                 continue
 
-            lit = None
-            if self.client is not None:
-                lit = self.client.suggest_decision(self)
+            lit = self.client.suggest_decision(self)
             if lit is None:
                 # the trail is not full, so some variable is unassigned
                 v = self._pick_branch_var()

@@ -417,6 +417,16 @@ def strip_layout_ok(meta, model) -> bool:
 # witness checking
 
 
+def eval_concrete(atom: Atom, valuation) -> bool:
+    """Truth of ``atom`` under a map var -> Fraction."""
+    total = atom.const + sum((Fraction(valuation[v]) * c for v, c in atom.coeffs), Fraction(0))
+    if atom.rel == LE:
+        return total <= 0
+    if atom.rel == LT:
+        return total < 0
+    return total == 0
+
+
 def model_satisfies(problem: OmtProblem, model: dict) -> bool:
     """Does a rational valuation extend to a full model of the clauses?
 
@@ -436,7 +446,7 @@ def model_satisfies(problem: OmtProblem, model: dict) -> bool:
             if atom is None:
                 lits.append(lit)
                 continue
-            if atom.eval_concrete(valuation) == (lit > 0):
+            if eval_concrete(atom, valuation) == (lit > 0):
                 satisfied = True
                 break
         if satisfied:

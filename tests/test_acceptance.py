@@ -26,7 +26,6 @@ from helpers import (
 from omtq import OmtConfig, crosscheck, solve
 from omtq.arith import eps_part, real_part
 from omtq.encodings import (
-    approx_sqrt,
     jobshop_problem,
     strip_packing_instance,
     strip_packing_problem,
@@ -35,6 +34,13 @@ from omtq.lra import LraSolver, conjunction_min
 from omtq.oracle import fm_minimize, oracle_solve
 from omtq.parser import parse_problem
 from omtq.sat import SatSolver
+
+
+def approx_sqrt(n: int) -> Fraction:
+    """Rational approximation of sqrt(n), exact for perfect squares."""
+    scale = 10 ** 4
+    return Fraction(math.isqrt(n * scale * scale), scale)
+
 
 # optimum outcomes cross-validated across criteria 1, 2, 5 and 6
 _XCHECK = {"passed": 0, "failures": []}
@@ -208,8 +214,7 @@ def test_criterion_7_component_suites():
     for seed in range(10_000):
         nvars, clauses = random_cnf(seed, max_vars=16)
         s = SatSolver()
-        for _ in range(nvars):
-            s.new_var()
+        s.ensure_vars(nvars)
         for c in clauses:
             s.add_clause(list(c))
         if (s.solve().status == "sat") != brute_sat(nvars, clauses):
@@ -230,8 +235,7 @@ def test_criterion_7_component_suites():
             seen.add(v)
             assumptions.append(v if rng.random() < 0.5 else -v)
         s = SatSolver()
-        for _ in range(nvars):
-            s.new_var()
+        s.ensure_vars(nvars)
         for c in clauses:
             s.add_clause(list(c))
         res = s.solve(assumptions)

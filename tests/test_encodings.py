@@ -19,7 +19,6 @@ from omtq import OmtConfig, solve
 from omtq.formula import normalize_atom
 from omtq.encodings import (
     SplitMix64,
-    approx_sqrt,
     encode_ldp,
     encode_lgdp,
     encode_pb,
@@ -49,13 +48,6 @@ def test_splitmix_helpers_stay_in_range():
     r = SplitMix64(7)
     for _ in range(200):
         assert 2 <= r.randint(2, 5) <= 5
-
-
-def test_approx_sqrt():
-    assert approx_sqrt(4) == 2
-    assert approx_sqrt(9) == 3
-    s3 = approx_sqrt(3)
-    assert s3 * s3 <= 3 < (s3 + Fraction(1, 10000)) ** 2
 
 
 def test_smt_rat_forms():
@@ -245,7 +237,7 @@ def test_strip_meta_matches_problem():
     assert meta["n"] == 3 and meta["width"] == 1 and meta["seed"] == 5
     assert len(meta["pieces"]) == 3
     assert prob.lb == 0
-    assert prob.cost_name == "length"
+    assert prob.formula.rat_names[prob.cost] == "length"
     names = prob.formula.rat_names
     assert "x0" in names and "y2" in names
 
@@ -276,7 +268,7 @@ def test_jobshop_meta_matches_problem():
     # prefix sums include the full-length total per job
     for i, row in enumerate(meta["durations"]):
         assert meta["prefix"][i][-1] == sum(row)
-    assert prob.cost_name == "makespan"
+    assert prob.formula.rat_names[prob.cost] == "makespan"
 
 
 def test_jobshop_optimum_and_schedule():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import FAMILIES, boolean_structure_text, random_pb
+from helpers import FAMILIES, boolean_structure_text, eval_concrete, random_pb
 from omtq.arith import EQ, LE, LT
 from omtq.formula import (
     Atom,
@@ -87,8 +87,8 @@ def test_normalize_atom_takes_floats_exactly():
 
 def test_atom_eval_concrete():
     atom, _ = normalize_atom({0: 1, 1: 1}, -4, LE)  # x + y <= 4
-    assert atom.eval_concrete({0: 2, 1: 2})
-    assert not atom.eval_concrete({0: 3, 1: Fraction(3, 2)})
+    assert eval_concrete(atom, {0: 2, 1: 2})
+    assert not eval_concrete(atom, {0: 3, 1: Fraction(3, 2)})
     assert atom.single_var() is None
     single, _ = normalize_atom({0: 3}, -6, LT)
     assert single.single_var() == (0, Fraction(1))
@@ -244,7 +244,7 @@ def test_negated_equality_splits_into_strict_disjuncts():
                 atom = f.atom_of(-lit)
                 assert atom is None or atom.rel != EQ
     prob = OmtProblem(f, 0)  # validation performs the same scan
-    assert prob.cost_name == "x"
+    assert f.rat_names[prob.cost] == "x"
 
 
 def test_problem_validation():

@@ -14,6 +14,12 @@ itself.
 * Every span the benchmark's tracer (``perfbench/tracing.py``) installs
   names a callable that its owner in the package defines, so a rename
   inside ``omtq`` cannot silently drop a layer from the traced split.
+* Every function and method the package defines has a caller outside
+  the tests: its name appears as an identifier or attribute somewhere in
+  ``src/`` or ``perfbench/``, or as a string in ``perfbench/`` (the
+  tracer names what it wraps by string).  Exempt are dunders and the
+  names a module lists in ``__all__``.  Code that only tests call is
+  moved into ``tests/`` or deleted.
 """
 
 import ast
@@ -26,6 +32,7 @@ import omtq
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "omtq").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -112,3 +119,38 @@ def test_perfbench_spans_resolve(monkeypatch):
         if not callable(getattr(owner, "__dict__", {}).get(attr)):
             missing.append(f"{layer}: " + ".".join(filter(None, ("omtq", path, attr))))
     assert not missing, f"tracer spans that omtq does not define: {', '.join(missing)}"
+
+
+def _referenced(path) -> set[str]:
+    """Identifiers and attribute names read or written in the module."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _strings(path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def test_every_package_function_has_a_caller_outside_the_tests():
+    known = set()
+    for path in sorted((ROOT / "src").rglob("*.py")) + BENCH:
+        known |= _referenced(path)
+    for path in BENCH:
+        known |= _strings(path)
+    for path in PACKAGE:
+        known |= _exported(ast.parse(path.read_text(encoding="utf-8")))
+    uncalled = [
+        f"{path.name}: {node.name} (line {node.lineno})"
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in known
+    ]
+    assert not uncalled, f"package functions nothing in src/ or perfbench/ calls: {', '.join(uncalled)}"

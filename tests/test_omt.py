@@ -1,5 +1,6 @@
 """End-to-end optimization engine: offline and inline search."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -314,7 +315,31 @@ def test_decision_queries_take_a_negated_equality():
         assert smt_decide(problem, [(zero, True)]) == "sat", hi
 
 
+def test_decision_queries_reject_an_undeclared_variable():
+    problem = parse_problem("(declare-fun x () Real)(assert (>= x 0))(minimize x)")
+    for coeffs in (((5, 1),), ((0, 1), (1, 2)), ((-1, 1),)):
+        with pytest.raises(ValueError, match=f"undeclared variable id {coeffs[-1][0]}"):
+            smt_decide(problem, [(Atom(coeffs, 0, "<="), True)])
+    assert smt_decide(problem, [(Atom(((0, 1),), 0, "<="), True)]) == "sat"
+
+
 # -- reproducibility ---------------------------------------------------------
+
+
+def test_a_solve_leaves_no_cyclic_garbage():
+    """The SAT solver drops its client when ``solve`` returns or raises,
+    so reference counting frees the whole engine: nothing is left for
+    the cyclic collector, an interrupted search included."""
+    problem = parse_problem((FAMILIES / "strip-n6-w1-s1.smt2").read_text())
+    gc.collect()
+    gc.disable()
+    try:
+        for cfg in [*ALL_CONFIGS, OmtConfig(timeout=0)]:
+            out = solve(problem, cfg)
+            assert out.status == ("interrupted" if cfg.timeout == 0 else "optimum"), cfg
+            assert gc.collect() == 0, cfg
+    finally:
+        gc.enable()
 
 
 def test_repeated_solves_are_identical():

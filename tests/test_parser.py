@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     FAMILIES,
     boolean_structure_text,
+    eval_concrete,
     input_outcome,
     reference_parse_problem,
     reference_parse_sexprs,
@@ -58,7 +59,7 @@ def test_sexpr_reader_reports_imbalance():
 
 def test_reference_instance():
     prob = parse_problem(EX1)
-    assert prob.cost_name == "cost"
+    assert prob.formula.rat_names[prob.cost] == "cost"
     assert prob.lb == 0
     assert prob.ub == 16
     assert prob.formula.rat_names == ["cost", "a"]
@@ -79,9 +80,9 @@ def test_arithmetic_operators():
     (lit,) = clause
     atom = prob.formula.atom_of(abs(lit))
     # 2x - y + x/4 + 3/2 <= 7 - 3y  ==>  (9/4)x + 2y - 11/2 <= 0, scaled by 4/9
-    assert atom.eval_concrete({0: 0, 1: 0})
-    assert atom.eval_concrete({0: Fraction(22, 9), 1: 0})
-    assert not atom.eval_concrete({0: 3, 1: 0})
+    assert eval_concrete(atom, {0: 0, 1: 0})
+    assert eval_concrete(atom, {0: Fraction(22, 9), 1: 0})
+    assert not eval_concrete(atom, {0: 3, 1: 0})
 
 
 def test_boolean_structure_and_props():
@@ -294,7 +295,7 @@ def test_quoted_symbols_and_strings_are_single_atoms():
 )
 def test_header_with_quoted_delimiters_parses(header):
     prob = parse_problem(header + EX1 + '(set-info :status "sat ; x")')
-    assert prob.cost_name == "cost"
+    assert prob.formula.rat_names[prob.cost] == "cost"
     assert len(prob.formula.clauses) == 2
 
 
@@ -333,7 +334,7 @@ def test_quoted_and_plain_symbols_are_different_names():
         "(declare-fun |x| () Real)(declare-fun x () Real)(assert (>= |x| x))(minimize |x|)"
     )
     assert prob.formula.rat_names == ["|x|", "x"]
-    assert prob.cost_name == "|x|"
+    assert prob.formula.rat_names[prob.cost] == "|x|"
 
 
 def test_unterminated_quote_reads_as_an_atom():

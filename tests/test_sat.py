@@ -18,8 +18,7 @@ from omtq.sat import Clause, SatSolver, luby
 
 def _fresh(nvars, clauses):
     s = SatSolver()
-    for _ in range(nvars):
-        s.new_var()
+    s.ensure_vars(nvars)
     for c in clauses:
         s.add_clause(list(c))
     return s
@@ -137,12 +136,33 @@ def test_stats_move():
 # -- the hot loops against a per-literal reference ---------------------------
 
 
+def _clause(lits, learnt=False) -> Clause:
+    """The reference's clause: ``Clause`` has no constructor, since only
+    ``add_clause`` builds one, so the fields are set here one by one."""
+    c = Clause.__new__(Clause)
+    c.lits = list(lits)
+    c.learnt = learnt
+    c.activity = 0.0
+    return c
+
+
 class ReferenceSatSolver(SatSolver):
     """The core written one literal at a time: every read goes through
     ``value``, the two watches of a new clause come from two ``max``
     scans on any trail, ``analyze`` bumps one variable at a time and
     ``reduce_db`` deletes one clause at a time.  ``SatSolver`` must
     search exactly like it."""
+
+    def new_var(self) -> int:
+        self.nvars += 1
+        self.assign.append(0)
+        self.level.append(0)
+        self.reason_.append(None)
+        self.activity.append(0.0)
+        self.phase.append(False)
+        self.occ_pos.append(0)
+        self.occ_neg.append(0)
+        return self.nvars
 
     def _count_occs(self, lits):
         for l in lits:
@@ -164,7 +184,7 @@ class ReferenceSatSolver(SatSolver):
             if l not in seen:
                 seen[l] = True
                 out.append(l)
-        c = Clause(out, learnt)
+        c = _clause(out, learnt)
         if not learnt:
             self._count_occs(out)
         if not out:
@@ -413,7 +433,7 @@ def test_add_clause_on_an_empty_trail_matches_the_reference():
 def test_ensure_vars_matches_new_var():
     arrays = ("assign", "level", "reason_", "activity", "phase", "occ_pos", "occ_neg")
     for steps in ([0], [1], [5], [3, 3], [2, 7], [6, 4, 9]):
-        bulk, single = SatSolver(), SatSolver()
+        bulk, single = SatSolver(), ReferenceSatSolver()
         for n in steps:
             bulk.ensure_vars(n)
             while single.nvars < n:
