@@ -517,7 +517,9 @@ class OmtProblem:
     engines, not stored inside the clause set.  A bound that is neither
     an ``int`` nor a ``Fraction``, such as a float, is kept as its exact
     ``Fraction``, as ``normalize_atom`` takes coefficients; one with no
-    such value, an infinity or a nan, raises ValueError.
+    such value, an infinity or a nan, raises ValueError.  So does a
+    clause literal that is not a nonzero ``int`` naming one of the
+    formula's solver variables.
     """
 
     formula: CnfFormula
@@ -537,8 +539,11 @@ class OmtProblem:
                     raise ValueError(f"range bound {name} is not finite") from None
         if self.lb is not None and self.ub is not None and not (self.lb < self.ub):
             raise ValueError("empty cost range: require lb < ub")
+        n = self.formula.num_solver_vars
         for cl in self.formula.clauses:
             for lit in cl:
+                if type(lit) is not int or not (lit and -n <= lit <= n):
+                    raise ValueError(f"clause literal {lit!r} names no solver variable")
                 if lit < 0 and self.formula.atom_of(-lit) is not None:
                     if self.formula.atom_of(-lit).rel == EQ:
                         raise ValueError(

@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Optional
 
 from .arith import (
@@ -110,6 +110,19 @@ class OmtOutcome:
 # shared plumbing
 
 
+def deadline(timeout) -> Optional[float]:
+    """The ``time.monotonic()`` value ``timeout`` seconds from now, or
+    None without a timeout.  A timeout beyond float range reads as +-inf:
+    the search never stops on it, or stops at once."""
+    if timeout is None:
+        return None
+    try:
+        seconds = float(timeout)
+    except OverflowError:
+        seconds = inf if timeout > 0 else -inf
+    return time.monotonic() + seconds
+
+
 def problem_scale(formula: CnfFormula, lb, ub) -> int:
     """The scale of a problem's simplex values: the lcm of the
     denominators of every atom constant and of the range bounds, so
@@ -170,7 +183,7 @@ class TheoryBridge(TheoryClient):
         # keys strictly ascending; empty when every bounded variable must
         # be asked again
         self.asks: list[tuple[int, int, int]] = []
-        self.lra.deadline = None if config.timeout is None else time.monotonic() + config.timeout
+        self.lra.deadline = deadline(config.timeout)
         if problem.lb is not None:
             self.sat.add_clause([-self.cost_lit(problem.lb, LT)])
         if problem.ub is not None:
@@ -705,10 +718,10 @@ def crosscheck(
     built from the same SAT and simplex cores as the search.  With a
     ``timeout`` (seconds), each query gets the time that remains of it,
     and one that runs out raises TimeoutError."""
-    deadline = None if timeout is None else time.monotonic() + timeout
+    end = deadline(timeout)
 
     def decide(extra_literals=()):
-        remaining = None if deadline is None else deadline - time.monotonic()
+        remaining = None if end is None else end - time.monotonic()
         return smt_decide(problem, extra_literals, OmtConfig(timeout=remaining))
 
     if outcome.status == UNSAT:

@@ -32,6 +32,21 @@ included.  On an empty trail, as when a fresh core is loaded, every
 literal is unassigned and a clause is watched on its first two literals,
 as MiniSat does; otherwise a rank scan picks its two highest-level
 literals.
+
+Propagation, its pending-unit pass and the theory-propagation loop of
+``propagate`` also assign in place, writing ``assign``, ``level``,
+``reason_``, ``free`` and ``trail`` themselves; ``enqueue`` is left to
+decisions and asserting learnt clauses, and ``stats.propagations``
+grows by the trail's growth.
+
+Decisions come from ``free``, an activity list kept beside ``activity``:
+``free[v]`` is ``activity[v]`` while ``v`` is unassigned and -1.0 once
+it is assigned (and at index 0).  Every assignment writes -1.0,
+``cancel_until`` writes the activity back, ``_rescale_activity``
+rebuilds the list, and ``analyze`` bumps only assigned variables, so a
+bump leaves ``free`` alone.  The pick is ``free.index(max(free))``: the
+unassigned variable of highest activity, ties to the smallest, found by
+two C-level passes over a list that nothing rebuilds per decision.
 """
 
 from __future__ import annotations
@@ -123,6 +138,7 @@ class SatSolver:
         self.level = [0]
         self.reason_: list[Optional[Clause]] = [None]
         self.activity = [0.0]
+        self.free = [-1.0]  # activity while unassigned, else -1.0
         self.phase = [False]
         self.occ_pos = [0]
         self.occ_neg = [0]
@@ -159,6 +175,7 @@ class SatSolver:
         self.level += [0] * k
         self.reason_ += [None] * k
         self.activity += [0.0] * k
+        self.free += [0.0] * k
         self.phase += [False] * k
         self.occ_pos += [0] * k
         self.occ_neg += [0] * k
@@ -228,6 +245,7 @@ class SatSolver:
         self.assign[v] = 1 if lit > 0 else -1
         self.level[v] = len(self.trail_lim)
         self.reason_[v] = reason
+        self.free[v] = -1.0
         self.trail.append(lit)
         self.stats.propagations += 1
 
@@ -237,11 +255,13 @@ class SatSolver:
             return
         bound = trail_lim[lvl]
         assign, phase, reason = self.assign, self.phase, self.reason_
+        free, activity = self.free, self.activity
         for lit in trail[bound:]:
             v = lit if lit > 0 else -lit
             phase[v] = lit > 0
             assign[v] = 0
             reason[v] = None
+            free[v] = activity[v]
         del trail[bound:]
         del trail_lim[lvl:]
         self.qhead = bound
@@ -260,8 +280,14 @@ class SatSolver:
             self._pending_units.append(c)
 
     def _bcp(self) -> Optional[Clause]:
+        """Unit propagation from ``qhead``; returns a false clause or None.
+        Each implied literal is assigned in place, as ``enqueue`` would."""
         assign, trail, watches = self.assign, self.trail, self.watches
-        if not self.trail_lim and self._pending_units:
+        level, reason, free = self.level, self.reason_, self.free
+        lvl = len(self.trail_lim)
+        start = len(trail)
+        confl = None
+        if not lvl and self._pending_units:
             pending, self._pending_units = self._pending_units, []
             for c in pending:
                 unassigned = None
@@ -275,11 +301,19 @@ class SatSolver:
                         unassigned = l
                 else:
                     if nfree == 0:
-                        return c
+                        confl = c
+                        break
                     if nfree == 1:
-                        self.enqueue(unassigned, c)
+                        v = unassigned if unassigned > 0 else -unassigned
+                        assign[v] = 1 if unassigned > 0 else -1
+                        level[v] = 0
+                        reason[v] = c
+                        free[v] = -1.0
+                        trail.append(unassigned)
+            if confl is not None:
+                self.stats.propagations += len(trail) - start
+                return confl
         qhead = self.qhead
-        confl = None
         while qhead < len(trail):
             falsified = -trail[qhead]
             qhead += 1
@@ -303,26 +337,39 @@ class SatSolver:
                     ws[j] = c
                     j += 1
                     continue
-                for k in range(2, len(lits)):
+                k = 2
+                size = len(lits)
+                while k < size:
                     l = lits[k]
                     if (assign[l] if l > 0 else -assign[-l]) != -1:
                         lits[k] = lits[1]
                         lits[1] = l
                         watches.setdefault(l, []).append(c)
                         break
+                    k += 1
                 else:  # no other watch: the clause is unit or false
                     ws[j] = c
                     j += 1
                     if val == -1:
                         confl = c
                         break
-                    self.enqueue(first, c)
+                    if first > 0:
+                        assign[first] = 1
+                        v = first
+                    else:
+                        v = -first
+                        assign[v] = -1
+                    level[v] = lvl
+                    reason[v] = c
+                    free[v] = -1.0
+                    trail.append(first)
             if confl is not None:
                 ws[j:] = ws[i:]
                 qhead = len(trail)
                 break
             del ws[j:]
         self.qhead = qhead
+        self.stats.propagations += len(trail) - start
         return confl
 
     def propagate(self):
@@ -342,8 +389,19 @@ class SatSolver:
             if tag == "conflict":
                 return self.add_clause(resp[1], learnt=True)
             if tag == "propagate":
+                # each reason clause is added before its literal is
+                # assigned: add_clause's rank scan reads ``assign``
+                assign, level, reason, free = self.assign, self.level, self.reason_, self.free
+                trail, lvl = self.trail, len(self.trail_lim)
                 for lit, reason_lits in resp[1]:
-                    self.enqueue(lit, self.add_clause(reason_lits, learnt=True))
+                    c = self.add_clause(reason_lits, learnt=True)
+                    v = lit if lit > 0 else -lit
+                    assign[v] = 1 if lit > 0 else -1
+                    level[v] = lvl
+                    reason[v] = c
+                    free[v] = -1.0
+                    trail.append(lit)
+                self.stats.propagations += len(resp[1])
                 continue
             if tag in ("restart", "halt"):
                 return resp
@@ -352,23 +410,17 @@ class SatSolver:
     # -- conflict analysis -------------------------------------------------
 
     def _rescale_activity(self):
-        activity = self.activity
+        activity, assign = self.activity, self.assign
         for i in range(1, self.nvars + 1):
             activity[i] *= 1e-100
         self.var_inc *= 1e-100
-
-    def bump_clause(self, c: Clause):
-        c.activity += self.cla_inc
-        if c.activity > 1e20:
-            for cl in self.learnts:
-                cl.activity *= 1e-20
-            self.cla_inc *= 1e-20
+        self.free[1:] = [-1.0 if x else a for a, x in zip(activity[1:], assign[1:])]
 
     def analyze(self, confl: Clause):
         """First-UIP learning.  Returns (learnt_lits, backjump_level)."""
         level, trail, activity = self.level, self.trail, self.activity
         lvl = len(self.trail_lim)
-        var_inc = self.var_inc
+        var_inc, cla_inc = self.var_inc, self.cla_inc
         learnt = [0]
         seen = [False] * (self.nvars + 1)
         counter = 0
@@ -377,7 +429,12 @@ class SatSolver:
         c = confl
         while True:
             if c.learnt:
-                self.bump_clause(c)
+                c.activity += cla_inc
+                if c.activity > 1e20:
+                    for cl in self.learnts:
+                        cl.activity *= 1e-20
+                    self.cla_inc *= 1e-20
+                    cla_inc = self.cla_inc
             for q in c.lits:
                 if q == p:
                     # the literal this reason clause implied; already resolved
@@ -460,11 +517,10 @@ class SatSolver:
     # -- search ------------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
-        best, best_act = 0, -1.0
-        for v in range(1, self.nvars + 1):
-            if self.assign[v] == 0 and self.activity[v] > best_act:
-                best, best_act = v, self.activity[v]
-        return best
+        """The unassigned variable of highest activity, ties to the
+        smallest; some variable must be unassigned."""
+        free = self.free
+        return free.index(max(free))
 
     def _decide(self, lit: int):
         """Open a decision level with ``lit`` as its decision."""
@@ -490,6 +546,7 @@ class SatSolver:
         conflicts_since = 0
         restart_at = luby(0) * RESTART_UNIT  # conflicts before the next restart
         use_restarts = not assumptions
+        trail_lim = self.trail_lim
 
         while True:
             confl = self.propagate()
@@ -505,12 +562,12 @@ class SatSolver:
                 # make sure the conflict clause has a literal at the
                 # current level (theory lemmas may lag behind)
                 top = max(map(self.level.__getitem__, map(abs, confl.lits)), default=0)
-                if top < self.decision_level:
+                if top < len(trail_lim):
                     self.cancel_until(top)
-                if self.decision_level == 0:
+                if not trail_lim:
                     self.unsat = True
                     return SolveResult("unsat", core=[])
-                if assumptions and self.decision_level <= len(assumptions):
+                if assumptions and len(trail_lim) <= len(assumptions):
                     seen = {abs(l) for l in confl.lits if self.level[abs(l)] > 0}
                     return SolveResult("unsat", core=self._assumption_core(seen))
                 learnt, bt = self.analyze(confl)
@@ -528,7 +585,7 @@ class SatSolver:
                     self.max_learnts *= 1.05
                 continue
 
-            if self._lz_pending and self.decision_level == 0:
+            if self._lz_pending and not trail_lim:
                 self._lz_pending = False
                 resp = self.client.on_level_zero(self)
                 if resp is not None and resp[0] == "halt":
@@ -553,11 +610,11 @@ class SatSolver:
                 continue
 
             # assumptions first, then suggestions, then activity
-            if self.decision_level < len(assumptions):
-                p = assumptions[self.decision_level]
+            if len(trail_lim) < len(assumptions):
+                p = assumptions[len(trail_lim)]
                 val = self.value(p)
                 if val == 1:
-                    self.trail_lim.append(len(self.trail))
+                    trail_lim.append(len(self.trail))
                     continue
                 if val == -1:
                     core = self.analyze_final(p)

@@ -28,7 +28,7 @@ from omtq.formula import (
     normalize_atom,
 )
 from omtq.encodings import encode_pb, jobshop_instance, strip_packing_instance
-from omtq.omt import _cost_atom
+from omtq.omt import _cost_atom, solve
 from omtq.parser import parse_problem
 
 
@@ -256,6 +256,25 @@ def test_problem_validation():
         OmtProblem(f, 0, Fraction(2), Fraction(2))
     ok = OmtProblem(f, 0, Fraction(0), Fraction(1))
     assert (ok.lb, ok.ub) == (0, 1)
+
+
+def test_problem_rejects_clause_literals_that_name_no_solver_variable():
+    """A clause literal is a nonzero ``int`` whose variable the formula
+    defines; any other is refused when the problem is built, not deep in
+    the SAT core."""
+    f = CnfFormula()
+    f.new_rat_var("x")
+    f.new_prop("p")
+    f.new_prop("q")
+    for bad in ([5], [-3, 1], [1, 1.5], [0], [2, -0], [True], [Fraction(1)]):
+        g = f.copy()
+        g.add_clause(bad)
+        with pytest.raises(ValueError, match="names no solver variable"):
+            OmtProblem(g, 0)
+    g = f.copy()
+    g.add_clause([1, -2])
+    g.add_clause([-1])
+    assert solve(OmtProblem(g, 0)).status == "unbounded"
 
 
 def test_problem_rejects_negated_equality_clauses():

@@ -1,6 +1,7 @@
 """End-to-end optimization engine: offline and inline search."""
 
 import gc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -292,6 +293,24 @@ def test_crosscheck_queries_stop_at_the_timeout():
     # every decision query tests its deadline at each BCP fixpoint
     with pytest.raises(TimeoutError):
         crosscheck(problem, out, timeout=0)
+
+
+def test_timeouts_beyond_float_range_never_stop_or_stop_at_once():
+    """An ``int`` timeout too large for a float reads as +-inf: ``solve``,
+    ``smt_decide`` and ``crosscheck`` never stop on +10**400 and stop at
+    once on -10**400, as they do on a negative float timeout."""
+    problem = parse_problem((FAMILIES / "jobshop-5x4-s2.smt2").read_text())
+    huge = 10**400
+    for cfg in ALL_CONFIGS:
+        assert solve(problem, replace(cfg, timeout=huge)) == solve(problem, cfg), cfg
+        assert solve(problem, replace(cfg, timeout=-huge)).status == "interrupted", cfg
+    want = solve(problem)
+    assert smt_decide(problem, (), OmtConfig(timeout=huge)) == "sat"
+    with pytest.raises(TimeoutError):
+        smt_decide(problem, (), OmtConfig(timeout=-huge))
+    assert crosscheck(problem, want, timeout=huge) == (True, "optimum confirmed")
+    with pytest.raises(TimeoutError):
+        crosscheck(problem, want, timeout=-huge)
 
 
 def test_decision_queries():

@@ -148,10 +148,11 @@ def _clause(lits, learnt=False) -> Clause:
 
 class ReferenceSatSolver(SatSolver):
     """The core written one literal at a time: every read goes through
-    ``value``, the two watches of a new clause come from two ``max``
-    scans on any trail, ``analyze`` bumps one variable at a time and
-    ``reduce_db`` deletes one clause at a time.  ``SatSolver`` must
-    search exactly like it."""
+    ``value``, every assignment through ``enqueue``, the two watches of a
+    new clause come from two ``max`` scans on any trail, ``analyze``
+    bumps one variable and one clause at a time, ``reduce_db`` deletes
+    one clause at a time and each decision scans every variable.
+    ``SatSolver`` must search exactly like it."""
 
     def new_var(self) -> int:
         self.nvars += 1
@@ -159,6 +160,7 @@ class ReferenceSatSolver(SatSolver):
         self.level.append(0)
         self.reason_.append(None)
         self.activity.append(0.0)
+        self.free.append(0.0)
         self.phase.append(False)
         self.occ_pos.append(0)
         self.occ_neg.append(0)
@@ -267,6 +269,33 @@ class ReferenceSatSolver(SatSolver):
                 return confl
         return None
 
+    def propagate(self):
+        while True:
+            confl = self._bcp()
+            if confl is not None:
+                return confl
+            complete = len(self.trail) == self.nvars
+            resp = self.client.after_bcp(self, complete)
+            if resp is None:
+                return None
+            tag = resp[0]
+            if tag == "conflict":
+                return self.add_clause(resp[1], learnt=True)
+            if tag == "propagate":
+                for lit, reason_lits in resp[1]:
+                    self.enqueue(lit, self.add_clause(reason_lits, learnt=True))
+                continue
+            if tag in ("restart", "halt"):
+                return resp
+            raise ValueError(f"bad client response {tag!r}")
+
+    def bump_clause(self, c: Clause):
+        c.activity += self.cla_inc
+        if c.activity > 1e20:
+            for cl in self.learnts:
+                cl.activity *= 1e-20
+            self.cla_inc *= 1e-20
+
     def analyze(self, confl):
         learnt = [0]
         seen = [False] * (self.nvars + 1)
@@ -322,6 +351,13 @@ class ReferenceSatSolver(SatSolver):
                 if w and c in w:
                     w.remove(c)
             self.learnts.remove(c)
+
+    def _pick_branch_var(self) -> int:
+        best, best_act = 0, -1.0
+        for v in range(1, self.nvars + 1):
+            if self.assign[v] == 0 and self.activity[v] > best_act:
+                best, best_act = v, self.activity[v]
+        return best
 
 
 class ReferenceLraSolver(lra.LraSolver):
@@ -431,7 +467,7 @@ def test_add_clause_on_an_empty_trail_matches_the_reference():
 
 
 def test_ensure_vars_matches_new_var():
-    arrays = ("assign", "level", "reason_", "activity", "phase", "occ_pos", "occ_neg")
+    arrays = ("assign", "level", "reason_", "activity", "free", "phase", "occ_pos", "occ_neg")
     for steps in ([0], [1], [5], [3, 3], [2, 7], [6, 4, 9]):
         bulk, single = SatSolver(), ReferenceSatSolver()
         for n in steps:
@@ -480,7 +516,9 @@ def test_search_matches_the_per_literal_reference(monkeypatch):
     reference core and the sorted Bland scan, in lockstep through whole
     optimization runs: equal search counters, SAT propagations and the
     final learnt clauses, literal order included (it records every watch
-    choice and every clause deletion)."""
+    choice and every clause deletion).  The reference assigns through
+    ``enqueue`` and picks each decision by the per-variable scan, so
+    this also checks the in-place assignments and the ``free`` pick."""
     problems = [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("*.smt2"))]
     problems += [encode_pb(*random_pb(seed)) for seed in range(4)]
     problems += [corpus_problem(seed) for seed in range(30)]
@@ -519,3 +557,37 @@ def test_search_matches_the_per_literal_reference(monkeypatch):
                 reductions += sum(s.reductions for s in solvers)
             assert runs[0] == runs[1], (i, cfg)
     assert reductions > 0  # learnt clauses were deleted
+
+
+def test_pick_matches_the_scan_across_activity_rescales(monkeypatch):
+    """With ``var_inc`` started at 1e99, activities pass 1e100 within a
+    few dozen conflicts, so ``_rescale_activity`` runs mid-search and
+    rebuilds ``free``.  At every decision of whole optimization runs on
+    the families files, ``free`` is ``activity`` on the unassigned
+    variables and -1.0 elsewhere, and the pick equals the per-variable
+    scan."""
+    counts = {"decisions": 0, "rescales": 0}
+
+    class Checked(SatSolver):
+        def __init__(self):
+            super().__init__()
+            self.var_inc = 1e99
+
+        def _rescale_activity(self):
+            counts["rescales"] += 1
+            super()._rescale_activity()
+
+        def _pick_branch_var(self):
+            want = [-1.0] + [-1.0 if x else a for a, x in zip(self.activity[1:], self.assign[1:])]
+            assert self.free == want
+            v = super()._pick_branch_var()
+            assert v == ReferenceSatSolver._pick_branch_var(self)
+            counts["decisions"] += 1
+            return v
+
+    monkeypatch.setattr(omt, "SatSolver", Checked)
+    for path in sorted(FAMILIES.glob("*.smt2")):
+        problem = parse_problem(path.read_text())
+        for cfg in ALL_CONFIGS:
+            assert solve(problem, cfg).status == "optimum", (path.name, cfg)
+    assert counts["rescales"] > 10 and counts["decisions"] > 1000, counts
