@@ -141,8 +141,17 @@ def encode_pb(num_bools: int, clauses, weights, lb=Fraction(0), ub=None) -> OmtP
     ``-w_i <= 0``, and ``-weight_i`` is an int when the weight is
     integral.  The weights are ``Fraction``s only for validation and the
     default ``ub``.
+
+    A literal that is not a nonzero ``int`` naming one of the Booleans,
+    or a weight without a finite exact value, is a ``ValueError``.
     """
-    weights = [Fraction(w) for w in weights]
+    values = []
+    for w in weights:
+        try:
+            values.append(Fraction(w))
+        except (ValueError, TypeError, OverflowError):  # nan, non-numbers, infinities
+            raise ValueError(f"weight {w!r} has no finite exact value") from None
+    weights = values
     if len(weights) != num_bools:
         raise ValueError("one weight per Boolean variable required")
     if any(w < 0 for w in weights):
@@ -154,8 +163,8 @@ def encode_pb(num_bools: int, clauses, weights, lb=Fraction(0), ub=None) -> OmtP
     for cl in clauses:
         lits = []
         for sl in cl:
-            if not (1 <= abs(sl) <= num_bools):
-                raise ValueError(f"literal {sl} out of range")
+            if type(sl) is not int or not (1 <= abs(sl) <= num_bools):
+                raise ValueError(f"literal {sl!r} out of range")
             v = bools[abs(sl) - 1]
             lits.append(v if sl > 0 else -v)
         f.add_clause(lits)

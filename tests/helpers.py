@@ -35,7 +35,7 @@ from omtq.formula import (
     conj,
     normalize_atom,
 )
-from omtq.parser import BOOL_HEADS, COMPARISONS, MAX_DEPTH, ParseError, parse_sexprs
+from omtq.parser import BOOL_HEADS, COMPARISONS, MAX_DEPTH, ParseError
 
 FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "families"
 
@@ -534,8 +534,9 @@ COMPARE = {
 def text_holds(text: str, model: dict) -> bool:
     """Do the assertions of ``text`` hold under the rational valuation
     ``model`` for some value of its Bools?  Evaluates the S-expressions
-    directly, without the reader's Boolean AST or the CNF."""
-    nodes = parse_sexprs(text)
+    of the reference reader directly, so the check shares no reader,
+    Boolean AST or CNF with the package."""
+    nodes = reference_parse_sexprs(text)
     bools = [
         n.items[1].text for n in nodes if n.head() == "declare-fun" and n.items[3].text == "Bool"
     ]

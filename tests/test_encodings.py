@@ -207,6 +207,25 @@ def test_pb_validation():
         assert messages[0] == messages[1], args
 
 
+@pytest.mark.parametrize(
+    "clauses, weights",
+    [
+        ([[1.5]], [1, 1]),
+        ([["1"]], [1, 1]),
+        ([[None]], [1, 1]),
+        ([[True]], [1, 1]),
+        ([[1, -2.0]], [1, 1]),
+        ([[1]], [float("inf"), 1]),
+        ([[1]], [1, float("-inf")]),
+        ([[1]], [float("nan"), 1]),
+        ([[1]], [None, 1]),
+    ],
+)
+def test_pb_rejects_non_int_literals_and_weights_without_a_finite_value(clauses, weights):
+    with pytest.raises(ValueError):
+        encode_pb(2, clauses, weights)
+
+
 def test_encode_pb_matches_the_reference():
     """The atoms built in normal form give the same problem as the
     reference, which sends each one through ``normalize_atom``: clauses,

@@ -1,5 +1,7 @@
 """Textual input format."""
 
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,11 +13,12 @@ from helpers import (
     input_outcome,
     reference_parse_problem,
     reference_parse_sexprs,
+    typed_digest,
 )
 from omtq import SplitMix64
 from omtq.arith import _NUMERAL, EQ
 from omtq.encodings import jobshop_instance, strip_packing_instance
-from omtq.parser import MAX_DEPTH, ParseError, parse_problem, parse_sexprs
+from omtq.parser import MAX_DEPTH, ParseError, parse_problem, position, read_tree
 from test_formula import PINNED_TEXTS
 
 EX1 = """
@@ -32,29 +35,36 @@ EX1 = """
 
 
 def test_sexpr_reader():
-    nodes = parse_sexprs("(a (b 1) c) ; trailing comment\n()")
+    toks, nodes = read_tree("(a (b 1) c) ; trailing comment\n()")
+    assert toks == ["(", "a", "(", "b", "1", ")", "c", ")", "(", ")"]
+    # an atom is its token index; a list is [open, close, item, ...]
+    assert nodes == [[0, 7, 1, [2, 5, 3, 4], 6], [8, 9]]
     assert len(nodes) == 2
-    assert nodes[0].head() == "a"
-    assert nodes[0].items[1].items[1].text == "1"
-    assert nodes[1].items == []
+    assert toks[nodes[0][2]] == "a"
+    assert toks[nodes[0][3][3]] == "1"
+    assert nodes[1][2:] == []
 
 
 def test_sexpr_nodes_carry_their_position():
-    (node,) = parse_sexprs("; c\n\t(a\r\n  (b  12) c)")
-    assert (node.line, node.col, node.is_atom, node.text) == (2, 2, False, None)
-    a, inner, c = node.items
-    assert (a.text, a.line, a.col, a.is_atom, a.items) == ("a", 2, 3, True, None)
-    assert (inner.head(), inner.line, inner.col) == ("b", 3, 3)
-    assert [(n.text, n.col) for n in inner.items] == [("b", 4), ("12", 7)]
-    assert (c.text, c.line, c.col) == ("c", 3, 11)
-    assert a.head() is None and parse_sexprs("(())")[0].head() is None
+    text = "; c\n\t(a\r\n  (b  12) c)"
+    toks, (node,) = read_tree(text)
+    assert (type(node), position(text, node[0]), toks[node[0]]) == (list, (2, 2), "(")
+    a, inner, c = node[2:]
+    assert (toks[a], position(text, a), type(a)) == ("a", (2, 3), int)
+    assert (toks[inner[2]], position(text, inner[0])) == ("b", (3, 3))
+    assert [(toks[n], position(text, n)[1]) for n in inner[2:]] == [("b", 4), ("12", 7)]
+    assert (toks[c], position(text, c)) == ("c", (3, 11))
+    # a list whose first item is a list has no head
+    assert read_tree("(())")[1] == [[0, 3, [1, 2]]]
 
 
 def test_sexpr_reader_reports_imbalance():
-    with pytest.raises(ParseError, match="unclosed"):
-        parse_sexprs("(assert (> x 0)")
-    with pytest.raises(ParseError, match="unbalanced"):
-        parse_sexprs("(assert x))")
+    with pytest.raises(ParseError, match="unclosed") as info:
+        read_tree("(assert (> x 0)")
+    assert str(info.value) == "1:1: unclosed '('"
+    with pytest.raises(ParseError, match="unbalanced") as info:
+        read_tree("(assert x))")
+    assert str(info.value) == "1:11: unbalanced ')'"
 
 
 def test_reference_instance():
@@ -283,10 +293,10 @@ def test_nesting_past_the_cap_is_a_parse_error():
 
 
 def test_quoted_symbols_and_strings_are_single_atoms():
-    (info,) = parse_sexprs('(set-info :source |a; b (c)|)')
-    assert [n.text for n in info.items] == ["set-info", ":source", "|a; b (c)|"]
-    (info,) = parse_sexprs('(set-info :status "sat ; x ""q"" )")')
-    assert info.items[2].text == '"sat ; x ""q"" )"'
+    toks, (info,) = read_tree('(set-info :source |a; b (c)|)')
+    assert [toks[n] for n in info[2:]] == ["set-info", ":source", "|a; b (c)|"]
+    toks, (info,) = read_tree('(set-info :status "sat ; x ""q"" )")')
+    assert toks[info[4]] == '"sat ; x ""q"" )"'
 
 
 @pytest.mark.parametrize(
@@ -309,18 +319,24 @@ def test_positions_after_a_multi_line_quoted_token():
     with pytest.raises(ParseError) as info:
         parse_problem(text)
     assert str(info.value) == "4:12: unknown identifier 'y'"
-    nodes = parse_sexprs(text)
-    assert (nodes[1].line, nodes[1].col) == (3, 8)
+    _, nodes = read_tree(text)
+    assert position(text, nodes[1][0]) == (3, 8)
 
 
 def test_list_nodes_carry_their_source_span():
     text = '; c (\n\t(a\r\n  (b |x\ny| 12) "s\n" c) ; )\n()'
-    nodes = parse_sexprs(text)
+    _, nodes = read_tree(text)
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+
+    def offset(i):
+        line, col = position(text, i)
+        return line_starts[line - 1] + col - 1
 
     def spans(node):
-        if node.is_atom:
+        if type(node) is int:
             return []
-        return [text[node.start:node.end]] + [s for item in node.items for s in spans(item)]
+        span = text[offset(node[0]):offset(node[1]) + 1]
+        return [span] + [s for item in node[2:] for s in spans(item)]
 
     assert [s for node in nodes for s in spans(node)] == [
         '(a\r\n  (b |x\ny| 12) "s\n" c)',
@@ -338,9 +354,54 @@ def test_quoted_and_plain_symbols_are_different_names():
 
 
 def test_unterminated_quote_reads_as_an_atom():
-    nodes = parse_sexprs('(a |b c) "d')
-    assert [n.text for n in nodes[0].items] == ["a", "|b", "c"]
-    assert nodes[1].text == '"d'
+    toks, nodes = read_tree('(a |b c) "d')
+    assert [toks[n] for n in nodes[0][2:]] == ["a", "|b", "c"]
+    assert toks[nodes[1]] == '"d'
+
+
+# inputs whose quoted tokens span lines or hold '(', ')' and ';', each
+# followed by an error, with the message the reader printed when every
+# token carried its position; the reference reader has no quoted tokens
+DECLARE_X = "(declare-fun x () Real)"
+QUOTED_ERRORS = [
+    (DECLARE_X + "\n(set-info :source |a\n(b) ; c|)\n(assert (> y 0))(minimize x)",
+     "4:12: unknown identifier 'y'"),
+    (DECLARE_X + '(set-info :status "l1\n;(\n""q"")" ) (assert (> x |y\n)|))',
+     "3:24: unknown identifier '|y\\n)|'"),
+    ('"s\n(" )', "2:4: unbalanced ')'"),
+    ("(set-info :a |x\ny|\n (assert", "3:2: unclosed '('"),
+    ('(set-info :a "p\n;q") ' + "(" * (MAX_DEPTH + 1), "2:206: nesting deeper than 200 levels"),
+    (DECLARE_X + "\n  |a (\nb;| (minimize x)", "2:3: expected a command, got '|a (\\nb;|'"),
+    ("(declare-fun |p\nq;)| () Int)", "2:9: unsupported sort 'Int'"),
+    ('(set-info :s "a""\n""b")\n(minimize "c\nd")',
+     "3:11: minimize target '\"c\\nd\"' is not a declared Real"),
+    (DECLARE_X + '(set-info :a |(\n;)|)(set-info :b "\n(""\n")\n\n (assert (or z))',
+     "6:14: unknown identifier 'z'"),
+    ('(set-info :a |;\n|)(set-info :b "(\n")  (assert (<= x 1))) ', "3:22: unbalanced ')'"),
+]
+
+
+@pytest.mark.parametrize("text, message", QUOTED_ERRORS)
+def test_positions_after_quoted_tokens(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert str(info.value) == message
+
+
+def test_a_long_blank_and_comment_tail_reads_fast():
+    """A tail of 10^6 blanks and comments, some holding parentheses,
+    reads in one pass; an error after it is placed past the tail."""
+    unit = "  \t; (x) )(\r\n"
+    tail = unit * (10**6 // len(unit))
+    assert len(tail) >= 10**6 - len(unit)
+    start = time.perf_counter()
+    with_tail = parse_problem(EX1 + tail)
+    with pytest.raises(ParseError) as info:
+        parse_problem(EX1 + tail + " (frobnicate)")
+    assert time.perf_counter() - start < 5.0
+    assert typed_digest(with_tail) == typed_digest(parse_problem(EX1))
+    line = EX1.count("\n") + tail.count("\n") + 1
+    assert str(info.value) == f"{line}:2: unknown command 'frobnicate'"
 
 
 # -- reserved names
@@ -532,3 +593,57 @@ def test_mutated_families_match_the_reference():
     # the mutants exercise both the accepted and the rejected paths
     assert sum(kinds.values()) >= 280
     assert kinds.get("ok", 0) >= 30 and kinds.get("ParseError", 0) >= 100, kinds
+
+
+# insertions the reader mutants add to _mutant's single characters: a
+# Windows line end, and comments that hold parentheses, one ending its
+# line and one running to the next newline
+READER_EDITS = ("\r\n", "; (x)) (\n", ";)(")
+
+
+def _reader_mutant(seed: int) -> str:
+    """A ``boolean_structure_text`` text with up to two of the
+    ``READER_EDITS`` inserted, then, in half the cases, ``_mutant``'s
+    edits; in one case of four an assertion first nests to ``MAX_DEPTH``
+    or one level past it."""
+    rng = SplitMix64(seed)
+    text = boolean_structure_text(seed)
+    if rng.randint(0, 3) == 0:
+        lines = text.split("\n")
+        k = next(i for i, line in enumerate(lines) if line.startswith("(assert "))
+        levels = MAX_DEPTH + rng.randint(0, 1) - _depth(lines[k])
+        lines[k] = "(assert " + "(and true " * levels + lines[k][8:-1] + ")" * levels + ")"
+        text = "\n".join(lines)
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randint(0, len(text))
+        text = text[:i] + READER_EDITS[rng.randint(0, len(READER_EDITS) - 1)] + text[i:]
+    if rng.randint(0, 1):
+        text = _mutant(rng.randint(0, 1 << 30), [text])
+    return text
+
+
+def _has_zero_denominator(text: str) -> bool:
+    """Does ``text`` hold a p/0 numeral, which the reference reads as an
+    unknown identifier?"""
+    return any(
+        _is_numeral(tok) and "/" in tok and int(tok.split("/")[1]) == 0
+        for tok in re.findall(r"[^ \t\r\n();]+", text)
+    )
+
+
+def test_mutated_boolean_texts_match_the_reference():
+    """The reader and builder against the reference on quote-free texts
+    with Windows line ends, comments holding parentheses and nesting at
+    and past the cap: the same digest, or the same message and line:column."""
+    kinds = {}
+    for seed in range(240):
+        text = _reader_mutant(seed)
+        if _declares_reserved(text) or _has_zero_denominator(text):
+            continue
+        expected = input_outcome(reference_parse_problem, text)
+        assert input_outcome(parse_problem, text) == expected, f"mutant {seed}"
+        kind = "nesting" if "nesting deeper" in expected[-1] else expected[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert sum(kinds.values()) >= 230, kinds
+    assert kinds.get("ok", 0) >= 60 and kinds.get("ParseError", 0) >= 100, kinds
+    assert kinds.get("nesting", 0) >= 15, kinds
