@@ -53,7 +53,7 @@ def _config_from_args(args) -> OmtConfig:
 
 
 def _load_problem(path: str, lb, ub) -> OmtProblem:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     problem = parse_problem(text)
     if lb is not None or ub is not None:
@@ -181,7 +181,7 @@ def _bench_one(task):
     row = dict.fromkeys(BENCH_COLUMNS, "")
     row.update(instance=os.path.basename(path), schema=schema, search=search, status="error")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             problem = parse_problem(fh.read())
         start = time.monotonic()
         outcome = solve(problem, config)

@@ -142,9 +142,13 @@ def encode_pb(num_bools: int, clauses, weights, lb=Fraction(0), ub=None) -> OmtP
     integral.  The weights are ``Fraction``s only for validation and the
     default ``ub``.
 
-    A literal that is not a nonzero ``int`` naming one of the Booleans,
-    or a weight without a finite exact value, is a ``ValueError``.
+    A ``num_bools`` that is not a nonnegative ``int`` (a ``bool`` is
+    not one), a literal that is not a nonzero ``int`` naming one of the
+    Booleans, or a weight without a finite exact value, is a
+    ``ValueError``.
     """
+    if not isinstance(num_bools, int) or isinstance(num_bools, bool) or num_bools < 0:
+        raise ValueError(f"num_bools {num_bools!r} is not a nonnegative int")
     values = []
     for w in weights:
         try:

@@ -1,4 +1,4 @@
-"""Linear terms, canonical atoms, CNF formulas and problem instances.
+"""Canonical atoms, CNF formulas and problem instances.
 
 Atoms are kept in the canonical shape (term rel 0) with rel in {<=, <, =}
 so that syntactically different spellings of the same constraint share
@@ -11,12 +11,12 @@ from the theory solver: an equality leaf met in a negative position
 continues as the conjunction of its two weak halves, whose negation is
 a disjunction of two strict inequalities.
 
-``LinTerm``, ``BAtom`` and the canonical ``Atom`` keep every
-coefficient and constant in ``arith``'s normal form: an ``int`` when
-integral, else a ``Fraction`` with denominator > 1.  Integral input,
-the common case, is then summed, scaled, hashed and turned into
-simplex rows and bounds as machine-word ints, and
-every layer that divides an atom field does so with
+The canonical ``Atom`` keeps every coefficient and constant in
+``arith``'s normal form: an ``int`` when integral, else a ``Fraction``
+with denominator > 1; ``normalize_atom`` puts a raw comparison's
+numbers, whatever their form, into it.  Integral input, the common case,
+is then hashed and turned into simplex rows and bounds as machine-word
+ints, and every layer that divides an atom field does so with
 ``arith.quotient`` or another exact ``Fraction`` division.  The search's
 outcome is the boundary where values are ``Fraction`` again;
 ``OmtProblem``'s range stays ``Fraction`` as the parser reads it.
@@ -31,60 +31,7 @@ from typing import Iterable, Optional, Union
 from .arith import EQ, LE, LT, integral_or_fraction, quotient
 
 # ---------------------------------------------------------------------------
-# terms and atoms
-
-
-class LinTerm:
-    """Mutable builder for sum(coeff_i * var_i) + const over variable ids.
-
-    Coefficients and the constant are kept normal
-    (``integral_or_fraction``): sums and scalings of integral terms stay
-    ints, and a ``Fraction`` appears only where the value is not
-    integral.
-    """
-
-    __slots__ = ("coeffs", "const")
-
-    def __init__(self, coeffs=None, const=0):
-        self.coeffs: dict[int, Union[int, Fraction]] = {}
-        if coeffs:
-            for v, c in coeffs.items():
-                c = integral_or_fraction(c)
-                if c:
-                    self.coeffs[v] = c
-        self.const = integral_or_fraction(const)
-
-    def add_var(self, var: int, coeff) -> "LinTerm":
-        c = integral_or_fraction(self.coeffs.get(var, 0) + integral_or_fraction(coeff))
-        if c:
-            self.coeffs[var] = c
-        else:
-            self.coeffs.pop(var, None)
-        return self
-
-    def add(self, other: "LinTerm") -> "LinTerm":
-        for v, c in other.coeffs.items():
-            self.add_var(v, c)
-        self.const = integral_or_fraction(self.const + other.const)
-        return self
-
-    def scale(self, k) -> "LinTerm":
-        k = integral_or_fraction(k)
-        if k == 1:
-            return self
-        if k == -1:
-            self.coeffs = {v: -c for v, c in self.coeffs.items()}
-            self.const = -self.const
-        elif k == 0:
-            self.coeffs = {}
-            self.const = 0
-        else:
-            self.coeffs = {v: integral_or_fraction(c * k) for v, c in self.coeffs.items()}
-            self.const = integral_or_fraction(self.const * k)
-        return self
-
-    def is_ground(self) -> bool:
-        return not self.coeffs
+# atoms
 
 
 @dataclass(frozen=True)
@@ -374,9 +321,10 @@ class _Cnfizer:
         self.labels: dict[int, int] = {}  # id(node) -> label var
         self.defined: set[tuple[int, bool]] = set()
         self.halves: dict[int, BAnd] = {}  # id(equality leaf) -> its halves
-        # comparison leaf -> its literal (or folded constant), one map per
-        # sign; the parser hands a repeated inequality in as one leaf
-        self.leaf_lits: tuple[dict, dict] = ({}, {})
+        # comparison leaf -> its literal under the positive sign, or its
+        # folded truth value; the parser hands a repeated inequality in as
+        # one leaf, so a leaf is normalized once whatever its signs
+        self.leaf_lits: dict[BAtom, Union[int, bool]] = {}
 
     def _split_negated(self, node: BoolExpr, sign: bool) -> tuple[BoolExpr, bool]:
         """An equality leaf t = 0 that occurs negatively (``=`` under sign
@@ -406,17 +354,15 @@ class _Cnfizer:
         if isinstance(part, BConst):
             return part.value == sign
         if isinstance(part, BAtom):
-            lits = self.leaf_lits[sign]
-            lit = lits.get(part)
+            lit = self.leaf_lits.get(part)
             if lit is None:
-                folded = _fold_ground(part.coeffs, part.const, part.op)
-                if folded is not None:
-                    lit = folded == sign
-                else:
-                    atom, pol = normalize_atom(part.coeffs, part.const, part.op)
-                    lit = self.f.lit_for_atom(atom, pol == sign)
-                lits[part] = lit
-            return lit
+                lit = _fold_ground(part.coeffs, part.const, part.op)
+                if lit is None:
+                    lit = self.f.lit_for_atom(*normalize_atom(part.coeffs, part.const, part.op))
+                self.leaf_lits[part] = lit
+            if type(lit) is bool:
+                return lit == sign
+            return lit if sign else -lit
         if isinstance(part, BProp):
             return part.var if sign else -part.var
         q = self.labels.get(id(part))

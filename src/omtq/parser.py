@@ -9,13 +9,17 @@ constant division.  An n-ary (=> a1 ... an b) reads as
 (or (not a1) ... (not an) b).  Parentheses nest at most MAX_DEPTH
 deep.  Errors carry line:column positions.
 
-The reader splits the text in one regular-expression pass into its
-significant tokens: a parenthesis or an atom, with the blanks and
-comments before each skipped by the same match.  A ``|quoted symbol|``
-or a ``"string"`` is one atom, whatever it holds (parentheses,
-semicolons, newlines), and keeps its delimiters in its text, so ``|x|``
-and ``x`` are different names.  Numerals and the constants ``true``
-and ``false`` cannot be declared.
+The reader splits the text into its significant tokens: a parenthesis
+or an atom.  Most inputs are ASCII and hold no quote and no blank but
+space, tab, CR and LF, SMT-LIB's whitespace; there the comments are cut
+out and the parenthesized text is split with ``str.split``, which finds
+the same tokens in a fraction of the time.  Every other text takes one
+regular-expression pass, with the blanks and comments before each token
+skipped by the same match; it is the pass that reads quotes.  A
+``|quoted symbol|`` or a ``"string"`` is one atom, whatever it holds
+(parentheses, semicolons, newlines), and keeps its delimiters in its
+text, so ``|x|`` and ``x`` are different names.  Numerals and the
+constants ``true`` and ``false`` cannot be declared.
 
 The tree holds token indices, not token objects: an atom is its index
 into the token list (an ``int``), and a list is the Python list
@@ -25,13 +29,22 @@ the token it names with ``position``, which reads the text a second
 time, token by token, counting newlines; that pass runs once, for the
 input that fails.
 
+The builder reads a comparison into one coefficient map: each operand
+adds its variables, times the factor the operators above it apply, into
+the map and returns its constant times that factor, so a sum or a
+difference makes no term object.  An operand of ``*`` or ``/`` goes into
+a map of its own first, as the factor is known only once all operands
+are read; the operands are read in order, so the first error in the text
+is the one raised.
+
 The builder keys its one memo by an application's tokens: a ``<=``,
 ``<``, ``>=`` or ``>`` application whose tokens repeat an earlier one of
 the same input returns the leaf already built.  A repeat then costs a
 lookup instead of the term and the canonical atom, because the CNF walk
-gives each leaf its literal once per sign.  The memo only holds
-applications that were built without error, and what they mean cannot
-change later in the input, because a name cannot be declared twice.
+gives each leaf its literal once, whatever the signs it occurs under.
+The memo only holds applications that were built without error, and
+what they mean cannot change later in the input, because a name cannot
+be declared twice.
 ``=`` keeps one leaf per occurrence: the CNF walk gives each negated
 equality leaf its own label for its split halves, so sharing the leaf
 would change the clauses.  The memo lives and dies with one
@@ -44,7 +57,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .arith import _NUMERAL, parse_rat
+from .arith import _NUMERAL, integral_or_fraction, parse_rat, quotient
 from .formula import (
     BAnd,
     BAtom,
@@ -55,7 +68,6 @@ from .formula import (
     BProp,
     BoolExpr,
     CnfFormula,
-    LinTerm,
     OmtProblem,
     cnfize,
     conj,
@@ -96,6 +108,14 @@ _SCAN = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*(" + _SIGNIFICANT + ")?")
 # alternative matches, so together they cover every character.
 _TOKEN = re.compile(r";[^\n]*|\n|[ \t\r]+|" + _SIGNIFICANT)
 
+# The quote delimiters, and the ASCII characters that str.split counts
+# as blanks and SMT-LIB does not.  An ASCII text holding none of them
+# splits, once its comments are gone and its parentheses are spaced
+# out, into exactly the tokens of _SCAN.
+_SPLIT_UNSAFE = '|"\x0b\x0c\x1c\x1d\x1e\x1f'
+
+_COMMENT = re.compile(r";[^\n]*")
+
 
 def position(text: str, i: int) -> tuple[int, int]:
     """The 1-based line and column of significant token ``i`` of
@@ -124,9 +144,13 @@ def read_tree(text: str) -> tuple[list[str], list]:
     """The significant tokens of ``text`` and its top-level nodes: an
     atom is its token index, a list is ``[open, close, item, ...]``
     with the indices of its parentheses."""
-    toks = _SCAN.findall(text)
-    while toks and not toks[-1]:  # the empty matches at the end
-        toks.pop()
+    if text.isascii() and not any(c in text for c in _SPLIT_UNSAFE):
+        plain = _COMMENT.sub("", text) if ";" in text else text
+        toks = plain.replace("(", " ( ").replace(")", " ) ").split()
+    else:
+        toks = _SCAN.findall(text)
+        while toks and not toks[-1]:  # the empty matches at the end
+            toks.pop()
     top: list = []
     stack: list = []  # open lists, innermost last
     items = top  # where the next node goes
@@ -186,65 +210,77 @@ class _ProblemBuilder:
 
     # -- terms
 
-    def term(self, node) -> LinTerm:
+    def term(self, node, k, acc: dict):
+        """Add ``k`` times the variable part of the term ``node`` into
+        ``acc`` (variable id -> coefficient) and return ``k`` times its
+        constant; ``k`` is a nonzero number in normal form.  A term is
+        constant when the coefficients it adds are all zero."""
         if type(node) is int:
             text = self.toks[node]
             # declare-fun refuses numerals, so a declared name is none
             rid = self.formula.rat_var(text)
             if rid is not None:
-                return LinTerm({rid: 1})
+                acc[rid] = acc.get(rid, 0) + k
+                return 0
             if text.isdigit() and text.isascii():
-                return LinTerm(const=int(text))
+                return k * int(text)
             q = self._try_rat(node)
             if q is not None:
-                return LinTerm(const=q)
+                return integral_or_fraction(k * q)
             if self.formula.prop(text) is not None:
                 raise self._error(f"Bool variable {text!r} used in a term", node)
             raise self._error(f"unknown identifier {text!r}", node)
         head = self._head(node)
         args = node[3:]
-        if head == "+":
+        if head == "+" or head == "-":
             if not args:
-                raise self._error("'+' needs arguments", node)
-            acc = LinTerm()
-            for a in args:
-                acc.add(self.term(a))
-            return acc
-        if head == "-":
-            if not args:
-                raise self._error("'-' needs arguments", node)
-            acc = self.term(args[0])
-            if len(args) == 1:
-                return acc.scale(-1)
+                raise self._error(f"{head!r} needs arguments", node)
+            if head == "-" and len(args) == 1:
+                return self.term(args[0], -k, acc)
+            const = self.term(args[0], k, acc)
+            if head == "-":
+                k = -k
             for a in args[1:]:
-                acc.add(self.term(a).scale(-1))
-            return acc
+                const += self.term(a, k, acc)
+            return const
         if head == "*":
             if len(args) < 2:
                 raise self._error("'*' needs two arguments", node)
-            parts = [self.term(a) for a in args]
-            nonground = [p for p in parts if not p.is_ground()]
-            if len(nonground) > 1:
+            linear = None  # (variable part, constant) of the non-constant operand
+            nonlinear = False
+            for a in args:
+                part: dict = {}
+                c = self.term(a, 1, part)
+                if not any(part.values()):
+                    k *= c
+                elif linear is None:
+                    linear = part, c
+                else:
+                    nonlinear = True
+            if nonlinear:
                 raise self._error("nonlinear product", node)
-            factor = 1
-            for p in parts:
-                if p.is_ground():
-                    factor *= p.const
-            if not nonground:
-                return LinTerm(const=factor)
-            return nonground[0].scale(factor)
-        if head == "/":
+            k = integral_or_fraction(k)
+            if linear is None:
+                return k
+        elif head == "/":
             if len(args) != 2:
                 raise self._error("'/' needs two arguments", node)
-            num = self.term(args[0])
-            den = self.term(args[1])
-            if not den.is_ground():
+            part = {}
+            linear = part, self.term(args[0], 1, part)
+            den: dict = {}
+            d = self.term(args[1], 1, den)
+            if any(den.values()):
                 raise self._error("division by a non-constant", args[1])
-            if den.const == 0:
+            if d == 0:
                 raise self._error("division by zero", args[1])
-            d = den.const
-            return num.scale(Fraction(1, d) if type(d) is int else 1 / d)
-        raise self._error(f"unknown arithmetic operator {head!r}", node)
+            k = quotient(k, d)
+        else:
+            raise self._error(f"unknown arithmetic operator {head!r}", node)
+        # k times the one non-constant operand of a product or a quotient
+        part, c = linear
+        for v, coeff in part.items():
+            acc[v] = acc.get(v, 0) + k * coeff
+        return k * c
 
     # -- sort dispatch for '='
 
@@ -307,8 +343,10 @@ class _ProblemBuilder:
     def _comparison(self, node: list, head: str, args: list) -> BAtom:
         if len(args) != 2:
             raise self._error(f"{head!r} compares exactly two operands", node)
-        diff = self.term(args[0]).add(self.term(args[1]).scale(-1))
-        return BAtom(diff.coeffs, diff.const, head)
+        coeffs: dict = {}
+        const = self.term(args[0], 1, coeffs)
+        const += self.term(args[1], -1, coeffs)
+        return BAtom(coeffs, const, head)
 
     # -- commands
 
@@ -357,13 +395,14 @@ class _ProblemBuilder:
             self.cost = rid
         elif head == "set-info":
             if len(args) >= 2 and type(args[0]) is int and toks[args[0]] in (":lb", ":ub"):
-                value = self.term(args[1])
-                if not value.is_ground():
+                coeffs: dict = {}
+                value = Fraction(self.term(args[1], 1, coeffs))
+                if any(coeffs.values()):
                     raise self._error("range bound must be a constant", args[1])
                 if toks[args[0]] == ":lb":
-                    self.lb = Fraction(value.const)
+                    self.lb = value
                 else:
-                    self.ub = Fraction(value.const)
+                    self.ub = value
             # other annotations are ignored
         elif head in ("check-sat", "exit", "set-logic", "set-option", "get-objectives", "get-model"):
             pass

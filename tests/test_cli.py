@@ -67,6 +67,23 @@ def test_solve_output_on_the_families_is_pinned(capsys):
     assert digest.hexdigest() == FAMILIES_STDOUT_SHA256
 
 
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys):
+    """A file that starts with a UTF-8 byte-order mark, as some editors
+    write one, solves and benches as the same file without it."""
+    plain = FAMILIES / "strip-n6-w1-s1.smt2"
+    marked = tmp_path / "bom.smt2"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, marked):
+        assert main(["solve", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    out_csv = tmp_path / "bench.csv"
+    assert main(["bench", str(marked), "--jobs", "1", "-o", str(out_csv)]) == 0
+    with open(out_csv, newline="") as fh:
+        assert {r["status"] for r in csv.DictReader(fh)} == {"optimum"}
+
+
 def test_all_configurations_agree_from_the_cli(ex1, capsys):
     for schema in ("offline", "inline"):
         for search in ("linear", "binary"):

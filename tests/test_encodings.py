@@ -208,22 +208,27 @@ def test_pb_validation():
 
 
 @pytest.mark.parametrize(
-    "clauses, weights",
+    "clauses, weights, num_bools",
     [
-        ([[1.5]], [1, 1]),
-        ([["1"]], [1, 1]),
-        ([[None]], [1, 1]),
-        ([[True]], [1, 1]),
-        ([[1, -2.0]], [1, 1]),
-        ([[1]], [float("inf"), 1]),
-        ([[1]], [1, float("-inf")]),
-        ([[1]], [float("nan"), 1]),
-        ([[1]], [None, 1]),
+        ([[1.5]], [1, 1], 2),
+        ([["1"]], [1, 1], 2),
+        ([[None]], [1, 1], 2),
+        ([[True]], [1, 1], 2),
+        ([[1, -2.0]], [1, 1], 2),
+        ([[1]], [float("inf"), 1], 2),
+        ([[1]], [1, float("-inf")], 2),
+        ([[1]], [float("nan"), 1], 2),
+        ([[1]], [None, 1], 2),
+        # the Boolean count: a float, a bool, a negative int, a string
+        ([[1]], [1, 1], 2.0),
+        ([[1]], [1], True),
+        ([], [], -1),
+        ([[1]], [1, 1], "2"),
     ],
 )
-def test_pb_rejects_non_int_literals_and_weights_without_a_finite_value(clauses, weights):
+def test_pb_rejects_non_int_literals_and_weights_without_a_finite_value(clauses, weights, num_bools):
     with pytest.raises(ValueError):
-        encode_pb(2, clauses, weights)
+        encode_pb(num_bools, clauses, weights)
 
 
 def test_encode_pb_matches_the_reference():

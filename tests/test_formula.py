@@ -20,7 +20,6 @@ from omtq.formula import (
     BOr,
     BProp,
     CnfFormula,
-    LinTerm,
     OmtProblem,
     cnfize,
     conj,
@@ -30,18 +29,6 @@ from omtq.formula import (
 from omtq.encodings import encode_pb, jobshop_instance, strip_packing_instance
 from omtq.omt import _cost_atom, solve
 from omtq.parser import parse_problem
-
-
-def test_linterm_builder():
-    t = LinTerm({0: 2}, 1)
-    t.add_var(1, 3).add_var(0, -2)
-    # the x0 coefficient cancelled away entirely
-    assert t.coeffs == {1: Fraction(3)}
-    t.scale(2)
-    assert t.coeffs == {1: Fraction(6)}
-    assert t.const == Fraction(2)
-    assert not t.is_ground()
-    assert LinTerm(const=5).is_ground()
 
 
 def test_normalize_atom_scales_the_leading_coefficient():

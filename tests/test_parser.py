@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     FAMILIES,
+    _reference_tokens,
     boolean_structure_text,
     eval_concrete,
     input_outcome,
@@ -404,6 +405,39 @@ def test_a_long_blank_and_comment_tail_reads_fast():
     assert str(info.value) == f"{line}:2: unknown command 'frobnicate'"
 
 
+# characters the reader's two token passes could tell apart: every ASCII
+# character, and non-ASCII ones that str.split counts as blanks
+SPLIT_PROBES = [chr(i) for i in range(128)] + ["\x85", "\xa0", "\u2028"]
+
+
+def _reader_tokens(text):
+    """Each significant token with its line and column, or the
+    ``ParseError`` message."""
+    try:
+        toks, _ = read_tree(text)
+    except ParseError as exc:
+        return str(exc)
+    return [(tok, *position(text, i)) for i, tok in enumerate(toks)]
+
+
+def _reference_reader_tokens(text):
+    try:
+        reference_parse_sexprs(text)
+    except ParseError as exc:
+        return str(exc)
+    return [(tok, line, col) for _, tok, line, col in _reference_tokens(text)]
+
+
+@pytest.mark.parametrize("ch", SPLIT_PROBES, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_tokens_match_the_reference_around_any_character(ch):
+    """Texts holding ``ch`` inside, before and after an atom read into
+    the reference reader's tokens and positions, whichever pass reads
+    them.  The reference has no quoted tokens, so each text holds one
+    ``ch`` only, and a lone quote starts an atom."""
+    for text in (f"(a {ch}bc\n d)", f"(a b{ch}c\n d)", f"(a bc{ch}\n d)"):
+        assert _reader_tokens(text) == _reference_reader_tokens(text), repr(text)
+
+
 # -- reserved names
 
 
@@ -513,6 +547,8 @@ EDGE_INPUTS = [
     "(declare-fun x () Real)(assert (>= x \u00b2))(minimize x)",
     "(declare-fun p () Bool)(assert " + "(and p " * MAX_DEPTH + "p" + ")" * MAX_DEPTH + ")",
     "(declare-fun x () Real)(assert (>= x \x0b3))(minimize x)",
+    "(declare-fun x () Real)(declare-fun y () Real)(assert (<= (* x y z) 1))(minimize x)",
+    "(declare-fun x () Real)(set-info :ub (/ x (- 2 2)))(minimize x)",
     # accepted
     "(declare-fun x () Real)(set-info :lb 007)(set-info :ub 7/2)(assert (>= (* 0 x) (- 0)))"
     "(minimize x)",
@@ -522,6 +558,13 @@ EDGE_INPUTS = [
     "(assert (< (+ (* 3 (/ x 3)) (- y y) 1.25) (* 4 (/ 3 4))))(minimize x)",
     "(declare-fun x () Real)(declare-fun y () Real)(assert (> (- (* 2 x) (* 4 y)) 6))"
     "(assert (<= (* -3 y) x))(assert (or (> 1 0) (< 0 1)))(minimize y)",
+    # products and quotients whose factors cancel, negate or divide
+    "(declare-fun x () Real)(declare-fun y () Real)(assert (<= (* (- x x) y) 1))(minimize x)",
+    "(declare-fun x () Real)(assert (<= (- (* 2 x)) 1))(assert (> (/ (* 3 x) (/ 3 2)) (- 1)))"
+    "(minimize x)",
+    "(declare-fun x () Real)(set-info :lb (+ x (- x)))(set-info :ub 3)(minimize x)",
+    "(declare-fun x () Real)(declare-fun y () Real)(assert (< (* 0.5 (* 2 x) 3) (/ (+ y 1) 0.25)))"
+    "(assert (>= (- (* 1/3 x) (* 3 (/ x 9))) (- y)))(minimize x)",
     # a negated equality repeated in two clauses, each occurrence with its
     # own label, and an inequality repeated in both polarities
     "(declare-fun x () Real)(declare-fun p () Bool)(assert (or (not (= x 1)) p))"
