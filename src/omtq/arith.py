@@ -197,19 +197,22 @@ def _nonzero_or_shared(eps):
     return eps if eps else _ZERO
 
 
-def materialize_epsilon(valuation, literals) -> Fraction:
+def materialize_epsilon(valuation, literals, scale=1) -> Fraction:
     """Largest eps0 in (0, 1] such that substituting any eps in (0, eps0]
     for delta keeps every literal satisfied.
 
     ``valuation`` maps variables to values, ``literals`` is an
     iterable of (atom, polarity) pairs where atoms expose delta_value()
-    and rel.  Raises ValueError if some literal is already violated
-    symbolically; strict constraints contribute half their critical
-    slack so the returned bound is always usable inclusively.
+    and rel.  Values kept times a positive ``scale`` give the eps0 of
+    the unscaled ones: each literal's value is then ``scale`` times its
+    unscaled one, with the same signs and the same ratio -r/k.  Raises
+    ValueError if some literal is already violated symbolically; strict
+    constraints contribute half their critical slack so the returned
+    bound is always usable inclusively.
     """
     bound = Fraction(1)
     for atom, polarity in literals:
-        val = atom.delta_value(valuation)
+        val = atom.delta_value(valuation, scale)
         if polarity:
             rel = atom.rel
             r, k = real_part(val), eps_part(val)

@@ -14,12 +14,17 @@ a disjunction of two strict inequalities.
 The canonical ``Atom`` keeps every coefficient and constant in
 ``arith``'s normal form: an ``int`` when integral, else a ``Fraction``
 with denominator > 1; ``normalize_atom`` puts a raw comparison's
-numbers, whatever their form, into it.  Integral input, the common case,
-is then hashed and turned into simplex rows and bounds as machine-word
-ints, and every layer that divides an atom field does so with
-``arith.quotient`` or another exact ``Fraction`` division.  The search's
-outcome is the boundary where values are ``Fraction`` again;
-``OmtProblem``'s range stays ``Fraction`` as the parser reads it.
+numbers, whatever their form, into it in one pass that leaves an ``int``
+as it is.  Integral input, the common case, is then hashed and turned
+into simplex rows and bounds as machine-word ints, and every layer that
+divides an atom field does so with ``arith.quotient`` or another exact
+``Fraction`` division.  An ``Atom`` is a ``__slots__`` value holding its
+three fields and their hash, computed once when it is built; it refuses
+field assignment and pickles by its fields.  The search's outcome is the
+boundary where values are ``Fraction`` again: its model and epsilon are
+made from the simplex's scaled values, one ``Fraction`` per reported
+number (see ``omt.TheoryBridge.snapshot_model``).  ``OmtProblem``'s
+range stays ``Fraction`` as the parser reads it.
 """
 
 from __future__ import annotations
@@ -28,29 +33,45 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .arith import EQ, LE, LT, integral_or_fraction, quotient
+from .arith import EQ, LE, LT, quotient
 
 # ---------------------------------------------------------------------------
 # atoms
 
 
-@dataclass(frozen=True)
 class Atom:
     """Canonical atom: coeffs (sorted var/coeff pairs) rel-compared to 0.
 
     The lowest-id variable's coefficient has absolute value 1; equalities
     additionally fix its sign to +1 so both orientations hash equally.
+
+    A value: it equals only another ``Atom`` with equal fields, and
+    assigning to a field raises ``AttributeError``.
     """
 
-    # each number is an int when integral, else a Fraction (denominator > 1)
-    coeffs: tuple  # ((var, coeff), ...) sorted by var, no zeros
-    const: Union[int, Fraction]
-    rel: str  # LE, LT or EQ
+    # each number is an int when integral, else a Fraction (denominator > 1):
+    # coeffs is ((var, coeff), ...) sorted by var, no zeros; rel is LE, LT or EQ
+    __slots__ = ("coeffs", "const", "rel", "_hash")
 
     # atoms key the theory solver's per-literal caches, so the hash of the
-    # coefficients is computed once instead of on every lookup
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.coeffs, self.const, self.rel)))
+    # fields is computed once instead of on every lookup; the fields are
+    # set through their slots, since ``__setattr__`` refuses
+    def __init__(self, coeffs: tuple, const: Union[int, Fraction], rel: str):
+        _set_coeffs(self, coeffs)
+        _set_const(self, const)
+        _set_rel(self, rel)
+        _set_hash(self, hash((coeffs, const, rel)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an Atom")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an Atom")
+
+    def __eq__(self, other):
+        if type(other) is not Atom:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.const == other.const and self.rel == other.rel
 
     def __hash__(self):
         return self._hash
@@ -66,11 +87,13 @@ class Atom:
             return self.coeffs[0]
         return None
 
-    def delta_value(self, valuation):
+    def delta_value(self, valuation, scale=1):
         """The term plus the constant under a map var -> simplex value
-        (see ``arith``); the result mixes the parts of the values, so
+        (see ``arith``), with the constant taken ``scale`` times: for
+        values kept times a positive ``scale``, the result is ``scale``
+        times the unscaled one.  It mixes the parts of the values, so
         read it with ``real_part``/``eps_part``."""
-        acc = self.const
+        acc = self.const * scale
         for v, c in self.coeffs:
             acc = acc + valuation[v] * c
         return acc
@@ -78,6 +101,19 @@ class Atom:
     def __repr__(self):
         parts = " + ".join(f"{c}*x{v}" for v, c in self.coeffs)
         return f"({parts} + {self.const} {self.rel} 0)"
+
+
+_set_coeffs, _set_const, _set_rel, _set_hash = [getattr(Atom, name).__set__ for name in Atom.__slots__]
+
+# relation -> (canonical relation, whether the term is negated, polarity)
+_RELATIONS = {
+    LE: (LE, False, True),
+    LT: (LT, False, True),
+    EQ: (EQ, False, True),
+    "!=": (EQ, False, False),
+    ">=": (LE, True, True),
+    ">": (LT, True, True),
+}
 
 
 def normalize_atom(coeffs: dict, const, op: str) -> tuple[Atom, bool]:
@@ -88,42 +124,48 @@ def normalize_atom(coeffs: dict, const, op: str) -> tuple[Atom, bool]:
     variable (callers fold ground comparisons first).  Coefficients and
     constant may come as ints, Fractions or other exact-convertible
     numbers such as floats; the atom holds each in normal form, an
-    ``int`` when integral, else a ``Fraction``.
+    ``int`` when integral, else a ``Fraction``.  Any other relation, and
+    a number with no finite exact value (an infinity or a nan), raises
+    ValueError.
     """
-    term = {v: _normal(c) for v, c in coeffs.items() if c}
-    if not term:
+    try:
+        rel, negated, polarity = _RELATIONS[op]
+    except (KeyError, TypeError):  # TypeError: an unhashable op
+        raise ValueError(f"unknown relation {op!r}") from None
+    # an int, the common case, is in normal form already
+    pairs = sorted([(v, c if type(c) is int else _normal(c)) for v, c in coeffs.items() if c])
+    if not pairs:
         raise ValueError("ground comparison reached normalize_atom")
-    const = _normal(const)
-
-    polarity = True
-    if op == ">=":
-        op = LE
-        term = {v: -c for v, c in term.items()}
+    if type(const) is not int:
+        const = _normal(const)
+    # divide by the lead coefficient, or by its absolute value for an
+    # inequality, which keeps its direction; negate for >= and >
+    lead = pairs[0][1]
+    if rel != EQ and lead < 0:
+        lead = -lead
+    if negated:
+        lead = -lead
+    if lead == -1:
+        pairs = [(v, -c) for v, c in pairs]
         const = -const
-    elif op == ">":
-        op = LT
-        term = {v: -c for v, c in term.items()}
-        const = -const
-    elif op == "!=":
-        op = EQ
-        polarity = False
-
-    lead = term[min(term)]
-    if op != EQ and lead < 0:
-        lead = -lead  # an inequality keeps its direction; an equality may flip
-    if lead == 1:
-        pairs = tuple(sorted(term.items()))
-    else:
-        pairs = tuple(sorted((v, quotient(c, lead)) for v, c in term.items()))
+    elif lead != 1:
+        pairs = [(v, quotient(c, lead)) for v, c in pairs]
         const = quotient(const, lead)
-    return Atom(pairs, const, op), polarity
+    return Atom(tuple(pairs), const, rel), polarity
 
 
 def _normal(q):
     """``q`` in normal form; a number that is neither an int nor a
     Fraction, such as a float, is first made its exact Fraction, so no
-    float reaches an atom."""
-    return integral_or_fraction(q if type(q) is int or type(q) is Fraction else Fraction(q))
+    float reaches an atom.  One with no such value raises ValueError."""
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        try:
+            q = Fraction(q)
+        except (OverflowError, ValueError):  # an infinity; a nan
+            raise ValueError(f"{q!r} is not a finite number") from None
+    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +187,14 @@ class BProp(BoolExpr):
 
 
 class BAtom(BoolExpr):
-    """Raw comparison leaf; canonicalized during CNF conversion."""
+    """Raw comparison leaf; canonicalized during CNF conversion.  The
+    constant is taken in normal form as ``normalize_atom`` takes it."""
 
     __slots__ = ("coeffs", "const", "op")
 
     def __init__(self, coeffs, const, op):
         self.coeffs = dict(coeffs)
-        self.const = integral_or_fraction(const)
+        self.const = _normal(const)
         self.op = op
 
 

@@ -127,8 +127,7 @@ def problem_scale(formula: CnfFormula, lb, ub) -> int:
     """The scale of a problem's simplex values: the lcm of the
     denominators of every atom constant and of the range bounds, so
     that every bound of the input is integral once scaled."""
-    atoms = (formula.atom_of(v) for v in range(1, formula.num_solver_vars + 1))
-    dens = {atom.const.denominator for atom in atoms if atom is not None}
+    dens = {atom.const.denominator for atom in formula.payload if type(atom) is Atom}
     dens.update(q.denominator for q in (lb, ub) if q is not None)
     return lcm(*dens)
 
@@ -155,9 +154,10 @@ class TheoryBridge(TheoryClient):
     model found so far.
 
     The simplex keeps its values times ``problem_scale``; they are
-    divided back (``_unscaled``) where they leave it: the minimum of the
-    cost, the model's valuation and the root bounds on the cost.  The
-    cost range, the cost atoms and the outcome are in problem units.
+    divided back where they leave it: the minimum of the cost and the
+    root bounds on the cost (``_unscaled``), and each number of the
+    model (``snapshot_model``).  The cost range, the cost atoms and the
+    outcome are in problem units.
     """
 
     def __init__(self, problem: OmtProblem, config: OmtConfig):
@@ -397,16 +397,23 @@ class TheoryBridge(TheoryClient):
 
     def snapshot_model(self, beta, literals):
         """(epsilon, concrete model) of the problem variables' simplex
-        values ``beta`` under the asserted ``literals``."""
-        names = self.formula.rat_names
-        valuation = {i: self._unscaled(beta[i]) for i in range(len(names))}
-        eps0 = materialize_epsilon(valuation, literals)
-        eps = Fraction(eps0, 2)
-        # eps is a Fraction, so each value substituted is one
-        model = {
-            name: real_part(valuation[i]) + eps_part(valuation[i]) * eps
-            for i, name in enumerate(names)
-        }
+        values ``beta`` under the asserted ``literals``.
+
+        The values stay scaled by D = ``lra.scale``: each literal's value
+        is then D times its unscaled one, which has the same signs and
+        the same ratio of real to delta part, so the epsilon is that of
+        the unscaled values.  Each model entry is one ``Fraction``, its
+        value divided by D."""
+        d = self.lra.scale
+        eps = Fraction(materialize_epsilon(beta, literals, d), 2)
+        model = {}
+        for name, v in zip(self.formula.rat_names, beta):
+            if type(v) is int:
+                model[name] = Fraction(v, d)
+            elif type(v) is DeltaRational:
+                model[name] = (v.real + v.eps * eps) / d
+            else:
+                model[name] = v / d
         return eps, model
 
 

@@ -1,5 +1,6 @@
 """Atoms, CNF conversion and problem construction."""
 
+import copy
 import hashlib
 import os
 import pickle
@@ -116,6 +117,80 @@ def test_pickled_atom_keys_survive_another_hash_seed():
         timeout=60,
     )
     assert done.stdout.strip() == b"7", done.stderr
+
+
+def test_atom_fields_refuse_assignment():
+    atom, _ = normalize_atom({0: 1, 1: 2}, 3, "<=")
+    for name in ("coeffs", "const", "rel", "other"):
+        with pytest.raises(AttributeError):
+            setattr(atom, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(atom, name)
+    assert (atom.coeffs, atom.const, atom.rel) == (((0, 1), (1, 2)), 3, LE)
+
+
+def test_atom_equals_only_atoms():
+    atom, _ = normalize_atom({0: 1, 1: 2}, 3, "<=")
+    fields = (atom.coeffs, atom.const, atom.rel)
+    assert atom != fields and fields != atom
+    assert atom not in {fields: 0}
+    assert repr(atom) == "(1*x0 + 2*x1 + 3 <= 0)"
+
+
+def test_equal_atoms_hash_alike():
+    a1, _ = normalize_atom({0: 2}, -6, "<=")
+    a2, _ = normalize_atom({0: -1}, 3, ">=")
+    a3 = Atom(((0, Fraction(1)),), Fraction(-3), LE)  # integral Fractions
+    assert a1 == a2 == a3
+    assert hash(a1) == hash(a2) == hash(a3) == hash((a1.coeffs, a1.const, a1.rel))
+    assert len({a1, a2, a3}) == 1
+    assert a1 != Atom(a1.coeffs, a1.const, LT) and a1 != Atom(a1.coeffs, -3, EQ)
+
+
+def test_atom_copies_and_pickles_round_trip():
+    atom, _ = normalize_atom({0: 3, 2: -1}, Fraction(1, 2), ">")
+    copies = [copy.copy(atom), copy.deepcopy(atom)]
+    copies += [pickle.loads(pickle.dumps(atom, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is Atom
+        assert (other.coeffs, other.const, other.rel) == (atom.coeffs, atom.const, atom.rel)
+        assert other == atom and hash(other) == hash(atom) and repr(other) == repr(atom)
+        with pytest.raises(AttributeError):
+            other.rel = EQ
+
+
+@pytest.mark.parametrize("op", ["!~", "=<", "==", "", None, ["<="]], ids=["!~", "=<", "==", "empty", "None", "list"])
+def test_normalize_atom_rejects_an_unknown_relation(op):
+    with pytest.raises(ValueError, match="unknown relation"):
+        normalize_atom({0: 1}, 0, op)
+
+
+def test_cnfize_rejects_a_leaf_with_an_unknown_relation():
+    f = CnfFormula()
+    x = f.new_rat_var("x")
+    with pytest.raises(ValueError, match="unknown relation"):
+        cnfize(BAtom({x: 1}, 0, "=<"), f)
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "coeffs, const",
+    [({0: _INF}, 0), ({0: 1, 1: -_INF}, 0), ({0: 1}, _INF), ({0: 1}, -_INF), ({0: _NAN}, 0), ({0: 1}, _NAN)],
+    ids=["coefficient-inf", "coefficient-minus-inf", "constant-inf", "constant-minus-inf", "coefficient-nan", "constant-nan"],
+)
+def test_normalize_atom_rejects_a_number_that_is_not_finite(coeffs, const):
+    with pytest.raises(ValueError, match="is not a finite number"):
+        normalize_atom(coeffs, const, "<=")
+
+
+@pytest.mark.parametrize("coeff, const", [(_INF, 0), (1, _INF), (_NAN, 0), (1, _NAN)])
+def test_cnfize_rejects_a_leaf_number_that_is_not_finite(coeff, const):
+    f = CnfFormula()
+    x = f.new_rat_var("x")
+    with pytest.raises(ValueError, match="is not a finite number"):
+        cnfize(BAtom({x: coeff}, const, "<="), f)
 
 
 def test_duplicate_names_rejected():

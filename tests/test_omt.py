@@ -1,6 +1,7 @@
 """End-to-end optimization engine: offline and inline search."""
 
 import gc
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -879,6 +880,26 @@ def test_scaled_simplex_matches_unit_scale(monkeypatch):
             monkeypatch.setattr(omt, "problem_scale", lambda formula, lb, ub: 1)
             assert scaled == solve(problem, cfg), (i, cfg)
     assert {1, 12}.issubset(scales)  # integral inputs, and the strips' denominators 2, 3, 4
+
+
+# sha256 of every whole outcome below, in order: status, value, attained,
+# model, epsilon, lower trace and counters; it changes only when the search
+# or one of the numbers it reports does, the types of those numbers included
+OUTCOMES_SHA256 = "b3562f063ede75cebf7419aa1871e69dbb590bbaf78577bce462524e538dfb7b"
+
+
+def test_outcomes_are_pinned_on_the_corpus_and_the_families():
+    problems = [corpus_problem(seed) for seed in range(300)]
+    problems += [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("*.smt2"))]
+    assert len(problems) == 306
+    digest = hashlib.sha256()
+    for problem in problems:
+        for cfg in ALL_CONFIGS:
+            out = solve(problem, cfg)
+            model = None if out.model is None else sorted(out.model.items())
+            fields = (out.status, out.value, out.attained, model, out.epsilon)
+            digest.update(repr(fields + (out.lower_trace, out.stats)).encode())
+    assert digest.hexdigest() == OUTCOMES_SHA256
 
 
 # -- the reader's Boolean structure against the reference solver ------------
