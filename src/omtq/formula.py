@@ -508,7 +508,8 @@ class OmtProblem:
     ``Fraction``, as ``normalize_atom`` takes coefficients; one with no
     such value, an infinity or a nan, raises ValueError.  So does a
     clause literal that is not a nonzero ``int`` naming one of the
-    formula's solver variables.
+    formula's solver variables, and a ``cost`` that is not the ``int``
+    index of one of its rational variables (a ``bool`` is not an index).
     """
 
     formula: CnfFormula
@@ -517,8 +518,9 @@ class OmtProblem:
     ub: Optional[Fraction] = None
 
     def __post_init__(self):
-        if not (0 <= self.cost < len(self.formula.rat_names)):
-            raise ValueError("cost variable not in the problem's variable table")
+        cost = self.cost
+        if type(cost) is not int or not 0 <= cost < len(self.formula.rat_names):
+            raise ValueError(f"cost {cost!r} is not the int index of a declared variable")
         for name in ("lb", "ub"):
             q = getattr(self, name)
             if q is not None and type(q) is not int and type(q) is not Fraction:

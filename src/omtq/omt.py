@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, lcm
+from numbers import Real
 from typing import Optional
 
 from .arith import (
@@ -68,6 +69,17 @@ BINARY = "binary"
 
 @dataclass
 class OmtConfig:
+    """How ``solve`` searches.  ``timeout`` is None or a real number of
+    seconds that is not nan (``inf`` never stops the search), and
+    ``max_loops`` is None or an ``int`` of at least 0, bounding the
+    range-update iterations.  The offline schema counts one loop per
+    solver call.  The inline schema counts one per return to decision
+    level 0 that finds the unit-implied bounds on the cost changed; a run
+    that ends in a level-0 conflict stops before that visit, so its last
+    update is not counted, and with ``max_loops=0`` such a run can still
+    return its optimum.  A ``bool`` is neither a timeout nor a loop
+    budget.  Anything else raises ValueError."""
+
     schema: str = INLINE
     search: str = BINARY  # binary alternates with linear steps unless always_binary
     always_binary: bool = False
@@ -81,6 +93,12 @@ class OmtConfig:
             raise ValueError(f"unknown schema {self.schema!r}")
         if self.search not in (LINEAR, BINARY):
             raise ValueError(f"unknown search mode {self.search!r}")
+        t = self.timeout
+        if t is not None and (isinstance(t, bool) or not isinstance(t, Real) or t != t):
+            raise ValueError(f"timeout {t!r} is not a number of seconds")
+        k = self.max_loops
+        if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 0):
+            raise ValueError(f"max_loops {k!r} is not an int of at least 0")
 
 
 @dataclass
@@ -655,7 +673,10 @@ class InlineBridge(TheoryBridge):
         if status != "min":
             return clause
         if self.u_lit is not None and val > self.range.hi:
-            return eta_lits + [-self.u_lit]
+            # the core attaches a conflict clause without removing
+            # repeats, so -u_lit goes in at most once
+            u = -self.u_lit
+            return eta_lits if u in eta_lits else eta_lits + [u]
         if real_part(val) > self.pivot_val:
             litr = self.cost_lit(real_part(val), LT)
             solver.add_lemma(eta_lits + [-litr])

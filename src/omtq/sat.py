@@ -19,19 +19,30 @@ on top:
 
 The core trusts its client and checks none of this: a literal the
 client propagates is unassigned, it propagates at most one literal per
-variable at a time, each reason clause leads with its literal, and no
-reason or conflict clause is a tautology (every literal of a conflict,
-and every one of a reason but the first, is false under the trail).
+variable at a time, each reason clause leads with its literal, no reason
+or conflict clause is a tautology (every literal of a conflict, and
+every one of a reason but the first, is false under the trail), and none
+repeats a literal.
 
-The hot loops (propagation, watch selection in ``add_clause``, conflict
-analysis) make no method call per literal: they read ``assign`` directly,
-a literal ``l`` being true when ``assign[l] == 1`` for ``l > 0`` and
-``assign[-l] == -1`` otherwise.  ``value`` is the accessor for clients.
-``add_clause`` is the one way a clause enters the core, input clauses
-included.  On an empty trail, as when a fresh core is loaded, every
-literal is unassigned and a clause is watched on its first two literals,
-as MiniSat does; otherwise a rank scan picks its two highest-level
-literals.
+The hot loops (propagation, watch selection, conflict analysis) make no
+method call per literal: they read ``assign`` directly, a literal ``l``
+being true when ``assign[l] == 1`` for ``l > 0`` and ``assign[-l] == -1``
+otherwise.  ``value`` is the accessor for clients.
+
+Every clause enters the core through ``_attach_clause``, which stores
+it, watches its first two literals and queues a one-literal clause as a
+pending unit.  ``_attach_ranked`` puts it in watch order first: on a
+nonempty trail a rank scan moves its two highest-level literals to the
+front; on an empty trail, as when a fresh core is loaded, every literal
+is unassigned and the watches are the first two literals, as MiniSat
+does.  ``add_clause`` is the validating entry, for input, engine and
+``add_lemma`` clauses: it drops repeated literals and tautologies and
+counts the occurrences of input literals before ``_attach_ranked``.  The
+clauses the core makes itself skip those checks, which they cannot fail.
+The client's conflict and reason clauses go to ``_attach_ranked``.
+``analyze``'s first-UIP clause goes to ``_attach_clause`` as it comes:
+its UIP is first and its first highest-level literal second, which is
+what the rank scan would pick after the backjump.
 
 Propagation, its pending-unit pass and the theory-propagation loop of
 ``propagate`` also assign in place, writing ``assign``, ``level``,
@@ -57,7 +68,7 @@ from typing import Optional
 
 
 class Clause:
-    """Built only by ``SatSolver.add_clause``."""
+    """Built only by ``SatSolver._attach_clause``."""
 
     __slots__ = ("lits", "learnt", "activity")
 
@@ -76,7 +87,8 @@ class TheoryClient:
         [(lit, [lit, *false_lits]), ...]) with at least one pair, each
         literal unassigned and on a variable of its own, ('restart',)
         once lemmas have been added with ``add_lemma``, or ('halt',
-        payload)."""
+        payload).  No conflict or reason clause holds a literal twice:
+        the core attaches them without ``add_clause``'s checks."""
         return None
 
     def on_backjump(self, solver, trail_len: int):
@@ -126,7 +138,7 @@ def luby(i: int) -> int:
 
 
 RESTART_UNIT = 100
-UNASSIGNED_RANK = 1 << 30  # above every decision level, in add_clause
+UNASSIGNED_RANK = 1 << 30  # above every decision level, in _attach_ranked
 VAR_DECAY = 0.95
 CLA_DECAY = 0.999
 
@@ -197,16 +209,16 @@ class SatSolver:
         level-0 propagation pass, a longer one is watched on its two
         highest-level literals, and a caller whose clause is already unit
         or false under the trail enqueues its literal or calls
-        ``add_lemma`` instead.  On an empty trail every literal is
-        unassigned, so the watches are the first two literals; otherwise
-        a rank scan picks them."""
+        ``add_lemma`` instead.
+
+        This is the validating entry, for input, engine and lemma
+        clauses.  The clauses the core makes itself cannot fail its
+        checks and skip them: the client's conflicts and reasons go
+        straight to ``_attach_ranked``, ``analyze``'s clauses to
+        ``_attach_clause``."""
         out = list(dict.fromkeys(lits))
         if not set(out).isdisjoint(map(neg, out)):
             return None  # tautology
-        c = Clause.__new__(Clause)
-        c.lits = out
-        c.learnt = learnt
-        c.activity = 0.0
         if not learnt:
             occ_pos, occ_neg = self.occ_pos, self.occ_neg
             for l in out:
@@ -214,28 +226,45 @@ class SatSolver:
                     occ_pos[l] += 1
                 else:
                     occ_neg[-l] += 1
-        if not out:
-            self.unsat = True
-            return c
-        if len(out) == 1:
-            self._pending_units.append(c)
-            return c
-        if self.trail:
-            # watch the two highest-level literals so no propagation is
-            # missed when the clause arrives already (partly) assigned; an
-            # unassigned literal ranks above every level, and ties go to
-            # the first
+        return self._attach_ranked(out, learnt)
+
+    def _attach_ranked(self, lits: list, learnt: bool) -> Clause:
+        """``_attach_clause`` with the two highest-ranked literals moved
+        to the front, so no propagation is missed when the clause arrives
+        already (partly) assigned: an unassigned literal ranks above every
+        level, and ties go to the first.  On an empty trail every literal
+        is unassigned, so the watches are the first two literals and no
+        rank is computed."""
+        if len(lits) > 1 and self.trail:
             assign, level = self.assign, self.level
-            rank = [level[v] if assign[v] else UNASSIGNED_RANK for v in map(abs, out)]
+            rank = [level[v] if assign[v] else UNASSIGNED_RANK for v in map(abs, lits)]
             a = rank.index(max(rank))
-            out[0], out[a] = out[a], out[0]
+            lits[0], lits[a] = lits[a], lits[0]
             rank[0], rank[a] = rank[a], rank[0]
             s = rank.index(max(rank[1:]), 1)
-            out[1], out[s] = out[s], out[1]
+            lits[1], lits[s] = lits[s], lits[1]
+        return self._attach_clause(lits, learnt)
+
+    def _attach_clause(self, lits: list, learnt: bool) -> Clause:
+        """Store a clause of distinct, non-complementary literals that
+        are already in watch order, and take ``lits`` as its literal
+        list: the empty clause marks the core unsat, a one-literal clause
+        waits as a pending unit, and a longer one is watched on its first
+        two literals."""
+        c = Clause.__new__(Clause)
+        c.lits = lits
+        c.learnt = learnt
+        c.activity = 0.0
+        if len(lits) < 2:
+            if lits:
+                self._pending_units.append(c)
+            else:
+                self.unsat = True
+            return c
         (self.learnts if learnt else self.clauses).append(c)
         watches = self.watches
-        watches.setdefault(out[0], []).append(c)
-        watches.setdefault(out[1], []).append(c)
+        watches.setdefault(lits[0], []).append(c)
+        watches.setdefault(lits[1], []).append(c)
         return c
 
     # -- trail -------------------------------------------------------------
@@ -386,15 +415,18 @@ class SatSolver:
             if resp is None:
                 return None
             tag = resp[0]
+            # the client's clauses repeat no literal (the ``after_bcp``
+            # contract), so they skip add_clause's checks; each is copied,
+            # as the core reorders the literals of its clauses
             if tag == "conflict":
-                return self.add_clause(resp[1], learnt=True)
+                return self._attach_ranked(list(resp[1]), True)
             if tag == "propagate":
-                # each reason clause is added before its literal is
-                # assigned: add_clause's rank scan reads ``assign``
+                # each reason clause is attached before its literal is
+                # assigned: the rank scan reads ``assign``
                 assign, level, reason, free = self.assign, self.level, self.reason_, self.free
                 trail, lvl = self.trail, len(self.trail_lim)
                 for lit, reason_lits in resp[1]:
-                    c = self.add_clause(reason_lits, learnt=True)
+                    c = self._attach_ranked(list(reason_lits), True)
                     v = lit if lit > 0 else -lit
                     assign[v] = 1 if lit > 0 else -1
                     level[v] = lvl
@@ -572,12 +604,13 @@ class SatSolver:
                     return SolveResult("unsat", core=self._assumption_core(seen))
                 learnt, bt = self.analyze(confl)
                 self.cancel_until(bt)
-                c = self.add_clause(learnt, learnt=True)
-                if c is not None:
-                    if self.value(learnt[0]) == 0:
-                        if len(learnt) > 1:
-                            self.enqueue(learnt[0], c)
-                        # unit learnt clauses propagate via pending queue
+                # already in the watch order _attach_ranked would pick: the
+                # UIP, unassigned after the backjump, then the first
+                # literal of level ``bt``
+                c = self._attach_clause(learnt, True)
+                if len(learnt) > 1:
+                    self.enqueue(learnt[0], c)
+                # a unit learnt clause propagates via the pending queue
                 self.var_inc /= VAR_DECAY
                 self.cla_inc /= CLA_DECAY
                 if len(self.learnts) > self.max_learnts + len(self.trail):

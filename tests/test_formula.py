@@ -320,6 +320,18 @@ def test_problem_validation():
     assert (ok.lb, ok.ub) == (0, 1)
 
 
+def test_problem_rejects_a_cost_that_is_not_an_int_index():
+    """A float, ``Fraction``, ``str`` or ``bool`` cost is refused when the
+    problem is built, not as a ``TypeError`` deep in the search."""
+    f = CnfFormula()
+    f.new_rat_var("cost")
+    f.new_rat_var("x")
+    for bad in (0.0, Fraction(0), "0", True, None):
+        with pytest.raises(ValueError, match="cost"):
+            OmtProblem(f, bad)
+    assert OmtProblem(f, 1).cost == 1
+
+
 def test_problem_rejects_clause_literals_that_name_no_solver_variable():
     """A clause literal is a nonzero ``int`` whose variable the formula
     defines; any other is refused when the problem is built, not deep in

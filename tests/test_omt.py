@@ -80,6 +80,32 @@ def test_config_validation():
         OmtConfig(search="ternary")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timeout", float("nan")),
+        ("timeout", "1"),
+        ("timeout", True),
+        ("max_loops", 1.5),
+        ("max_loops", -1),
+        ("max_loops", True),
+    ],
+)
+def test_config_rejects_a_budget_that_is_not_one(field, value):
+    """A nan timeout would run with no deadline, a ``str`` one would be
+    read as seconds, and a fractional, negative or ``bool`` loop budget
+    is no count of loops."""
+    with pytest.raises(ValueError, match=field):
+        OmtConfig(**{field: value})
+
+
+def test_config_keeps_every_real_timeout_and_int_budget():
+    for timeout in (None, 0, 2, 0.5, Fraction(1, 3), float("inf"), -1.0):
+        assert OmtConfig(timeout=timeout).timeout == timeout
+    for max_loops in (None, 0, 1, 10**6):
+        assert OmtConfig(max_loops=max_loops).max_loops == max_loops
+
+
 # -- reference instance ------------------------------------------------------
 
 
@@ -220,6 +246,27 @@ def test_loop_budget_stops_both_schemas_at_the_budget():
             out = solve(problem, OmtConfig(schema=cfg.schema, search=cfg.search, max_loops=k))
             assert out.status == "interrupted", (cfg, k)
             assert out.stats.loops == k, (cfg, k)
+
+
+def test_inline_max_loops_zero_can_return_the_optimum():
+    """The inline schema counts a loop when a return to decision level 0
+    finds the root bounds on the cost changed.  Here the one model's
+    bound ends the run in a level-0 conflict before any such visit, so
+    no loop is counted and ``max_loops=0`` still returns the optimum;
+    the offline schema counts its first solver call and stops."""
+    text = """
+(declare-fun cost () Real)
+(declare-fun x () Real)
+(assert (>= x 1))
+(assert (>= cost x))
+(minimize cost)
+"""
+    for cfg in ALL_CONFIGS:
+        out = _solve_text(text, schema=cfg.schema, search=cfg.search, max_loops=0)
+        if cfg.schema == "inline":
+            assert (out.status, out.value, out.stats.loops) == ("optimum", 1, 0), cfg
+        else:
+            assert (out.status, out.value, out.stats.loops) == ("interrupted", None, 0), cfg
 
 
 # -- repeated pivot refutation hazard ----------------------------------------
@@ -414,6 +461,36 @@ def test_flag_combinations_match_the_oracle(monkeypatch):
     assert not mismatches, mismatches[:3]
     # conflict generalization ran, so the sweep covers it
     assert generalized
+
+
+class _PivotTrue:
+    """A trail on which only ``lit`` is true, for ``transform_conflict``."""
+
+    def __init__(self, lit):
+        self.lit = lit
+
+    def value(self, lit):
+        return 1 if lit == self.lit else 0
+
+
+def test_generalized_conflict_does_not_repeat_the_root_bound():
+    """A generalized conflict ends in -u_lit, the negated root bound on
+    the cost; when the conflict already holds -u_lit it is not added a
+    second time, since the core attaches conflict clauses unchecked.  The
+    conflict here refutes cost < 2 (the pivot), cost >= 5 and cost < 10
+    (u_lit).  The bridge's state is set by hand, with the range's upper
+    end at 3 - delta, so the minimum 5 of the rest lies above it."""
+    problem = parse_problem(EX1)
+    bridge = omt.InlineBridge(problem, OmtConfig(pure_literal=False))
+    p, u = bridge.cost_lit(Fraction(2), "<"), bridge.cost_lit(Fraction(10), "<")
+    at_least_5 = -bridge.cost_lit(Fraction(5), "<")
+    bridge.pivot_lit, bridge.pivot_val, bridge.u_lit = p, Fraction(2), u
+    bridge.range.hi = DeltaRational(3, -1)
+    for clause in ([-p, -at_least_5, -u], [-u, -p, -at_least_5]):
+        got = bridge.transform_conflict(_PivotTrue(p), clause)
+        assert got == [l for l in clause if l != -p], clause
+    got = bridge.transform_conflict(_PivotTrue(p), [-p, -at_least_5])
+    assert got == [-at_least_5, -u]
 
 
 # the exact search on three small benchmark instances: any change to the

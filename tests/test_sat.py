@@ -1,6 +1,7 @@
 """Propositional core: propagation, learning, assumptions, cores."""
 
 import random
+from dataclasses import replace
 
 from helpers import (
     ALL_CONFIGS,
@@ -138,7 +139,7 @@ def test_stats_move():
 
 def _clause(lits, learnt=False) -> Clause:
     """The reference's clause: ``Clause`` has no constructor, since only
-    ``add_clause`` builds one, so the fields are set here one by one."""
+    ``_attach_clause`` builds one, so the fields are set here one by one."""
     c = Clause.__new__(Clause)
     c.lits = list(lits)
     c.learnt = learnt
@@ -557,6 +558,78 @@ def test_search_matches_the_per_literal_reference(monkeypatch):
                 reductions += sum(s.reductions for s in solvers)
             assert runs[0] == runs[1], (i, cfg)
     assert reductions > 0  # learnt clauses were deleted
+
+
+def _two_max_order(s, lits):
+    """``lits`` as ``add_clause`` would watch them, by the reference's
+    two ``max`` scans: an unassigned literal ranks above every level, and
+    ties go to the earliest position."""
+    out = list(lits)
+    if len(out) < 2:
+        return out
+
+    def rank(l):
+        return (1 << 30) if s.value(l) == 0 else s.level[abs(l)]
+
+    a = max(range(len(out)), key=lambda i: rank(out[i]))
+    out[0], out[a] = out[a], out[0]
+    b = max(range(1, len(out)), key=lambda i: rank(out[i]))
+    out[1], out[b] = out[b], out[1]
+    return out
+
+
+def test_solver_made_clauses_enter_as_add_clause_would_watch_them(monkeypatch):
+    """The intake contract, through whole optimization runs on the
+    families files and 100 corpus problems under the four configurations,
+    with the pure-literal filter on and off.  No conflict or reason
+    clause the bridge returns repeats a literal or is a tautology.  Each
+    clause the core attaches without ``add_clause``, the bridge's and
+    ``analyze``'s, is watched on the two literals ``add_clause``'s rank
+    rule would choose; ``analyze``'s is already in that order."""
+    counts = {"learnt": 0, "conflict": 0, "reason": 0}
+
+    class Checked(SatSolver):
+        entry = None  # the entry the clause being attached came through
+
+        def add_clause(self, lits, learnt=False):
+            self.entry = "add_clause"
+            try:
+                return super().add_clause(lits, learnt)
+            finally:
+                self.entry = None
+
+        def _attach_ranked(self, lits, learnt):
+            if self.entry is not None:
+                return super()._attach_ranked(lits, learnt)
+            # a conflict or reason clause of the bridge
+            assert len({abs(l) for l in lits}) == len(lits), lits
+            kind = "reason" if lits and self.value(lits[0]) == 0 else "conflict"
+            counts[kind] += 1
+            want = _two_max_order(self, lits)
+            self.entry = kind
+            try:
+                c = super()._attach_ranked(lits, learnt)
+            finally:
+                self.entry = None
+            assert c.lits == want and c.learnt, (kind, lits)
+            return c
+
+        def _attach_clause(self, lits, learnt):
+            if self.entry is None:  # analyze's first-UIP clause
+                assert len({abs(l) for l in lits}) == len(lits), lits
+                assert _two_max_order(self, lits) == lits, lits
+                counts["learnt"] += 1
+            return super()._attach_clause(lits, learnt)
+
+    monkeypatch.setattr(omt, "SatSolver", Checked)
+    problems = [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("*.smt2"))]
+    problems += [corpus_problem(seed) for seed in range(100)]
+    for i, problem in enumerate(problems):
+        for cfg in ALL_CONFIGS:
+            for pure_literal in (True, False):
+                out = solve(problem, replace(cfg, pure_literal=pure_literal))
+                assert out.status != "interrupted", (i, cfg, pure_literal)
+    assert min(counts.values()) > 1000, counts
 
 
 def test_pick_matches_the_scan_across_activity_rescales(monkeypatch):
