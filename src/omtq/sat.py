@@ -415,9 +415,7 @@ class SatSolver:
             if resp is None:
                 return None
             tag = resp[0]
-            # the client's clauses repeat no literal (the ``after_bcp``
-            # contract), so they skip add_clause's checks; each is copied,
-            # as the core reorders the literals of its clauses
+            # copied, as the core reorders the literals of its clauses
             if tag == "conflict":
                 return self._attach_ranked(list(resp[1]), True)
             if tag == "propagate":
@@ -604,9 +602,7 @@ class SatSolver:
                     return SolveResult("unsat", core=self._assumption_core(seen))
                 learnt, bt = self.analyze(confl)
                 self.cancel_until(bt)
-                # already in the watch order _attach_ranked would pick: the
-                # UIP, unassigned after the backjump, then the first
-                # literal of level ``bt``
+                # the UIP is unassigned after the backjump
                 c = self._attach_clause(learnt, True)
                 if len(learnt) > 1:
                     self.enqueue(learnt[0], c)

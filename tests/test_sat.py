@@ -149,8 +149,10 @@ def _clause(lits, learnt=False) -> Clause:
 
 class ReferenceSatSolver(SatSolver):
     """The core written one literal at a time: every read goes through
-    ``value``, every assignment through ``enqueue``, the two watches of a
-    new clause come from two ``max`` scans on any trail, ``analyze``
+    ``value``, every assignment through ``enqueue``, every clause,
+    ``analyze``'s and the client's included, goes through its own
+    validating ``add_clause``, whose two ``max`` scans pick the watches
+    on any trail, ``analyze``
     bumps one variable and one clause at a time, ``reduce_db`` deletes
     one clause at a time and each decision scans every variable.
     ``SatSolver`` must search exactly like it."""
@@ -208,6 +210,11 @@ class ReferenceSatSolver(SatSolver):
         (self.learnts if learnt else self.clauses).append(c)
         self._attach(c)
         return c
+
+    def _attach_clause(self, lits, learnt):
+        # the inherited ``_search`` hands ``analyze``'s clause over here:
+        # the reference validates and orders it like every other clause
+        return self.add_clause(lits, learnt)
 
     def _bcp(self):
         if self.decision_level == 0 and self._pending_units:
@@ -580,7 +587,8 @@ def _two_max_order(s, lits):
 
 def test_solver_made_clauses_enter_as_add_clause_would_watch_them(monkeypatch):
     """The intake contract, through whole optimization runs on the
-    families files and 100 corpus problems under the four configurations,
+    families files, 4 random pb problems, 100 corpus problems and 30
+    Boolean-structure problems under the four configurations,
     with the pure-literal filter on and off.  No conflict or reason
     clause the bridge returns repeats a literal or is a tautology.  Each
     clause the core attaches without ``add_clause``, the bridge's and
@@ -623,7 +631,9 @@ def test_solver_made_clauses_enter_as_add_clause_would_watch_them(monkeypatch):
 
     monkeypatch.setattr(omt, "SatSolver", Checked)
     problems = [parse_problem(p.read_text()) for p in sorted(FAMILIES.glob("*.smt2"))]
+    problems += [encode_pb(*random_pb(seed)) for seed in range(4)]
     problems += [corpus_problem(seed) for seed in range(100)]
+    problems += [parse_problem(boolean_structure_text(seed)) for seed in range(30)]
     for i, problem in enumerate(problems):
         for cfg in ALL_CONFIGS:
             for pure_literal in (True, False):
