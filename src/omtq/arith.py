@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isfinite
 from typing import TypeAlias
 
 LE = "<="
@@ -170,6 +171,18 @@ def real_part(v: Value):
 def eps_part(v: Value):
     """The coefficient of delta in a value; 0 for a plain number."""
     return v.eps if type(v) is DeltaRational else _ZERO
+
+
+def exact(q):
+    """``q``, a number given to a library entry point, made exact: an
+    ``int`` or a ``Fraction`` as it is, a finite float as its exact
+    ``Fraction``.  Anything else raises ValueError, a ``bool`` and a
+    ``str`` too: text becomes a number only through ``parse_rat``."""
+    if type(q) is int or type(q) is Fraction:
+        return q
+    if type(q) is float and isfinite(q):
+        return Fraction(q)
+    raise ValueError(f"{q!r} is not a finite number")
 
 
 def integral_or_fraction(q):

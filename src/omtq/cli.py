@@ -9,8 +9,8 @@ emit CSV).  Exit codes: 0 solved (optimum, unsat or unbounded),
 2 usage (including a ``--lb``/``--ub``/``--width`` that is not a
 numeral ``arith.parse_rat`` reads, a ``--timeout`` that is negative or
 not a number (``0`` stops at once, ``inf`` never), a ``generate`` size
-that makes no instance and a ``solve --stats`` or ``-o`` file that
-cannot be written), 3 parse or
+that the generator refuses with ValueError and a ``solve --stats`` or
+``-o`` file that cannot be written), 3 parse or
 validation error, 4 interrupted (``crosscheck`` also exits 4, printing
 ``crosscheck: skipped (interrupted)``, when one of its decision queries
 runs out of pivot budget or of what the solve left of ``--timeout``),
@@ -129,26 +129,12 @@ def cmd_crosscheck(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _generate_text(args) -> str:
-    """The requested instance; raises ValueError on a size that makes no
-    instance."""
-    if args.family == "strip-packing":
-        width = parse_rat(args.width)
-        if args.n < 1:
-            raise ValueError(f"-n must be at least 1, got {args.n}")
-        if width <= 0:
-            raise ValueError(f"--width must be positive, got {args.width}")
-        return strip_packing_instance(args.n, width, args.seed)[0]
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.machines < 1:
-        raise ValueError(f"--machines must be at least 1, got {args.machines}")
-    return jobshop_instance(args.jobs, args.machines, args.seed)[0]
-
-
 def cmd_generate(args) -> int:
-    try:
-        text = _generate_text(args)
+    try:  # the generators raise ValueError on a size that makes no instance
+        if args.family == "strip-packing":
+            text = strip_packing_instance(args.n, parse_rat(args.width), args.seed)[0]
+        else:
+            text = jobshop_instance(args.jobs, args.machines, args.seed)[0]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

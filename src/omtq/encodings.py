@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import EQ, LE
+from .arith import EQ, LE, exact, integral_or_fraction
 from .formula import (
     Atom,
     BAtom,
@@ -72,8 +72,7 @@ class SplitMix64:
 
 
 def _atom(ids: dict, coeffs: dict, op: str, rhs) -> BAtom:
-    mapped = {ids[name]: Fraction(c) for name, c in coeffs.items()}
-    return BAtom(mapped, -Fraction(rhs), op)
+    return BAtom({ids[name]: c for name, c in coeffs.items()}, -exact(rhs), op)
 
 
 def _declare(f: CnfFormula, variables) -> dict:
@@ -84,7 +83,8 @@ def encode_ldp(variables, cost: str, disjunctions, lb=None, ub=None) -> OmtProbl
     """Disjunctions of single linear constraints.
 
     ``disjunctions`` is a list of clauses; each clause is a list of
-    (coeffs, op, rhs) triples with name-keyed coefficient dicts.
+    (coeffs, op, rhs) triples with name-keyed coefficient dicts, whose
+    numbers are taken as ``normalize_atom`` takes them.
     """
     f = CnfFormula()
     ids = _declare(f, variables)
@@ -139,23 +139,16 @@ def encode_pb(num_bools: int, clauses, weights, lb=Fraction(0), ub=None) -> OmtP
     Each contribution's four atoms are built in canonical normal form,
     as ``normalize_atom`` would give them: ``w_i >= 0`` is
     ``-w_i <= 0``, and ``-weight_i`` is an int when the weight is
-    integral.  The weights are ``Fraction``s only for validation and the
-    default ``ub``.
+    integral.
 
     A ``num_bools`` that is not a nonnegative ``int`` (a ``bool`` is
     not one), a literal that is not a nonzero ``int`` naming one of the
-    Booleans, or a weight without a finite exact value, is a
-    ``ValueError``.
+    Booleans, or a weight that ``arith.exact`` refuses (a ``str``
+    included), is a ``ValueError``.
     """
     if not isinstance(num_bools, int) or isinstance(num_bools, bool) or num_bools < 0:
         raise ValueError(f"num_bools {num_bools!r} is not a nonnegative int")
-    values = []
-    for w in weights:
-        try:
-            values.append(Fraction(w))
-        except (ValueError, TypeError, OverflowError):  # nan, non-numbers, infinities
-            raise ValueError(f"weight {w!r} has no finite exact value") from None
-    weights = values
+    weights = [exact(w) for w in weights]
     if len(weights) != num_bools:
         raise ValueError("one weight per Boolean variable required")
     if any(w < 0 for w in weights):
@@ -174,7 +167,7 @@ def encode_pb(num_bools: int, clauses, weights, lb=Fraction(0), ub=None) -> OmtP
         f.add_clause(lits)
     lit_for_atom, add_clause = f.lit_for_atom, f.add_clause
     for b, w, weight in zip(bools, contrib, weights):
-        minus = -weight.numerator if weight.denominator == 1 else -weight
+        minus = integral_or_fraction(-weight)
         one = ((w, 1),)
         lz = lit_for_atom(Atom(one, 0, EQ))
         lw = lit_for_atom(Atom(one, minus, EQ))
@@ -204,6 +197,11 @@ def smt_rat(q: Fraction) -> str:
     return f"(/ {q.numerator} {q.denominator})"
 
 
+def _check_size(name: str, k):
+    if type(k) is not int or k < 1:
+        raise ValueError(f"{name} {k!r} is not an int of at least 1")
+
+
 # ---------------------------------------------------------------------------
 # rectangle strip packing
 
@@ -215,9 +213,14 @@ def strip_packing_instance(n: int, width: Fraction, seed: int) -> tuple[str, dic
     Rectangles are axis-aligned and may not rotate; (x_i, y_i) is the
     top-left corner, the piece occupies [x_i, x_i+L_i] x [y_i-H_i, y_i].
     A shelf heuristic supplies a feasible length that upper-bounds the
-    optimum and is asserted as a hard cap.
+    optimum and is asserted as a hard cap.  An ``n`` below 1 or that is
+    no ``int``, or a ``width`` that is not positive or that
+    ``arith.exact`` refuses, raises ValueError.
     """
-    width = Fraction(width)
+    _check_size("n", n)
+    width = Fraction(exact(width))
+    if width <= 0:
+        raise ValueError(f"width {width} is not positive")
     rng = SplitMix64(seed)
     pieces = []
     for _ in range(n):
@@ -287,7 +290,10 @@ def strip_packing_problem(n: int, width, seed: int) -> tuple[OmtProblem, dict]:
 def jobshop_instance(jobs: int, machines: int, seed: int) -> tuple[str, dict]:
     """Zero-wait job shop: every job visits machines 0..m-1 in order with
     no waiting between stages, one job per machine at a time; minimize
-    the makespan.  Returns (instance text, metadata)."""
+    the makespan.  Returns (instance text, metadata).  ``jobs`` and
+    ``machines`` are ``int``s of at least 1, else ValueError is raised."""
+    _check_size("jobs", jobs)
+    _check_size("machines", machines)
     rng = SplitMix64(seed)
     dur = [[rng.randint(1, 8) for _ in range(machines)] for _ in range(jobs)]
     prefix = []

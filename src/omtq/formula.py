@@ -14,9 +14,10 @@ a disjunction of two strict inequalities.
 The canonical ``Atom`` keeps every coefficient and constant in
 ``arith``'s normal form: an ``int`` when integral, else a ``Fraction``
 with denominator > 1; ``normalize_atom`` puts a raw comparison's
-numbers, whatever their form, into it in one pass that leaves an ``int``
-as it is.  Integral input, the common case, is then hashed and turned
-into simplex rows and bounds as machine-word ints, and every layer that
+numbers into it in one pass that leaves an ``int`` as it is and takes
+any other as ``arith.exact`` does.  Integral input, the common case, is
+then hashed and turned into simplex rows and bounds as machine-word
+ints, and every layer that
 divides an atom field does so with ``arith.quotient`` or another exact
 ``Fraction`` division.  An ``Atom`` is a ``__slots__`` value holding its
 three fields and their hash, computed once when it is built; it refuses
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .arith import EQ, LE, LT, quotient
+from .arith import EQ, LE, LT, exact, integral_or_fraction, quotient
 
 # ---------------------------------------------------------------------------
 # atoms
@@ -121,23 +122,25 @@ def normalize_atom(coeffs: dict, const, op: str) -> tuple[Atom, bool]:
 
     ``op`` is one of <=, <, =, !=, >=, >; the raw constraint is
     (sum coeffs + const) op 0.  The term must mention at least one
-    variable (callers fold ground comparisons first).  Coefficients and
-    constant may come as ints, Fractions or other exact-convertible
-    numbers such as floats; the atom holds each in normal form, an
-    ``int`` when integral, else a ``Fraction``.  Any other relation, and
-    a number with no finite exact value (an infinity or a nan), raises
-    ValueError.
+    variable (callers fold ground comparisons first).  Each coefficient
+    and the constant is an ``int``, a ``Fraction`` or a finite float,
+    which is taken as its exact ``Fraction`` (``arith.exact``); the atom
+    holds each in normal form, an ``int`` when integral, else a
+    ``Fraction``.  Any other relation or number, a ``bool`` or a ``str``
+    included, raises ValueError.
     """
     try:
         rel, negated, polarity = _RELATIONS[op]
     except (KeyError, TypeError):  # TypeError: an unhashable op
         raise ValueError(f"unknown relation {op!r}") from None
-    # an int, the common case, is in normal form already
-    pairs = sorted([(v, c if type(c) is int else _normal(c)) for v, c in coeffs.items() if c])
+    # an int, the common case, is in normal form already; a zero is dropped once checked
+    pairs = sorted(
+        [(v, q) for v, c in coeffs.items() if (q := c if type(c) is int else integral_or_fraction(exact(c)))]
+    )
     if not pairs:
         raise ValueError("ground comparison reached normalize_atom")
     if type(const) is not int:
-        const = _normal(const)
+        const = integral_or_fraction(exact(const))
     # divide by the lead coefficient, or by its absolute value for an
     # inequality, which keeps its direction; negate for >= and >
     lead = pairs[0][1]
@@ -152,20 +155,6 @@ def normalize_atom(coeffs: dict, const, op: str) -> tuple[Atom, bool]:
         pairs = [(v, quotient(c, lead)) for v, c in pairs]
         const = quotient(const, lead)
     return Atom(tuple(pairs), const, rel), polarity
-
-
-def _normal(q):
-    """``q`` in normal form; a number that is neither an int nor a
-    Fraction, such as a float, is first made its exact Fraction, so no
-    float reaches an atom.  One with no such value raises ValueError."""
-    if type(q) is int:
-        return q
-    if type(q) is not Fraction:
-        try:
-            q = Fraction(q)
-        except (OverflowError, ValueError):  # an infinity; a nan
-            raise ValueError(f"{q!r} is not a finite number") from None
-    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +176,14 @@ class BProp(BoolExpr):
 
 
 class BAtom(BoolExpr):
-    """Raw comparison leaf; canonicalized during CNF conversion.  The
-    constant is taken in normal form as ``normalize_atom`` takes it."""
+    """Raw comparison leaf; canonicalized during CNF conversion.  Its
+    numbers are taken in normal form as ``normalize_atom`` takes them."""
 
     __slots__ = ("coeffs", "const", "op")
 
     def __init__(self, coeffs, const, op):
-        self.coeffs = dict(coeffs)
-        self.const = _normal(const)
+        self.coeffs = {v: c if type(c) is int else integral_or_fraction(exact(c)) for v, c in coeffs.items()}
+        self.const = const if type(const) is int else integral_or_fraction(exact(const))
         self.op = op
 
 
@@ -503,10 +492,10 @@ class OmtProblem:
 
     The range convention is [lb, ub[: the lower bound is admissible, the
     upper is not.  Bounds are enforced as unit constraints by the search
-    engines, not stored inside the clause set.  A bound that is neither
-    an ``int`` nor a ``Fraction``, such as a float, is kept as its exact
-    ``Fraction``, as ``normalize_atom`` takes coefficients; one with no
-    such value, an infinity or a nan, raises ValueError.  So does a
+    engines, not stored inside the clause set.  A bound is None, an
+    ``int`` or a ``Fraction``, each kept as it is, or a finite float,
+    kept as its exact ``Fraction`` (``arith.exact``); any other value, a
+    ``bool`` or a ``str`` included, raises ValueError.  So does a
     clause literal that is not a nonzero ``int`` naming one of the
     formula's solver variables, and a ``cost`` that is not the ``int``
     index of one of its rational variables (a ``bool`` is not an index).
@@ -521,13 +510,8 @@ class OmtProblem:
         cost = self.cost
         if type(cost) is not int or not 0 <= cost < len(self.formula.rat_names):
             raise ValueError(f"cost {cost!r} is not the int index of a declared variable")
-        for name in ("lb", "ub"):
-            q = getattr(self, name)
-            if q is not None and type(q) is not int and type(q) is not Fraction:
-                try:
-                    setattr(self, name, Fraction(q))
-                except OverflowError:  # an infinity; a nan raises ValueError
-                    raise ValueError(f"range bound {name} is not finite") from None
+        self.lb = None if self.lb is None else exact(self.lb)
+        self.ub = None if self.ub is None else exact(self.ub)
         if self.lb is not None and self.ub is not None and not (self.lb < self.ub):
             raise ValueError("empty cost range: require lb < ub")
         n = self.formula.num_solver_vars

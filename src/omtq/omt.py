@@ -48,11 +48,13 @@ from .arith import (
     Value,
     _make,
     eps_part,
+    exact,
+    integral_or_fraction,
     materialize_epsilon,
     quotient,
     real_part,
 )
-from .formula import ATOM, Atom, CnfFormula, OmtProblem, _normal, normalize_atom
+from .formula import ATOM, Atom, CnfFormula, OmtProblem, normalize_atom
 from .lra import Interrupted, LraSolver, conjunction_min, minimize_var
 from .sat import SatSolver, TheoryClient
 
@@ -93,9 +95,7 @@ class OmtConfig:
             raise ValueError(f"unknown schema {self.schema!r}")
         if self.search not in (LINEAR, BINARY):
             raise ValueError(f"unknown search mode {self.search!r}")
-        t = self.timeout
-        if t is not None and (isinstance(t, bool) or not isinstance(t, Real) or t != t):
-            raise ValueError(f"timeout {t!r} is not a number of seconds")
+        _seconds(self.timeout)
         k = self.max_loops
         if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 0):
             raise ValueError(f"max_loops {k!r} is not an int of at least 0")
@@ -128,17 +128,25 @@ class OmtOutcome:
 # shared plumbing
 
 
-def deadline(timeout) -> Optional[float]:
-    """The ``time.monotonic()`` value ``timeout`` seconds from now, or
-    None without a timeout.  A timeout beyond float range reads as +-inf:
-    the search never stops on it, or stops at once."""
+def _seconds(timeout) -> Optional[float]:
+    """The timeout rule of ``OmtConfig`` and ``crosscheck``: None, or a
+    real number that is not a ``bool`` or nan, as float seconds (+-inf
+    beyond float range); anything else raises ValueError."""
     if timeout is None:
         return None
+    if isinstance(timeout, bool) or not isinstance(timeout, Real) or timeout != timeout:
+        raise ValueError(f"timeout {timeout!r} is not a number of seconds")
     try:
-        seconds = float(timeout)
+        return float(timeout)
     except OverflowError:
-        seconds = inf if timeout > 0 else -inf
-    return time.monotonic() + seconds
+        return inf if timeout > 0 else -inf
+
+
+def deadline(timeout) -> Optional[float]:
+    """The ``time.monotonic()`` value ``timeout`` (see ``_seconds``)
+    seconds from now, or None without a timeout."""
+    s = _seconds(timeout)
+    return None if s is None else time.monotonic() + s
 
 
 def problem_scale(formula: CnfFormula, lb, ub) -> int:
@@ -153,7 +161,7 @@ def problem_scale(formula: CnfFormula, lb, ub) -> int:
 def _cost_atom(problem: OmtProblem, value, rel: str):
     """(atom, polarity) of (cost rel value), already canonical: the one
     coefficient is 1 and the constant is -value in normal form."""
-    return Atom(((problem.cost, 1),), -_normal(value), rel), True
+    return Atom(((problem.cost, 1),), -integral_or_fraction(exact(value)), rel), True
 
 
 class TheoryBridge(TheoryClient):
@@ -745,7 +753,8 @@ def crosscheck(
     """Validate an outcome with decision queries, each on a fresh engine
     built from the same SAT and simplex cores as the search.  With a
     ``timeout`` (seconds), each query gets the time that remains of it,
-    and one that runs out raises TimeoutError."""
+    and one that runs out raises TimeoutError; one that ``OmtConfig``
+    would refuse raises ValueError."""
     end = deadline(timeout)
 
     def decide(extra_literals=()):

@@ -237,9 +237,9 @@ def test_encode_pb_matches_the_reference():
     kinds, every atom field with its type, names, cost and range."""
     inputs = [(random_pb(seed), {}) for seed in range(20)]
     clauses = [[1, -2], [2, 3], [-1, -3, 2]]
-    for weights in ([0, 3, 1], [Fraction(3, 2), 1, 2], ["5/2", 4, 1], [7.5, 2, 0], [0, 0, 0]):
+    for weights in ([0, 3, 1], [Fraction(3, 2), 1, 2], [Fraction(5, 2), 4, 1], [7.5, 2, 0], [0, 0, 0]):
         inputs.append(((3, clauses, weights), {}))
-    inputs.append(((3, clauses, [1, "1/3", 2]), {"lb": 1, "ub": Fraction(7, 2)}))
+    inputs.append(((3, clauses, [1, Fraction(1, 3), 2]), {"lb": 1, "ub": Fraction(7, 2)}))
     for args, kwargs in inputs:
         assert typed_digest(encode_pb(*args, **kwargs)) == typed_digest(reference_encode_pb(*args, **kwargs)), args
 
