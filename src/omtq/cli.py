@@ -167,8 +167,7 @@ def _bench_one(task):
     row = dict.fromkeys(BENCH_COLUMNS, "")
     row.update(instance=os.path.basename(path), schema=schema, search=search, status="error")
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            problem = parse_problem(fh.read())
+        problem = _load_problem(path, None, None)
         start = time.monotonic()
         outcome = solve(problem, config)
         elapsed = (time.monotonic() - start) * 1000.0

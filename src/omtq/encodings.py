@@ -50,9 +50,12 @@ MASK64 = (1 << 64) - 1
 
 
 class SplitMix64:
-    """splitmix64: tiny, fast, and identical on every platform."""
+    """splitmix64: tiny, fast, and identical on every platform.  A seed
+    that is no ``int``, or is a ``bool``, raises ValueError."""
 
     def __init__(self, seed: int):
+        if type(seed) is not int:
+            raise ValueError(f"seed {seed!r} is not an int")
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
@@ -71,12 +74,20 @@ class SplitMix64:
 # structured encoders
 
 
+class _Ids(dict):
+    """Variable ids by name; a name missing from ``variables`` raises
+    ValueError."""
+
+    def __missing__(self, name):
+        raise ValueError(f"name {name!r} is not in variables")
+
+
 def _atom(ids: dict, coeffs: dict, op: str, rhs) -> BAtom:
     return BAtom({ids[name]: c for name, c in coeffs.items()}, -exact(rhs), op)
 
 
 def _declare(f: CnfFormula, variables) -> dict:
-    return {name: f.new_rat_var(name) for name in variables}
+    return _Ids((name, f.new_rat_var(name)) for name in variables)
 
 
 def encode_ldp(variables, cost: str, disjunctions, lb=None, ub=None) -> OmtProblem:
@@ -84,7 +95,8 @@ def encode_ldp(variables, cost: str, disjunctions, lb=None, ub=None) -> OmtProbl
 
     ``disjunctions`` is a list of clauses; each clause is a list of
     (coeffs, op, rhs) triples with name-keyed coefficient dicts, whose
-    numbers are taken as ``normalize_atom`` takes them.
+    numbers are taken as ``normalize_atom`` takes them.  A cost or
+    coefficient name missing from ``variables`` raises ValueError.
     """
     f = CnfFormula()
     ids = _declare(f, variables)
@@ -101,7 +113,8 @@ def encode_lgdp(variables, cost: str, disjunctions, lb=None, ub=None, exclusive:
     Each alternative is a list of (coeffs, op, rhs) triples; alternative
     j of disjunction k gets an indicator y<k>_<j> implying all its
     constraints, and each disjunction requires at least one indicator
-    (pairwise exclusion is optional on top).
+    (pairwise exclusion is optional on top).  Names are checked as in
+    ``encode_ldp``.
     """
     f = CnfFormula()
     ids = _declare(f, variables)
@@ -214,8 +227,8 @@ def strip_packing_instance(n: int, width: Fraction, seed: int) -> tuple[str, dic
     top-left corner, the piece occupies [x_i, x_i+L_i] x [y_i-H_i, y_i].
     A shelf heuristic supplies a feasible length that upper-bounds the
     optimum and is asserted as a hard cap.  An ``n`` below 1 or that is
-    no ``int``, or a ``width`` that is not positive or that
-    ``arith.exact`` refuses, raises ValueError.
+    no ``int``, a ``width`` that is not positive or that ``arith.exact``
+    refuses, or a ``seed`` that ``SplitMix64`` refuses raises ValueError.
     """
     _check_size("n", n)
     width = Fraction(exact(width))
@@ -291,7 +304,8 @@ def jobshop_instance(jobs: int, machines: int, seed: int) -> tuple[str, dict]:
     """Zero-wait job shop: every job visits machines 0..m-1 in order with
     no waiting between stages, one job per machine at a time; minimize
     the makespan.  Returns (instance text, metadata).  ``jobs`` and
-    ``machines`` are ``int``s of at least 1, else ValueError is raised."""
+    ``machines`` are ``int``s of at least 1 and ``seed`` is an ``int``
+    that is not a ``bool``, else ValueError is raised."""
     _check_size("jobs", jobs)
     _check_size("machines", machines)
     rng = SplitMix64(seed)

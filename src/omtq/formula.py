@@ -117,6 +117,14 @@ _RELATIONS = {
 }
 
 
+def _relation(op) -> tuple[str, bool, bool]:
+    """``_RELATIONS[op]``; any other relation raises ValueError."""
+    try:
+        return _RELATIONS[op]
+    except (KeyError, TypeError):  # TypeError: an unhashable op
+        raise ValueError(f"unknown relation {op!r}") from None
+
+
 def normalize_atom(coeffs: dict, const, op: str) -> tuple[Atom, bool]:
     """Canonicalize a raw comparison into (atom, polarity).
 
@@ -129,10 +137,7 @@ def normalize_atom(coeffs: dict, const, op: str) -> tuple[Atom, bool]:
     ``Fraction``.  Any other relation or number, a ``bool`` or a ``str``
     included, raises ValueError.
     """
-    try:
-        rel, negated, polarity = _RELATIONS[op]
-    except (KeyError, TypeError):  # TypeError: an unhashable op
-        raise ValueError(f"unknown relation {op!r}") from None
+    rel, negated, polarity = _relation(op)
     # an int, the common case, is in normal form already; a zero is dropped once checked
     pairs = sorted(
         [(v, q) for v, c in coeffs.items() if (q := c if type(c) is int else integral_or_fraction(exact(c)))]
@@ -333,18 +338,14 @@ class CnfFormula:
 
 
 def _fold_ground(coeffs, const, op) -> Optional[bool]:
-    """Truth value when the comparison has no variables, else None."""
+    """Truth value when the comparison has no variables, else None; an
+    unknown relation raises ValueError, as in ``normalize_atom``."""
     if any(coeffs.values()):
         return None
-    if op in (LE, ">="):
-        return const <= 0 if op == LE else -const <= 0
-    if op in (LT, ">"):
-        return const < 0 if op == LT else -const < 0
-    if op == EQ:
-        return const == 0
-    if op == "!=":
-        return const != 0
-    raise ValueError(f"bad op {op!r}")
+    rel, negated, polarity = _relation(op)
+    if negated:
+        const = -const
+    return (const <= 0 if rel == LE else const < 0 if rel == LT else const == 0) == polarity
 
 
 class _Cnfizer:

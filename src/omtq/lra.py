@@ -334,17 +334,7 @@ class LraSolver:
                 db = den[b]
                 if theta is not None:
                     # b moves by theta * cy / db
-                    if db != 1:
-                        val = beta[b] + theta * Fraction(cy, db)
-                    elif cy == 1:
-                        val = beta[b] + theta
-                    elif cy == -1:
-                        val = beta[b] - theta
-                    else:
-                        val = beta[b] + theta * cy
-                    if type(val) is Fraction and val.denominator == 1:
-                        val = val.numerator
-                    beta[b] = val
+                    beta[b] = _plus_times(beta[b], theta, cy, db)
                     candidates.add(b)
                 # den[b] * b = cy * enter + rest; multiply through by d
                 if d != 1:

@@ -80,7 +80,8 @@ class OmtConfig:
     that ends in a level-0 conflict stops before that visit, so its last
     update is not counted, and with ``max_loops=0`` such a run can still
     return its optimum.  A ``bool`` is neither a timeout nor a loop
-    budget.  Anything else raises ValueError."""
+    budget.  The three switches are ``bool``s.  Anything else raises
+    ValueError."""
 
     schema: str = INLINE
     search: str = BINARY  # binary alternates with linear steps unless always_binary
@@ -95,6 +96,9 @@ class OmtConfig:
             raise ValueError(f"unknown schema {self.schema!r}")
         if self.search not in (LINEAR, BINARY):
             raise ValueError(f"unknown search mode {self.search!r}")
+        for name in ("always_binary", "early_pruning", "pure_literal"):
+            if type(getattr(self, name)) is not bool:
+                raise ValueError(f"{name} {getattr(self, name)!r} is not a bool")
         _seconds(self.timeout)
         k = self.max_loops
         if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 0):
@@ -560,8 +564,7 @@ class InlineBridge(TheoryBridge):
         self.pivot_val: Optional[Fraction] = None
         # the running result of _scan_root_bounds and the length of the
         # level-0 trail it has read
-        lo = None if problem.lb is None else DeltaRational(problem.lb)
-        self.root_bounds: tuple = (lo, None, None)
+        self.root_bounds: tuple = (self.range.lo, None, None)
         self.root_scanned = 0
 
     # -- range maintenance at level 0

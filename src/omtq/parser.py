@@ -25,9 +25,9 @@ The tree holds token indices, not token objects: an atom is its index
 into the token list (an ``int``), and a list is the Python list
 ``[index of its '(', index of its ')', item, ...]``.  No position is
 recorded while reading.  A ``ParseError`` finds the line and column of
-the token it names with ``position``, which reads the text a second
-time, token by token, counting newlines; that pass runs once, for the
-input that fails.
+the token it names with ``position``, which runs ``_SCAN`` over the
+text a second time, up to that token, and counts the newlines before
+its offset; that pass runs once, for the input that fails.
 
 The builder reads a comparison into one coefficient map: each operand
 adds its variables, times the factor the operators above it apply, into
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .arith import _NUMERAL, integral_or_fraction, parse_rat, quotient
@@ -103,11 +104,6 @@ _SIGNIFICANT = r'[()]|\|[^|]*\||"(?:[^"]|"")*"|[^ \t\r\n();]+'
 # empty only at the end of the text.
 _SCAN = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*(" + _SIGNIFICANT + ")?")
 
-# One token per alternative: a comment, a newline, a run of other
-# blanks or a significant token.  findall silently skips what no
-# alternative matches, so together they cover every character.
-_TOKEN = re.compile(r";[^\n]*|\n|[ \t\r]+|" + _SIGNIFICANT)
-
 # The quote delimiters, and the ASCII characters that str.split counts
 # as blanks and SMT-LIB does not.  An ASCII text holding none of them
 # splits, once its comments are gone and its parentheses are spaced
@@ -119,25 +115,13 @@ _COMMENT = re.compile(r";[^\n]*")
 
 def position(text: str, i: int) -> tuple[int, int]:
     """The 1-based line and column of significant token ``i`` of
-    ``text``.  A newline inside a quoted token counts, too."""
-    line = col = 1
-    for tok in _TOKEN.findall(text):
-        c = tok[0]
-        if c == "\n":
-            line += 1
-            col = 1
-        elif c == " " or c == "\t" or c == "\r" or c == ";":
-            col += len(tok)  # a comment ends at the newline token
-        elif i:
-            i -= 1
-            if (c == "|" or c == '"') and "\n" in tok:
-                line += tok.count("\n")
-                col = len(tok) - tok.rindex("\n")
-            else:
-                col += len(tok)
-        else:
-            return line, col
-    raise IndexError(f"text has no significant token {i}")
+    ``text``, from the offset of its ``_SCAN`` match.  A newline inside
+    a quoted token counts, too."""
+    m = next(islice(_SCAN.finditer(text), i, None), None)
+    start = -1 if m is None else m.start(1)  # -1: the empty match at the end
+    if start < 0:
+        raise IndexError(f"text has no significant token {i}")
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
 def read_tree(text: str) -> tuple[list[str], list]:
@@ -311,14 +295,10 @@ class _ProblemBuilder:
         if head is None:
             raise self._error("expected an operator application", node)
         args = node[3:]
-        if head == "and":
+        if head == "and" or head == "or":
             if not args:
-                raise self._error("'and' needs arguments", node)
-            return BAnd([self.bool_expr(a) for a in args])
-        if head == "or":
-            if not args:
-                raise self._error("'or' needs arguments", node)
-            return BOr([self.bool_expr(a) for a in args])
+                raise self._error(f"{head!r} needs arguments", node)
+            return (BAnd if head == "and" else BOr)([self.bool_expr(a) for a in args])
         if head == "not":
             if len(args) != 1:
                 raise self._error("'not' needs one argument", node)

@@ -44,11 +44,10 @@ The client's conflict and reason clauses go to ``_attach_ranked``.
 its UIP is first and its first highest-level literal second, which is
 what the rank scan would pick after the backjump.
 
-Propagation, its pending-unit pass and the theory-propagation loop of
-``propagate`` also assign in place, writing ``assign``, ``level``,
-``reason_``, ``free`` and ``trail`` themselves; ``enqueue`` is left to
-decisions and asserting learnt clauses, and ``stats.propagations``
-grows by the trail's growth.
+Every assignment goes through ``enqueue`` but one: the watch loop of
+``_bcp``, the hot path, writes ``assign``, ``level``, ``reason_``,
+``free`` and ``trail`` in place and adds its trail growth to
+``stats.propagations``, which ``enqueue`` bumps by one per literal.
 
 Decisions come from ``free``, an activity list kept beside ``activity``:
 ``free[v]`` is ``activity[v]`` while ``v`` is unassigned and -1.0 once
@@ -310,38 +309,21 @@ class SatSolver:
 
     def _bcp(self) -> Optional[Clause]:
         """Unit propagation from ``qhead``; returns a false clause or None.
-        Each implied literal is assigned in place, as ``enqueue`` would."""
+        The watch loop assigns in place, as ``enqueue`` would."""
         assign, trail, watches = self.assign, self.trail, self.watches
-        level, reason, free = self.level, self.reason_, self.free
         lvl = len(self.trail_lim)
-        start = len(trail)
-        confl = None
         if not lvl and self._pending_units:
             pending, self._pending_units = self._pending_units, []
             for c in pending:
-                unassigned = None
-                nfree = 0
-                for l in c.lits:
-                    val = assign[l] if l > 0 else -assign[-l]
-                    if val == 1:
-                        break
-                    if val == 0:
-                        nfree += 1
-                        unassigned = l
-                else:
-                    if nfree == 0:
-                        confl = c
-                        break
-                    if nfree == 1:
-                        v = unassigned if unassigned > 0 else -unassigned
-                        assign[v] = 1 if unassigned > 0 else -1
-                        level[v] = 0
-                        reason[v] = c
-                        free[v] = -1.0
-                        trail.append(unassigned)
-            if confl is not None:
-                self.stats.propagations += len(trail) - start
-                return confl
+                # the literals not false: none is a conflict, one unassigned a unit
+                live = [l for l in c.lits if (assign[l] if l > 0 else -assign[-l]) != -1]
+                if not live:
+                    return c
+                if len(live) == 1 and assign[abs(live[0])] == 0:
+                    self.enqueue(live[0], c)
+        level, reason, free = self.level, self.reason_, self.free
+        start = len(trail)
+        confl = None
         qhead = self.qhead
         while qhead < len(trail):
             falsified = -trail[qhead]
@@ -421,17 +403,8 @@ class SatSolver:
             if tag == "propagate":
                 # each reason clause is attached before its literal is
                 # assigned: the rank scan reads ``assign``
-                assign, level, reason, free = self.assign, self.level, self.reason_, self.free
-                trail, lvl = self.trail, len(self.trail_lim)
                 for lit, reason_lits in resp[1]:
-                    c = self._attach_ranked(list(reason_lits), True)
-                    v = lit if lit > 0 else -lit
-                    assign[v] = 1 if lit > 0 else -1
-                    level[v] = lvl
-                    reason[v] = c
-                    free[v] = -1.0
-                    trail.append(lit)
-                self.stats.propagations += len(resp[1])
+                    self.enqueue(lit, self._attach_ranked(list(reason_lits), True))
                 continue
             if tag in ("restart", "halt"):
                 return resp

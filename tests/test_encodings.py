@@ -79,6 +79,15 @@ def test_ldp_disjunction_choice():
         assert out.value == 3 and out.attained
 
 
+def test_ldp_and_lgdp_name_a_missing_cost_or_coefficient():
+    triple = ({"x": 1}, "<=", 1)
+    for encode, wrap in ((encode_ldp, lambda t: [[t]]), (encode_lgdp, lambda t: [[[t]]])):
+        with pytest.raises(ValueError, match="'c' is not in variables"):
+            encode(["x"], "c", wrap(triple))
+        with pytest.raises(ValueError, match="'y' is not in variables"):
+            encode(["x"], "x", wrap(({"y": 1}, "<=", 1)))
+
+
 def test_lgdp_indicators_guard_alternatives():
     prob = encode_lgdp(
         ["cost", "x"],
@@ -254,6 +263,23 @@ def test_strip_text_is_deterministic_per_seed():
     assert t1 == t2
     assert m1 == m2
     assert t1 != t3
+
+
+@pytest.mark.parametrize("seed", ["1", 1.5, True, None])
+def test_generators_reject_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(ValueError, match="seed"):
+        strip_packing_instance(2, 1, seed)
+    with pytest.raises(ValueError, match="seed"):
+        jobshop_instance(2, 2, seed)
+
+
+def test_generators_take_every_int_seed_modulo_two_to_the_64():
+    """A negative or a wide seed is reduced to 64 bits; only the header
+    comment that echoes the seed differs."""
+    for make in (lambda s: strip_packing_instance(3, 1, s), lambda s: jobshop_instance(2, 2, s)):
+        for seed in (-1, 2**64 + 5):
+            text, wrapped = make(seed)[0], make(seed % 2**64)[0]
+            assert text.split("\n", 1)[1] == wrapped.split("\n", 1)[1]
 
 
 def test_strip_meta_matches_problem():

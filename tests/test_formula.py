@@ -172,6 +172,14 @@ def test_cnfize_rejects_a_leaf_with_an_unknown_relation():
         cnfize(BAtom({x: 1}, 0, "=<"), f)
 
 
+@pytest.mark.parametrize("zero_term", [False, True], ids=["no-variable", "zero-coefficient"])
+def test_cnfize_rejects_a_ground_leaf_with_an_unknown_relation(zero_term):
+    f = CnfFormula()
+    x = f.new_rat_var("x")
+    with pytest.raises(ValueError, match="unknown relation"):
+        cnfize(BAtom({x: 0} if zero_term else {}, 0, "=<"), f)
+
+
 _INF, _NAN = float("inf"), float("nan")
 
 

@@ -99,6 +99,14 @@ def test_config_rejects_a_budget_that_is_not_one(field, value):
         OmtConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["always_binary", "early_pruning", "pure_literal"])
+@pytest.mark.parametrize("value", ["no", None, 0, 1])
+def test_config_rejects_a_switch_that_is_not_a_bool(field, value):
+    """A switch is a ``bool``: the truthy ``'no'`` would run as True."""
+    with pytest.raises(ValueError, match=field):
+        OmtConfig(**{field: value})
+
+
 def test_config_keeps_every_real_timeout_and_int_budget():
     for timeout in (None, 0, 2, 0.5, Fraction(1, 3), float("inf"), -1.0):
         assert OmtConfig(timeout=timeout).timeout == timeout
