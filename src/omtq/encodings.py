@@ -114,8 +114,10 @@ def encode_lgdp(variables, cost: str, disjunctions, lb=None, ub=None, exclusive:
     j of disjunction k gets an indicator y<k>_<j> implying all its
     constraints, and each disjunction requires at least one indicator
     (pairwise exclusion is optional on top).  Names are checked as in
-    ``encode_ldp``.
+    ``encode_ldp``; an ``exclusive`` that is not a ``bool`` is a ValueError.
     """
+    if type(exclusive) is not bool:
+        raise ValueError(f"exclusive {exclusive!r} is not a bool")
     f = CnfFormula()
     ids = _declare(f, variables)
     parts = []

@@ -54,7 +54,7 @@ from .arith import (
     quotient,
     real_part,
 )
-from .formula import ATOM, Atom, CnfFormula, OmtProblem, normalize_atom
+from .formula import ATOM, Atom, BAnd, BAtom, BNot, CnfFormula, OmtProblem, cnfize
 from .lra import Interrupted, LraSolver, conjunction_min, minimize_var
 from .sat import SatSolver, TheoryClient
 
@@ -172,10 +172,11 @@ class TheoryBridge(TheoryClient):
     """Feeds the trail's arithmetic literals into the simplex solver.
 
     Asserted atoms are tracked per trail position so backjumps rewind the
-    arithmetic state to exactly the surviving prefix.  Literals whose
-    polarity occurs in no input clause are not asserted (they cannot be
-    needed to satisfy anything and relaxing them only improves minima);
-    assumption literals are exempted via ``forced_lits``.
+    arithmetic state to exactly the surviving prefix.  The bridge owns
+    the pure-literal rule: ``visible`` holds the literals of the input
+    clauses, which all come through ``add_input``, and with the filter
+    on no other literal is asserted (it cannot be needed to satisfy
+    anything and relaxing it only improves minima).
 
     The bridge owns one engine's whole state: a private copy of the
     formula (the input stays reusable), the SAT solver loaded with its
@@ -197,12 +198,12 @@ class TheoryBridge(TheoryClient):
         self.formula = formula = problem.formula.copy()
         self.sat = SatSolver()
         self.sat.ensure_vars(formula.num_solver_vars)
+        self.visible: set[int] = set()
         for cl in formula.clauses:
-            self.sat.add_clause(cl)
+            self.add_input(cl)
         self.lra = LraSolver(len(formula.rat_names), problem_scale(formula, problem.lb, problem.ub))
         self.ptr = 0
         self.marks: list[tuple] = []  # (trail_pos, lra_mark, atom, polarity)
-        self.forced_lits: set[int] = set()
         # solver vars of the theory atoms by the simplex variable they bound,
         # for entailment; an atom joins at the first fixpoint after it is
         # registered
@@ -215,9 +216,9 @@ class TheoryBridge(TheoryClient):
         self.asks: list[tuple[int, int, int]] = []
         self.lra.deadline = deadline(config.timeout)
         if problem.lb is not None:
-            self.sat.add_clause([-self.cost_lit(problem.lb, LT)])
+            self.add_input([-self.cost_lit(problem.lb, LT)])
         if problem.ub is not None:
-            self.sat.add_clause([self.cost_lit(problem.ub, LT)])
+            self.add_input([self.cost_lit(problem.ub, LT)])
         self.range = CostRange(config, problem.lb, problem.ub)
         # (minimum, scaled problem-variable values, asserted literals) of
         # the best model so far; ``outcome`` makes the concrete model
@@ -229,18 +230,22 @@ class TheoryBridge(TheoryClient):
         self.sat.ensure_vars(self.formula.num_solver_vars)
         return lit
 
+    def add_input(self, lits):
+        """Add an input clause to the SAT core and, unless the core drops
+        it as a tautology, its literals to ``visible``."""
+        if self.sat.add_clause(lits) is not None:
+            self.visible.update(lits)
+
     # -- trail -> simplex
 
     def _assert_up_to(self, solver, upto: int):
         """Assert the theory literals of ``trail[ptr:upto]``, each marked
         with its trail position and ``len(lra.undo)`` before it.  Skipped:
         negated equalities, which are split before they reach the core,
-        and with the pure-literal filter a polarity that occurs in no
-        input clause, unless it is in ``forced_lits``."""
+        and with the pure-literal filter a literal not in ``visible``."""
         trail, lra, marks = solver.trail, self.lra, self.marks
         kind, payload = self.formula.kind, self.formula.payload
-        occ_pos, occ_neg = solver.occ_pos, solver.occ_neg
-        forced = self.forced_lits
+        visible = self.visible
         pure = self.cfg.pure_literal
         undo = lra.undo
         for pos in range(self.ptr, upto):
@@ -251,7 +256,7 @@ class TheoryBridge(TheoryClient):
             atom = payload[v - 1]
             if lit < 0 and atom.rel == EQ:
                 continue
-            if pure and (occ_pos if lit > 0 else occ_neg)[v] == 0 and lit not in forced:
+            if pure and lit not in visible:
                 continue
             marks.append((pos, len(undo), atom, lit > 0))
             confl = lra.assert_atom(atom, lit > 0, lit)
@@ -450,11 +455,11 @@ class TheoryBridge(TheoryClient):
 def compute_pivot(l, u) -> Fraction:
     """Exact midpoint of a finite cost range.
 
-    Raises ValueError when either bound is missing (infinite range).
+    Raises ValueError when a bound is missing or ``arith.exact`` refuses it.
     """
     if l is None or u is None:
         raise ValueError("compute_pivot needs two finite bounds")
-    return (Fraction(l) + Fraction(u)) / 2
+    return Fraction(exact(l) + exact(u), 2)
 
 
 class CostRange:
@@ -517,17 +522,18 @@ class CostRange:
 
 
 def _offline_search(bridge: TheoryBridge) -> OmtOutcome:
-    sat, rng = bridge.sat, bridge.range
+    sat, rng, visible = bridge.sat, bridge.range, bridge.visible
 
     while not rng.empty():
         rng.count_loop()
         pivot = rng.pivot()
         if pivot is not None:
             plit = bridge.cost_lit(pivot, LT)
-            bridge.forced_lits = {plit}
+            hidden = {plit} - visible  # empty when the input holds the pivot
+            visible |= hidden
             bridge.stats.pivots += 1
             res = sat.solve([plit], bridge)
-            bridge.forced_lits = set()
+            visible -= hidden
         else:
             plit = None
             res = sat.solve((), bridge)
@@ -539,10 +545,10 @@ def _offline_search(bridge: TheoryBridge) -> OmtOutcome:
             m, ulit = found
             # the bound ulit asserts
             rng.hi = DeltaRational(real_part(m), 0 if eps_part(m) else -1)
-            sat.add_clause([ulit])
+            bridge.add_input([ulit])
         elif plit is not None and plit in res.core:
             rng.raise_lo(DeltaRational(pivot))
-            sat.add_clause([-plit])
+            bridge.add_input([-plit])
         else:
             break  # unsat independently of the pivot: range exhausted
 
@@ -641,7 +647,7 @@ class InlineBridge(TheoryBridge):
         if found is None:
             return ("halt", UNBOUNDED)
         m, ulit = found
-        solver.add_lemma([ulit], learnt=False)
+        self.add_input([ulit])
         if self.pivot_lit is not None and solver.value(self.pivot_lit) == 1:
             # the pivot unit is only a consequence when the fresh upper
             # bound sits below the pivot; the minimum can land on or
@@ -723,26 +729,29 @@ def solve(problem: OmtProblem, config: Optional[OmtConfig] = None) -> OmtOutcome
 
 def smt_decide(problem: OmtProblem, extra_literals=(), config: Optional[OmtConfig] = None) -> str:
     """Plain satisfiability of the problem's formula, range units included,
-    plus optional extra (atom, polarity) unit literals.  Returns 'sat' or
-    'unsat'.  The core never asserts a negated equality, so t != 0
-    enters as the clause t > 0 or t < 0, the negated weak halves that
-    ``cnfize`` splits one into.  An extra literal on a variable id the
-    problem does not declare raises ValueError."""
+    plus optional extra (atom, polarity) unit literals, which ``cnfize``
+    turns into input clauses (t != 0 becomes t > 0 or t < 0).  Returns
+    'sat' or 'unsat'.  An extra literal that is not an (``Atom``, ``bool``)
+    pair, or that names a variable id the problem does not declare,
+    raises ValueError."""
     bridge = TheoryBridge(problem, config if config is not None else OmtConfig())
     formula, sat = bridge.formula, bridge.sat
-    for atom, pol in extra_literals:
+    leaves = []
+    for item in extra_literals:
+        pair = isinstance(item, (tuple, list)) and len(item) == 2
+        if not (pair and type(item[0]) is Atom and type(item[1]) is bool):
+            raise ValueError(f"extra literal {item!r} is not an (Atom, bool) pair")
+        atom, pol = item
         for v, _ in atom.coeffs:
             if not 0 <= v < len(formula.rat_names):
                 raise ValueError(f"extra literal on undeclared variable id {v}")
-        if pol or atom.rel != EQ:
-            lits = [formula.lit_for_atom(atom, pol)]
-        else:
-            term = dict(atom.coeffs)
-            neg = {v: -c for v, c in term.items()}
-            halves = (normalize_atom(term, atom.const, LE), normalize_atom(neg, -atom.const, LE))
-            lits = [formula.lit_for_atom(half, not p) for half, p in halves]
-        sat.ensure_vars(formula.num_solver_vars)
-        sat.add_clause(lits)
+        leaf = BAtom(dict(atom.coeffs), atom.const, atom.rel)
+        leaves.append(leaf if pol else BNot(leaf))
+    n = len(formula.clauses)
+    cnfize(BAnd(leaves), formula)
+    sat.ensure_vars(formula.num_solver_vars)
+    for cl in formula.clauses[n:]:
+        bridge.add_input(cl)
     try:
         res = sat.solve((), bridge)
     except Interrupted:

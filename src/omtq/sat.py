@@ -36,8 +36,8 @@ nonempty trail a rank scan moves its two highest-level literals to the
 front; on an empty trail, as when a fresh core is loaded, every literal
 is unassigned and the watches are the first two literals, as MiniSat
 does.  ``add_clause`` is the validating entry, for input, engine and
-``add_lemma`` clauses: it drops repeated literals and tautologies and
-counts the occurrences of input literals before ``_attach_ranked``.  The
+``add_lemma`` clauses: it drops repeated literals and tautologies before
+``_attach_ranked`` and keeps no record of where a clause came from.  The
 clauses the core makes itself skip those checks, which they cannot fail.
 The client's conflict and reason clauses go to ``_attach_ranked``.
 ``analyze``'s first-UIP clause goes to ``_attach_clause`` as it comes:
@@ -151,8 +151,6 @@ class SatSolver:
         self.activity = [0.0]
         self.free = [-1.0]  # activity while unassigned, else -1.0
         self.phase = [False]
-        self.occ_pos = [0]
-        self.occ_neg = [0]
 
         self.clauses: list[Clause] = []
         self.learnts: list[Clause] = []
@@ -188,8 +186,6 @@ class SatSolver:
         self.activity += [0.0] * k
         self.free += [0.0] * k
         self.phase += [False] * k
-        self.occ_pos += [0] * k
-        self.occ_neg += [0] * k
 
     def value(self, lit: int) -> int:
         v = self.assign[abs(lit)]
@@ -211,20 +207,13 @@ class SatSolver:
         ``add_lemma`` instead.
 
         This is the validating entry, for input, engine and lemma
-        clauses.  The clauses the core makes itself cannot fail its
-        checks and skip them: the client's conflicts and reasons go
-        straight to ``_attach_ranked``, ``analyze``'s clauses to
-        ``_attach_clause``."""
+        clauses; ``learnt`` only picks the list that stores the clause.
+        The clauses the core makes itself cannot fail its checks and skip
+        them: the client's conflicts and reasons go straight to
+        ``_attach_ranked``, ``analyze``'s clauses to ``_attach_clause``."""
         out = list(dict.fromkeys(lits))
         if not set(out).isdisjoint(map(neg, out)):
             return None  # tautology
-        if not learnt:
-            occ_pos, occ_neg = self.occ_pos, self.occ_neg
-            for l in out:
-                if l > 0:
-                    occ_pos[l] += 1
-                else:
-                    occ_neg[-l] += 1
         return self._attach_ranked(out, learnt)
 
     def _attach_ranked(self, lits: list, learnt: bool) -> Clause:
@@ -299,11 +288,11 @@ class SatSolver:
 
     # -- propagation -------------------------------------------------------
 
-    def add_lemma(self, lits, learnt: bool = True):
-        """Add a clause that may be unit or false under the trail: the next
-        level-0 propagation pass examines it, as it does every
+    def add_lemma(self, lits):
+        """Add a learnt clause that may be unit or false under the trail:
+        the next level-0 propagation pass examines it, as it does every
         one-literal clause."""
-        c = self.add_clause(lits, learnt)
+        c = self.add_clause(lits, True)
         if c is not None and len(c.lits) > 1:
             self._pending_units.append(c)
 

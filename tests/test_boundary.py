@@ -15,7 +15,7 @@ from math import inf, nan
 import pytest
 
 from helpers import typed_digest
-from omtq import OmtConfig, crosscheck, solve
+from omtq import OmtConfig, compute_pivot, crosscheck, solve
 from omtq.encodings import encode_ldp, encode_pb, jobshop_instance, strip_packing_instance
 from omtq.formula import BAtom, CnfFormula, OmtProblem, cnfize, normalize_atom
 from omtq.parser import parse_problem
@@ -93,6 +93,8 @@ SITES = {
     "BAtom-constant": (_leaf, EXACT),
     "OmtProblem-lb": (lambda q: _range(q, None), OPTIONAL),
     "OmtProblem-ub": (lambda q: _range(None, q), OPTIONAL),
+    "compute_pivot-l": (lambda q: compute_pivot(q, 5), EXACT),
+    "compute_pivot-u": (lambda q: compute_pivot(-1, q), EXACT),
     "encode_pb-weight": (lambda q: typed_digest(encode_pb(2, [[1, 2]], [q, 1])), EXACT),
     "encode_ldp-coefficient": (lambda q: _ldp(q, 1), EXACT),
     "encode_ldp-rhs": (lambda q: _ldp(1, q), EXACT),

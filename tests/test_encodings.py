@@ -134,6 +134,9 @@ def test_lgdp_exclusive_adds_pairwise_blocking():
     assert sorted([-y0, -y1]) in [sorted(c) for c in strict.formula.clauses]
     assert solve(loose, OmtConfig()).value == 0
     assert solve(strict, OmtConfig()).value == 0
+    for exclusive in ("no", 1, None):
+        with pytest.raises(ValueError, match="is not a bool"):
+            encode_lgdp(**base, exclusive=exclusive)
 
 
 def test_pb_weighted_selection():

@@ -398,6 +398,78 @@ def test_decision_queries_reject_an_undeclared_variable():
     assert smt_decide(problem, [(Atom(((0, 1),), 0, "<="), True)]) == "sat"
 
 
+def test_decision_queries_reject_an_extra_literal_that_is_not_an_atom_pair():
+    problem = parse_problem("(declare-fun x () Real)(assert (>= x 0))(minimize x)")
+    atom = Atom(((0, 1),), 0, "<=")
+    for extra in (("a", True), (atom, 1), (atom, None), (atom,), atom, (atom, True, True), "ab"):
+        with pytest.raises(ValueError, match="is not an \\(Atom, bool\\) pair"):
+            smt_decide(problem, [extra])
+    assert smt_decide(problem, [[atom, False]]) == "sat"
+
+
+# an input holding the pivot cost < 8 positively, a tautology on b, and an
+# optimum of 10 in [0, 16[, above the offline pivots 8 and 9
+VISIBILITY = """
+(declare-fun cost () Real)(declare-fun a () Bool)(declare-fun b () Bool)
+(assert (or b (not b)))
+(assert (or a (< cost 8)))
+(assert (>= cost 10))
+(minimize cost)
+"""
+
+
+def test_the_bridge_alone_decides_which_literals_are_visible(monkeypatch):
+    """``visible`` holds the literals of the input clauses the SAT core
+    keeps and the range units.  An offline pivot is visible during the
+    solve that assumes it and afterwards only if the input holds it; a
+    refuted pivot's negation and a model's bound unit become visible.
+    The inline pivot unit is a lemma and stays invisible."""
+    parsed = parse_problem(VISIBILITY)
+    problem = OmtProblem(parsed.formula, parsed.cost, 0, 16)
+    starts = []  # (assumptions, visible) at the start of each solve
+    lemmas = []
+
+    class Recording(omt.SatSolver):
+        def solve(self, assumptions, client):
+            starts.append((list(assumptions), set(client.visible)))
+            return super().solve(assumptions, client)
+
+        def add_lemma(self, lits):
+            lemmas.append(list(lits))
+            super().add_lemma(lits)
+
+    monkeypatch.setattr(omt, "SatSolver", Recording)
+    bridge = omt.TheoryBridge(problem, OmtConfig(schema="offline", search="binary"))
+    lit = {q: bridge.cost_lit(Fraction(q), "<") for q in (0, 8, 9, 10, 16)}
+    b = problem.formula.prop("b")
+    kept = [cl for cl in problem.formula.clauses if not any(-l in cl for l in cl)]
+    assert len(kept) == len(problem.formula.clauses) - 1
+    base = {l for cl in kept for l in cl} | {-lit[0], lit[16]}
+    assert bridge.visible == base and b not in base and -b not in base
+    assert lit[8] in base and lit[9] not in base
+
+    assert omt._offline_search(bridge).value == 10
+    # 8 is refuted; the model's bound cost < 10 leaves the pivot 9 unsat
+    # at level 0, with an empty core, which ends the search
+    assert starts == [
+        ([lit[8]], base),
+        ([], base | {-lit[8]}),
+        ([lit[9]], base | {-lit[8], lit[10], lit[9]}),
+    ]
+    assert bridge.visible == base | {-lit[8], lit[10]}
+
+    # the decided pivot 8 lies above the model's minimum 5, so it becomes a unit
+    parsed = parse_problem(
+        "(declare-fun cost () Real)(declare-fun x () Real)"
+        "(assert (>= cost x))(assert (or (>= x 5) (>= x 6)))(minimize cost)"
+    )
+    inline = omt.InlineBridge(OmtProblem(parsed.formula, parsed.cost, 0, 16), OmtConfig())
+    assert omt._inline_search(inline).value == 5
+    p8, u5 = inline.cost_lit(Fraction(8), "<"), inline.cost_lit(Fraction(5), "<")
+    assert [p8] in lemmas and inline.stats.pivots == 1
+    assert p8 not in inline.visible and u5 in inline.visible
+
+
 # -- reproducibility ---------------------------------------------------------
 
 

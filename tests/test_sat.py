@@ -165,16 +165,7 @@ class ReferenceSatSolver(SatSolver):
         self.activity.append(0.0)
         self.free.append(0.0)
         self.phase.append(False)
-        self.occ_pos.append(0)
-        self.occ_neg.append(0)
         return self.nvars
-
-    def _count_occs(self, lits):
-        for l in lits:
-            if l > 0:
-                self.occ_pos[l] += 1
-            else:
-                self.occ_neg[-l] += 1
 
     def _attach(self, c: Clause):
         self.watches.setdefault(c.lits[0], []).append(c)
@@ -190,8 +181,6 @@ class ReferenceSatSolver(SatSolver):
                 seen[l] = True
                 out.append(l)
         c = _clause(out, learnt)
-        if not learnt:
-            self._count_occs(out)
         if not out:
             self.unsat = True
             return c
@@ -435,8 +424,6 @@ def _clause_db(s):
         [(c.lits, c.learnt) for c in s.learnts],
         [(c.lits, c.learnt) for c in s._pending_units],
         [(l, [c.lits for c in ws]) for l, ws in s.watches.items()],
-        s.occ_pos,
-        s.occ_neg,
         s.unsat,
     )
 
@@ -444,9 +431,9 @@ def _clause_db(s):
 def test_add_clause_on_an_empty_trail_matches_the_reference():
     """Loading clauses into a fresh core, where the watches are the first
     two literals without a rank scan, leaves the same clauses, pending
-    units, watch lists, occurrence counts and unsat flag as the
-    reference; the clause sets mix empty, unit, short and long clauses
-    with repeated literals and tautologies, some of them learnt."""
+    units, watch lists and unsat flag as the reference; the clause sets
+    mix empty, unit, short and long clauses with repeated literals and
+    tautologies, some of them learnt."""
     rng = random.Random(19)
     seen = {"empty": 0, "unit": 0, "long": 0, "repeat": 0, "tautology": 0, "learnt": 0}
     for trial in range(600):
@@ -475,7 +462,7 @@ def test_add_clause_on_an_empty_trail_matches_the_reference():
 
 
 def test_ensure_vars_matches_new_var():
-    arrays = ("assign", "level", "reason_", "activity", "free", "phase", "occ_pos", "occ_neg")
+    arrays = ("assign", "level", "reason_", "activity", "free", "phase")
     for steps in ([0], [1], [5], [3, 3], [2, 7], [6, 4, 9]):
         bulk, single = SatSolver(), ReferenceSatSolver()
         for n in steps:
